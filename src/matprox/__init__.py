@@ -17,7 +17,6 @@ from .bridge import (
     beta_fixed,
     beta_fraction_of_delta,
     bridge_for_pair,
-    bridge_norm,
     certify_reach_upper,
     convergence_experiment,
     estimate_reach_lower,
@@ -45,15 +44,12 @@ from .fixed_point import (
     action_kernel_dimension,
     action_lip_seminorm,
     action_lip_seminorms,
-    averaging_expectation,
     commutative_fixed_point_check,
     cyclic_rotation_group,
-    dual_action,
     enumerate_subgroups,
     expectation_gap,
     fixed_point_bridge,
     fixed_point_sweep,
-    fixed_subalgebra_basis,
     subgroup_hausdorff,
 )
 from .lseminorm import (
@@ -63,13 +59,12 @@ from .lseminorm import (
     l_seminorm,
     l_seminorms,
     quasi_leibniz_residual,
+    quasi_leibniz_residuals,
     sample_unit_ball,
     unit_ball_radius_bound,
 )
 from .matrix_algebra import (
     DiagonalEmbedding,
-    embed_diagonal,
-    extract_diagonal,
     identity,
     is_self_adjoint,
     jordan_product,

@@ -35,8 +35,19 @@ from .fixed_point import (
     expectation_gap,
     subgroup_hausdorff,
 )
-from .lseminorm import ApproximationPair, l_seminorms, sample_unit_ball
-from .matrix_algebra import identity, operator_norms, pinch, trace_state
+from .lseminorm import (
+    ApproximationPair,
+    l_seminorms,
+    quasi_leibniz_residuals,
+    sample_unit_ball,
+)
+from .matrix_algebra import (
+    identity,
+    operator_norms,
+    pinch,
+    random_hermitian_stack,
+    trace_state,
+)
 from .metric_core import (
     TAU,
     Circle,
@@ -46,6 +57,7 @@ from .metric_core import (
     lipschitz_seminorms,
     min_separation,
     mk_distance,
+    random_cloud_space,
 )
 
 EXACT = 1e-12
@@ -70,14 +82,6 @@ class CheckResult:
         return msg
 
 
-def random_cloud_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
-    while True:
-        points = rng.normal(size=(n, 3))
-        space = FiniteMetricSpace.from_points(points)
-        if n == 1 or min_separation(space) > 1e-3:
-            return space
-
-
 def _standard_configs(seed: int = 1001, count: int = 20) -> list[ApproximationPair]:
     """The shared random-configuration pool: Euclidean clouds, beta = delta."""
     rng = np.random.default_rng(seed)
@@ -87,18 +91,6 @@ def _standard_configs(seed: int = 1001, count: int = 20) -> list[ApproximationPa
         space = random_cloud_space(rng, n)
         pairs.append(ApproximationPair(space, min_separation(space)))
     return pairs
-
-
-def random_hermitian_stack(
-    rng: np.random.Generator, count: int, n: int, normalize: bool = True
-) -> np.ndarray:
-    g = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-    stack = (g + g.conj().transpose(0, 2, 1)) / 2.0
-    if normalize:
-        norms = operator_norms(stack)
-        norms[norms == 0.0] = 1.0
-        stack = stack / norms[:, None, None]
-    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +144,7 @@ def criterion_2() -> CheckResult:
                 )
             a = random_hermitian_stack(rng, per_size, n)
             b = random_hermitian_stack(rng, per_size, n)
-            jordan = (a @ b + b @ a) / 2.0
-            lie = (a @ b - b @ a) / 2.0j
-            la = l_seminorms(pair, a)
-            lb = l_seminorms(pair, b)
-            na = operator_norms(a)
-            nb = operator_norms(b)
-            bound = pair.leibniz_constant * (na * lb + nb * la)
-            jres = bound - l_seminorms(pair, jordan)
-            lres = bound - l_seminorms(pair, lie)
+            jres, lres = quasi_leibniz_residuals(pair, a, b)
             worst = min(worst, float(np.min(jres)), float(np.min(lres)))
         if worst < -LOOSE:
             failures.append(f"ratio {ratio}: residual {worst:.3e} below -1e-9")

@@ -38,66 +38,46 @@ from .metric_core import (
 
 @dataclass(frozen=True)
 class UnitPivotBridge:
-    """An ambient algebra, two unital embeddings, and the unit as pivot.
+    """The bridge from a pair's matrix algebra to the functions on its space.
 
-    With the unit pivot the height vanishes by construction; the bridge
-    norm of a pair of elements is the ambient operator-norm gap of their
-    embeddings.
+    The ambient algebra is the matrix algebra itself, embedded by the
+    identity; functions embed as diagonal matrices.  With the unit pivot the
+    height vanishes by construction; the bridge norm of a matrix and a
+    function is the operator-norm gap of their embeddings.
     """
 
-    ambient_dim: int
-    embed_left: Callable[[np.ndarray], np.ndarray]
-    embed_right: Callable[[np.ndarray], np.ndarray]
-    label_left: str = "left"
-    label_right: str = "right"
+    pair: ApproximationPair
 
     @property
     def height(self) -> float:
         return 0.0
 
-    def norm(self, a: np.ndarray, b: np.ndarray) -> float:
-        left = np.asarray(self.embed_left(a), dtype=complex)
-        right = np.asarray(self.embed_right(b), dtype=complex)
-        if left.shape != (self.ambient_dim, self.ambient_dim):
-            raise InputShapeError(
-                f"left embedding produced shape {left.shape}, ambient dim {self.ambient_dim}"
-            )
-        if right.shape != left.shape:
-            raise InputShapeError(
-                f"right embedding produced shape {right.shape}, ambient dim {self.ambient_dim}"
-            )
-        return operator_norm(left - right)
-
-
-def bridge_norm(bridge: UnitPivotBridge, a: np.ndarray, b: np.ndarray) -> float:
-    return bridge.norm(a, b)
+    def norm(self, a: np.ndarray, f: np.ndarray) -> float:
+        m = np.asarray(a, dtype=complex)
+        dim = self.pair.dim
+        if m.shape != (dim, dim):
+            raise InputShapeError(f"matrix has shape {m.shape}, ambient dim {dim}")
+        return operator_norm(m - self.pair.rho.embed(f))
 
 
 def bridge_for_pair(pair: ApproximationPair) -> UnitPivotBridge:
     """The bridge from the matrix algebra to the functions on its space:
     identity on matrices, diagonal embedding on functions."""
-    return UnitPivotBridge(
-        ambient_dim=pair.dim,
-        embed_left=lambda a: np.asarray(a, dtype=complex),
-        embed_right=pair.rho.embed,
-        label_left=f"M_{pair.dim}",
-        label_right=f"C(Y), #Y={pair.dim}",
-    )
+    return UnitPivotBridge(pair)
 
 
 @dataclass(frozen=True)
 class ReachCertificate:
     """An upper bound on the reach of a bridge plus the witnessing data.
 
+    The forward witness maps a matrix to its diagonal part as a function;
+    the backward witness maps a function to its diagonal matrix.
     ``worst_forward`` is the largest bridge norm over the checked samples of
-    the matrix side against its witness (the diagonal part);
-    ``worst_backward`` covers the function side, whose witness embeds
-    exactly and therefore scores zero.
+    the matrix side against its witness; ``worst_backward`` covers the
+    function side, whose witness embeds exactly and therefore scores zero.
     """
 
     upper_bound: float
-    witness_forward: str
-    witness_backward: str
     worst_forward: float
     worst_backward: float
     samples: int
@@ -129,8 +109,6 @@ def certify_reach_upper(
         )
     return ReachCertificate(
         upper_bound=pair.beta,
-        witness_forward="matrix a -> its diagonal part as a function",
-        witness_backward="function f -> the diagonal matrix of f",
         worst_forward=worst_forward,
         worst_backward=0.0,
         samples=samples,
@@ -196,8 +174,6 @@ def estimate_reach_lower(
     iters: int = 32,
     seed: int = 0,
     descent_steps: int = 200,
-    sampler: Callable[[ApproximationPair, int, int], Sequence[np.ndarray]] | None = None,
-    inner_solver: Callable[[ApproximationPair, np.ndarray, np.ndarray], float] | None = None,
 ) -> float:
     """Sampled, not certified, lower estimate of this bridge's reach.
 
@@ -210,15 +186,10 @@ def estimate_reach_lower(
     """
     if iters < 1:
         raise ConfigError("need at least one sample")
-    draw = sampler if sampler is not None else sample_unit_ball
     best = 0.0
-    for a in draw(pair, iters, seed):
+    for a in sample_unit_ball(pair, iters, seed):
         start = pair.rho.extract(pinch(a)).real
-        if inner_solver is not None:
-            value = inner_solver(pair, a, start)
-        else:
-            value = _coordinate_descent_inf(pair, a, start, steps=descent_steps)
-        best = max(best, value)
+        best = max(best, _coordinate_descent_inf(pair, a, start, steps=descent_steps))
     return best
 
 
@@ -252,27 +223,6 @@ def beta_fraction_of_delta(fraction: float) -> Callable[[float, int], float]:
     return rule
 
 
-def approximate_compact_space(
-    generator: Generator,
-    n: int,
-    beta_rule: Callable[[float, int], float],
-    corollary_mode: bool = True,
-) -> tuple[ApproximationPair, float]:
-    """Build the matrix approximation of a compact space and its total bound.
-
-    Returns the approximation pair over the n-point net together with the
-    certified bound Hausdorff(space, net) + beta.  In corollary mode the
-    rule must produce beta <= delta (Leibniz constant 2); violations raise
-    ``CorollaryModeViolation``, and the pair remains constructible with
-    ``corollary_mode=False`` at constant 1 + beta/delta.
-    """
-    net, haus = epsilon_net(generator, n)
-    delta = min_separation(net)
-    beta = float(beta_rule(delta, n))
-    pair = ApproximationPair(net, beta, corollary_mode=corollary_mode)
-    return pair, haus + beta
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     n: int
@@ -301,6 +251,31 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
+def approximate_compact_space(
+    generator: Generator,
+    n: int,
+    beta_rule: Callable[[float, int], float],
+    corollary_mode: bool = True,
+) -> tuple[ApproximationPair, ConvergenceRow]:
+    """Build the matrix approximation of a compact space and its total bound.
+
+    Returns the approximation pair over the n-point net together with its
+    row: delta, beta, the Hausdorff distance from the space to the net, and
+    the certified bound Hausdorff(space, net) + beta.  In corollary mode the
+    rule must produce beta <= delta (Leibniz constant 2); violations raise
+    ``CorollaryModeViolation``, and the pair remains constructible with
+    ``corollary_mode=False`` at constant 1 + beta/delta.
+    """
+    net, haus = epsilon_net(generator, n)
+    delta = min_separation(net)
+    beta = float(beta_rule(delta, n))
+    pair = ApproximationPair(net, beta, corollary_mode=corollary_mode)
+    row = ConvergenceRow(
+        n=n, delta=delta, beta=beta, haus=haus, certified_bound=haus + beta
+    )
+    return pair, row
+
+
 def convergence_experiment(
     generator: Generator,
     n_list: Sequence[int],
@@ -311,17 +286,10 @@ def convergence_experiment(
     sizes = [int(n) for n in n_list]
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ConfigError("net sizes must be strictly increasing")
-    rows = []
-    for n in sizes:
-        net, haus = epsilon_net(generator, n)
-        delta = min_separation(net)
-        beta = float(beta_rule(delta, n))
-        ApproximationPair(net, beta, corollary_mode=corollary_mode)
-        rows.append(
-            ConvergenceRow(
-                n=n, delta=delta, beta=beta, haus=haus, certified_bound=haus + beta
-            )
-        )
+    rows = [
+        approximate_compact_space(generator, n, beta_rule, corollary_mode)[1]
+        for n in sizes
+    ]
     bounds = [r.certified_bound for r in rows]
     strictly = all(b2 < b1 for b1, b2 in zip(bounds, bounds[1:]))
     noninc = all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))

@@ -12,6 +12,7 @@ to stderr), 3 acceptance failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +23,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import acceptance
 from .bridge import (
     approximate_compact_space,
     beta_delta_over_n,
@@ -31,7 +31,7 @@ from .bridge import (
     convergence_experiment,
     estimate_reach_lower,
 )
-from .errors import MatproxError
+from .errors import CorollaryModeViolation, MatproxError
 from .fixed_point import (
     FuzzyTorus,
     LengthFunction,
@@ -40,19 +40,20 @@ from .fixed_point import (
     expectation_gap,
     fixed_point_bridge,
     fixed_point_sweep,
-    subgroup_hausdorff,
 )
-from .lseminorm import ApproximationPair, l_seminorms
-from .matrix_algebra import operator_norms
+from .lseminorm import ApproximationPair, quasi_leibniz_residuals
+from .matrix_algebra import random_hermitian_stack
 from .metric_core import (
     Circle,
+    FiniteMetricSpace,
     FlatTorus,
     Interval,
     PointCloud,
-    epsilon_net,
+    check_probability,
     load_space,
     min_separation,
     mk_distance,
+    random_cloud_space,
 )
 
 OUTPUT_DIR_ENV = "MATPROX_OUTPUT_DIR"
@@ -67,14 +68,17 @@ class ValidationFailure(Exception):
 
 def _parse_scalar(token: str, field: str) -> float:
     text = token.strip().lower()
+    if text == "pi":
+        return math.pi
+    if text == "2pi":
+        return 2.0 * math.pi
     try:
-        if text == "pi":
-            return math.pi
-        if text == "2pi":
-            return 2.0 * math.pi
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValidationFailure(field, f"cannot parse number {token!r}") from None
+    if not math.isfinite(value):
+        raise ValidationFailure(field, f"number {token!r} is not finite")
+    return value
 
 
 def parse_generator(spec: str):
@@ -85,11 +89,15 @@ def parse_generator(spec: str):
         path = Path(text[len("cloud:") :])
         if not path.exists():
             raise ValidationFailure("generator", f"point file {path} does not exist")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if "points" not in payload:
-            raise ValidationFailure("generator", "point file needs a 'points' array")
-        pts = np.asarray(payload["points"], dtype=float)
-        labels = tuple(payload["labels"]) if "labels" in payload else None
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            pts = np.asarray(payload["points"], dtype=float)
+            labels = tuple(payload["labels"]) if "labels" in payload else None
+            FiniteMetricSpace.from_points(pts, labels)
+        except (KeyError, TypeError, ValueError, MatproxError) as exc:
+            raise ValidationFailure(
+                "generator", f"point file {path} needs a 'points' array of distinct points ({exc!r})"
+            ) from None
         return PointCloud(pts, labels)
     for name, builder in (
         ("circle", lambda args: Circle(args[0])),
@@ -151,15 +159,40 @@ def _resolve_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[
     return config
 
 
-def _require_positive_int(config: dict, field: str) -> int:
-    value = config.get(field)
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
+def _int_field(config: dict, field: str, minimum: int | None = None) -> int:
+    value = config[field]
+    if type(value) is not int:
         raise ValidationFailure(field, f"{field} must be an integer, got {value!r}")
-    if number < 1:
-        raise ValidationFailure(field, f"{field} must be positive, got {number}")
-    return number
+    if minimum is not None and value < minimum:
+        raise ValidationFailure(field, f"{field} must be at least {minimum}, got {value}")
+    return value
+
+
+def _bool_field(config: dict, field: str) -> bool:
+    value = config[field]
+    if not isinstance(value, bool):
+        raise ValidationFailure(field, f"{field} must be true or false, got {value!r}")
+    return value
+
+
+def _list_field(config: dict, field: str, kind: type) -> list:
+    """Finite ints or floats, from a JSON array or a comma-separated string."""
+    raw = config[field]
+    items = [tok for tok in raw.split(",") if tok.strip()] if isinstance(raw, str) else raw
+    if not isinstance(items, list):
+        raise ValidationFailure(field, f"{field} must be a list, got {raw!r}")
+    accepted = (int, float) if kind is float else (int,)
+    values = []
+    for item in items:
+        if isinstance(item, str):
+            try:
+                item = kind(item)
+            except ValueError:
+                raise ValidationFailure(field, f"cannot parse {field} entry {item!r}") from None
+        if type(item) not in accepted or not math.isfinite(item):
+            raise ValidationFailure(field, f"{field} entries must be finite {kind.__name__}s, got {item!r}")
+        values.append(kind(item))
+    return values
 
 
 def _output_path(args: argparse.Namespace, default_name: str) -> Path:
@@ -180,6 +213,21 @@ def _write_text(path: Path, text: str) -> None:
 
 def _emit_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _emit_result(
+    args: argparse.Namespace, default_name: str, config: dict, results: dict, start: float
+) -> Path:
+    """Write a subcommand's result JSON, timed from ``start``; returns its path."""
+    payload = {
+        "command": args.command,
+        "resolved_config": config,
+        "results": results,
+        "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
+    }
+    out = _output_path(args, default_name)
+    _emit_json(out, payload)
+    return out
 
 
 def _error_exit(failure: ValidationFailure) -> int:
@@ -204,41 +252,38 @@ def _cmd_approximate(args: argparse.Namespace) -> int:
     }
     config = _resolve_config(args, defaults)
     generator = parse_generator(str(config["generator"]))
-    n = _require_positive_int(config, "n")
+    n = _int_field(config, "n", 1)
     rule = parse_beta_rule(str(config["beta_rule"]))
-    seed = int(config["seed"])
-    reach_samples = _require_positive_int(config, "reach_samples")
-    corollary_mode = bool(config["corollary_mode"])
+    seed = _int_field(config, "seed", 0)
+    reach_samples = _int_field(config, "reach_samples", 1)
+    corollary_mode = _bool_field(config, "corollary_mode")
 
     start = time.perf_counter()
     try:
-        pair, bound = approximate_compact_space(
+        pair, row = approximate_compact_space(
             generator, n, rule, corollary_mode=corollary_mode
         )
-    except MatproxError as exc:
+    except CorollaryModeViolation as exc:
         raise ValidationFailure("beta_rule", str(exc))
-    net, haus = epsilon_net(generator, n)
+    except MatproxError as exc:
+        # The generator was validated when parsed; what remains is the net
+        # size (too few points, not a grid, more than the cloud holds).
+        raise ValidationFailure("n", str(exc))
     sampled_lower = estimate_reach_lower(pair, iters=reach_samples, seed=seed)
-    payload = {
-        "command": "approximate",
-        "resolved_config": config,
-        "results": {
-            "generator": str(config["generator"]),
-            "n": n,
-            "delta": pair.delta,
-            "beta": pair.beta,
-            "haus": haus,
-            "certified_bound": bound,
-            "sampled_lower": sampled_lower,
-            "sampled_lower_certified": False,
-            "D_constant": pair.leibniz_constant,
-            "corollary_mode": corollary_mode,
-            "seed": seed,
-        },
-        "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
+    results = {
+        "generator": str(config["generator"]),
+        "n": n,
+        "delta": pair.delta,
+        "beta": pair.beta,
+        "haus": row.haus,
+        "certified_bound": row.certified_bound,
+        "sampled_lower": sampled_lower,
+        "sampled_lower_certified": False,
+        "D_constant": pair.leibniz_constant,
+        "corollary_mode": corollary_mode,
+        "seed": seed,
     }
-    out = _output_path(args, "approximate.json")
-    _emit_json(out, payload)
+    out = _emit_result(args, "approximate.json", config, results, start)
     print(f"wrote {out}")
     return 0
 
@@ -253,41 +298,23 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     config = _resolve_config(args, defaults)
     generator = parse_generator(str(config["generator"]))
     rule = parse_beta_rule(str(config["beta_rule"]))
-    n_list = config["n_list"]
-    if isinstance(n_list, str):
-        try:
-            n_list = [int(tok) for tok in n_list.split(",") if tok.strip()]
-        except ValueError:
-            raise ValidationFailure("n_list", f"cannot parse sizes {config['n_list']!r}")
-    if not n_list or sorted(set(int(x) for x in n_list)) != [int(x) for x in n_list]:
+    n_list = _list_field(config, "n_list", int)
+    if not n_list or sorted(set(n_list)) != n_list:
         raise ValidationFailure("n_list", "net sizes must be strictly increasing")
+    _int_field(config, "seed", 0)
 
     start = time.perf_counter()
     try:
-        report = convergence_experiment(generator, [int(x) for x in n_list], rule)
+        report = convergence_experiment(generator, n_list, rule)
     except MatproxError as exc:
         raise ValidationFailure("n_list", str(exc))
-    payload = {
-        "command": "converge",
-        "resolved_config": {**config, "n_list": [int(x) for x in n_list]},
-        "results": {
-            "rows": [
-                {
-                    "n": r.n,
-                    "delta": r.delta,
-                    "beta": r.beta,
-                    "haus": r.haus,
-                    "certified_bound": r.certified_bound,
-                }
-                for r in report.rows
-            ],
-            "strictly_decreasing": report.strictly_decreasing,
-            "nonincreasing": report.nonincreasing,
-        },
-        "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
+    results = {
+        "rows": [dataclasses.asdict(r) for r in report.rows],
+        "strictly_decreasing": report.strictly_decreasing,
+        "nonincreasing": report.nonincreasing,
     }
-    out = _output_path(args, "converge.json")
-    _emit_json(out, payload)
+    resolved = {**config, "n_list": n_list}
+    out = _emit_result(args, "converge.json", resolved, results, start)
     csv_path = out.with_suffix(".csv")
     _write_text(csv_path, report.to_csv())
     print(f"wrote {out} and {csv_path}")
@@ -303,39 +330,27 @@ def _cmd_leibniz(args: argparse.Namespace) -> int:
         "include_raw": True,
     }
     config = _resolve_config(args, defaults)
-    sizes = config["sizes"]
-    if isinstance(sizes, str):
-        sizes = [int(tok) for tok in sizes.split(",") if tok.strip()]
-    sizes = [int(x) for x in sizes]
+    sizes = _list_field(config, "sizes", int)
     if any(x < 2 for x in sizes):
         raise ValidationFailure("sizes", "matrix sizes must be at least 2")
-    ratios = config["ratios"]
-    if isinstance(ratios, str):
-        ratios = [float(tok) for tok in ratios.split(",") if tok.strip()]
-    ratios = [float(x) for x in ratios]
+    ratios = _list_field(config, "ratios", float)
     if any(r <= 0.0 for r in ratios):
         raise ValidationFailure("ratios", "beta/delta ratios must be positive")
-    pairs = _require_positive_int(config, "pairs")
-    seed = int(config["seed"])
+    pairs = _int_field(config, "pairs", 1)
+    seed = _int_field(config, "seed", 0)
+    include_raw = _bool_field(config, "include_raw")
 
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     suites = []
     for ratio in ratios:
         for n in sizes:
-            space = acceptance.random_cloud_space(rng, n)
+            space = random_cloud_space(rng, n)
             delta = min_separation(space)
             pair = ApproximationPair(space, ratio * delta, corollary_mode=ratio <= 1.0)
-            a = acceptance.random_hermitian_stack(rng, pairs, n)
-            b = acceptance.random_hermitian_stack(rng, pairs, n)
-            jordan = (a @ b + b @ a) / 2.0
-            lie = (a @ b - b @ a) / 2.0j
-            bound = pair.leibniz_constant * (
-                operator_norms(a) * l_seminorms(pair, b)
-                + operator_norms(b) * l_seminorms(pair, a)
-            )
-            jres = bound - l_seminorms(pair, jordan)
-            lres = bound - l_seminorms(pair, lie)
+            a = random_hermitian_stack(rng, pairs, n)
+            b = random_hermitian_stack(rng, pairs, n)
+            jres, lres = quasi_leibniz_residuals(pair, a, b)
             suite = {
                 "n": n,
                 "beta_over_delta": ratio,
@@ -344,18 +359,12 @@ def _cmd_leibniz(args: argparse.Namespace) -> int:
                 "min_jordan_residual": float(np.min(jres)),
                 "min_lie_residual": float(np.min(lres)),
             }
-            if config["include_raw"]:
+            if include_raw:
                 suite["jordan_residuals"] = [float(x) for x in jres]
                 suite["lie_residuals"] = [float(x) for x in lres]
             suites.append(suite)
-    payload = {
-        "command": "leibniz",
-        "resolved_config": {**config, "sizes": sizes, "ratios": ratios},
-        "results": {"suites": suites},
-        "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
-    }
-    out = _output_path(args, "leibniz.json")
-    _emit_json(out, payload)
+    resolved = {**config, "sizes": sizes, "ratios": ratios}
+    out = _emit_result(args, "leibniz.json", resolved, {"suites": suites}, start)
     print(f"wrote {out}")
     return 0
 
@@ -363,6 +372,7 @@ def _cmd_leibniz(args: argparse.Namespace) -> int:
 def _cmd_mk(args: argparse.Namespace) -> int:
     defaults = {"space": None, "p": None, "q": None, "seed": 0}
     config = _resolve_config(args, defaults)
+    _int_field(config, "seed", 0)
     if not config["space"]:
         raise ValidationFailure("space", "a space file is required")
     path = Path(str(config["space"]))
@@ -370,25 +380,19 @@ def _cmd_mk(args: argparse.Namespace) -> int:
         raise ValidationFailure("space", f"space file {path} does not exist")
     try:
         space = load_space(path.read_text(encoding="utf-8"))
-    except MatproxError as exc:
+    except (MatproxError, TypeError, ValueError) as exc:
         raise ValidationFailure("space", str(exc))
 
     def _measure(raw, field):
         if raw is None:
             return None
-        if isinstance(raw, str):
-            try:
-                raw = json.loads(raw)
-            except json.JSONDecodeError:
-                raise ValidationFailure(field, f"{field} must be a JSON array of weights")
-        arr = np.asarray(raw, dtype=float)
-        if arr.shape != (space.n_points,):
+        try:
+            weights = json.loads(raw) if isinstance(raw, str) else raw
+            return check_probability(space, np.asarray(weights, dtype=float))
+        except (TypeError, ValueError, MatproxError) as exc:
             raise ValidationFailure(
-                field, f"{field} needs {space.n_points} weights, got shape {arr.shape}"
-            )
-        if np.min(arr) < -1e-12 or abs(float(arr.sum()) - 1.0) > 1e-12:
-            raise ValidationFailure(field, f"{field} is not a probability vector")
-        return arr
+                field, f"{field} must be a JSON array of {space.n_points} probability weights: {exc}"
+            ) from None
 
     p = _measure(config["p"], "p")
     q = _measure(config["q"], "q")
@@ -398,25 +402,21 @@ def _cmd_mk(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     n = space.n_points
     eye = np.eye(n)
-    dirac = [
-        [mk_distance(space, eye[i], eye[j]) for j in range(n)] for i in range(n)
-    ]
-    residual = float(np.max(np.abs(np.asarray(dirac) - space.dist)))
+    # The transport LP is bitwise symmetric in its two measures, so each
+    # unordered pair is solved once; Dirac masses at one point are 0 apart.
+    dirac = np.zeros((n, n))
+    for i, j in zip(*np.triu_indices(n, k=1)):
+        dirac[i, j] = dirac[j, i] = mk_distance(space, eye[i], eye[j])
+    residual = float(np.max(np.abs(dirac - space.dist)))
     results: dict[str, Any] = {
         "labels": list(space.labels),
-        "dirac_distance_matrix": dirac,
+        "dirac_distance_matrix": dirac.tolist(),
         "max_gap_to_ground_metric": residual,
     }
     if p is not None:
         results["mk_p_q"] = mk_distance(space, p, q)
-    payload = {
-        "command": "mk",
-        "resolved_config": {**config, "space": str(config["space"])},
-        "results": results,
-        "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
-    }
-    out = _output_path(args, "mk.json")
-    _emit_json(out, payload)
+    resolved = {**config, "space": str(config["space"])}
+    out = _emit_result(args, "mk.json", resolved, results, start)
     print(f"wrote {out}")
     return 0
 
@@ -430,9 +430,12 @@ def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
         except json.JSONDecodeError:
             raise ValidationFailure(field, f"{field} must be a JSON array of [j, k] pairs")
     try:
-        return [(int(j), int(k)) for j, k in raw]
+        pairs = [(j, k) for j, k in raw]
+        if all(type(x) is int for pair in pairs for x in pair):
+            return pairs
     except (TypeError, ValueError):
-        raise ValidationFailure(field, f"{field} must be pairs of integers")
+        pass
+    raise ValidationFailure(field, f"{field} must be pairs of integers")
 
 
 def _cmd_fixedpoint(args: argparse.Namespace) -> int:
@@ -446,29 +449,18 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         "sweep": None,
     }
     config = _resolve_config(args, defaults)
-    seed = int(config["seed"])
-    count = _require_positive_int(config, "count")
+    seed = _int_field(config, "seed", 0)
+    count = _int_field(config, "count", 1)
 
     start = time.perf_counter()
     if config["sweep"]:
-        sweep = config["sweep"]
-        if isinstance(sweep, str):
-            try:
-                sweep = [int(tok) for tok in sweep.split(",") if tok.strip()]
-            except ValueError:
-                raise ValidationFailure("sweep", f"cannot parse sweep orders {config['sweep']!r}")
-        sweep = [int(x) for x in sweep]
+        sweep = _list_field(config, "sweep", int)
         if any(x < 2 for x in sweep):
             raise ValidationFailure("sweep", "sweep orders must be at least 2")
         rows = fixed_point_sweep(sweep, count=count, seed=seed)
-        payload = {
-            "command": "fixedpoint",
-            "resolved_config": {**config, "sweep": sweep},
-            "results": {"model": SPECIALIZATION_NOTE, "sweep_rows": rows},
-            "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
-        }
-        out = _output_path(args, "fixedpoint_sweep.json")
-        _emit_json(out, payload)
+        results = {"model": SPECIALIZATION_NOTE, "sweep_rows": rows}
+        resolved = {**config, "sweep": sweep}
+        out = _emit_result(args, "fixedpoint_sweep.json", resolved, results, start)
         csv_lines = ["q,m,haus_ell,gap_sampled,dim_fixed"]
         for r in rows:
             csv_lines.append(
@@ -479,10 +471,8 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         print(f"wrote {out} and {csv_path}")
         return 0
 
-    q = _require_positive_int(config, "q")
-    if q < 2:
-        raise ValidationFailure("q", "torus order must be at least 2")
-    p = int(config["p"])
+    q = _int_field(config, "q", 2)
+    p = _int_field(config, "p")
     if math.gcd(p % q, q) != 1:
         raise ValidationFailure("p", f"p={p} must be coprime to q={q}")
     h_gens = _parse_generators(config["h_generators"], "h_generators")
@@ -496,40 +486,37 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         raise ValidationFailure("h_generators", str(exc))
     gap = expectation_gap(torus, ell, sub_h, sub_k, count=count, seed=seed)
     report = fixed_point_bridge(torus, ell, sub_h, sub_k, count=count, seed=seed)
-    payload = {
-        "command": "fixedpoint",
-        "resolved_config": config,
-        "results": {
-            "model": report.model,
-            "q": q,
-            "p": p,
-            "H_generators": [list(g) for g in sub_h.generators],
-            "K_generators": [list(g) for g in sub_k.generators],
-            "haus_ell": subgroup_hausdorff(ell, sub_h, sub_k),
-            "gap_sampled": gap,
-            "reach_report": {
-                "worst_left_to_right": report.worst_left_to_right,
-                "worst_right_to_left": report.worst_right_to_left,
-                "reach_sampled": report.reach_sampled,
-                "certified": report.certified,
-            },
-            "dims": {
-                "fixed_left": report.dim_fixed_left,
-                "fixed_right": report.dim_fixed_right,
-                "ambient": q * q,
-            },
-            "seed": seed,
+    results = {
+        "model": report.model,
+        "q": q,
+        "p": p,
+        "H_generators": [list(g) for g in sub_h.generators],
+        "K_generators": [list(g) for g in sub_k.generators],
+        "haus_ell": report.haus_ell,
+        "gap_sampled": gap,
+        "reach_report": {
+            "worst_left_to_right": report.worst_left_to_right,
+            "worst_right_to_left": report.worst_right_to_left,
+            "reach_sampled": report.reach_sampled,
+            "certified": report.certified,
         },
-        "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
+        "dims": {
+            "fixed_left": report.dim_fixed_left,
+            "fixed_right": report.dim_fixed_right,
+            "ambient": q * q,
+        },
+        "seed": seed,
     }
-    out = _output_path(args, "fixedpoint.json")
-    _emit_json(out, payload)
+    out = _emit_result(args, "fixedpoint.json", config, results, start)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    results = acceptance.run_all(stream=sys.stdout)
+    # Imported here: the acceptance suite sits above every other module.
+    from .acceptance import all_passed, run_all
+
+    results = run_all(stream=sys.stdout)
     if getattr(args, "output", None):
         payload = {
             "command": "selftest",
@@ -545,7 +532,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
             ],
         }
         _emit_json(Path(args.output), payload)
-    return 0 if acceptance.all_passed(results) else 3
+    return 0 if all_passed(results) else 3
 
 
 # ---------------------------------------------------------------------------

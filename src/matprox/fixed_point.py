@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,12 @@ from .errors import (
     ConfigError,
     InputShapeError,
 )
-from .matrix_algebra import operator_norm, operator_norms, require_self_adjoint
+from .matrix_algebra import (
+    operator_norm,
+    operator_norms,
+    random_hermitian,
+    require_self_adjoint,
+)
 from .metric_core import (
     FiniteMetricSpace,
     hausdorff_distance,
@@ -160,10 +165,6 @@ class FuzzyTorus:
         return np.linalg.matrix_power(self.shift, s) @ np.linalg.matrix_power(
             self.clock, t
         )
-
-
-def dual_action(torus: FuzzyTorus, g: GroupElement, a: np.ndarray) -> np.ndarray:
-    return torus.dual_action(g, a)
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +390,12 @@ class AveragingExpectation:
         return int(np.sum(self.mask))
 
     def fixed_basis(self) -> list[GroupElement]:
+        """Monomial exponents spanning the fixed-point subalgebra.
+
+        Always contains (0, 0); the count times the subgroup order equals
+        q^2 (annihilator duality for the finite torus)."""
         ms, ns = np.nonzero(self.mask)
         return sorted(zip(ms.tolist(), ns.tolist()))
-
-
-def averaging_expectation(
-    torus: FuzzyTorus, subgroup: TorusSubgroup, a: np.ndarray
-) -> np.ndarray:
-    return AveragingExpectation(torus, subgroup)(a)
-
-
-def fixed_subalgebra_basis(
-    torus: FuzzyTorus, subgroup: TorusSubgroup
-) -> list[GroupElement]:
-    """Monomial exponents spanning the fixed-point subalgebra of a subgroup.
-
-    Always contains (0, 0); the count times the subgroup order equals q^2
-    (annihilator duality for the finite torus)."""
-    return AveragingExpectation(torus, subgroup).fixed_basis()
 
 
 # ---------------------------------------------------------------------------
@@ -521,18 +510,6 @@ def _centered(torus: FuzzyTorus, a: np.ndarray) -> np.ndarray:
     return a - (np.trace(a) / torus.q) * np.eye(torus.q)
 
 
-def _default_gap_sampler(
-    torus: FuzzyTorus, count: int, seed: int
-) -> list[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    q = torus.q
-    out = []
-    for _ in range(count):
-        g = rng.normal(size=(q, q)) + 1j * rng.normal(size=(q, q))
-        out.append((g + g.conj().T) / 2.0)
-    return out
-
-
 def _normalized_unit_ball(
     torus: FuzzyTorus, ell: LengthFunction, candidates: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
@@ -555,7 +532,6 @@ def expectation_gap(
     k: TorusSubgroup,
     count: int = 64,
     seed: int = 0,
-    sampler: Callable[[FuzzyTorus, int, int], Sequence[np.ndarray]] | None = None,
 ) -> float:
     """Sampled sup of ||E_h(a) - E_k(a)|| over the traceless unit ball.
 
@@ -572,9 +548,9 @@ def expectation_gap(
     e_k = AveragingExpectation(torus, k)
     signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
     support = np.argwhere(e_h.mask ^ e_k.mask)
-    draw = sampler if sampler is not None else _default_gap_sampler
     candidates = _structured_lines(torus, map(tuple, support.tolist()))
-    candidates.extend(draw(torus, count, seed))
+    rng = np.random.default_rng(seed)
+    candidates.extend(random_hermitian(rng, torus.q) for _ in range(count))
     best = 0.0
     for a in _normalized_unit_ball(torus, ell, candidates):
         gap_elem = torus.from_coefficients(signed_mask * torus.to_coefficients(a))
@@ -624,8 +600,8 @@ def _directed_bridge_value(
         return 0.0
     informative = np.argwhere(source.mask & ~target.mask)
     candidates = _structured_lines(torus, map(tuple, informative.tolist()))
-    for raw in _default_gap_sampler(torus, count, seed):
-        candidates.append(source(raw))
+    rng = np.random.default_rng(seed)
+    candidates.extend(source(random_hermitian(rng, torus.q)) for _ in range(count))
     best = 0.0
     for a in _normalized_unit_ball(torus, ell, candidates):
         best = max(best, operator_norm(a - target(a)))
@@ -832,11 +808,8 @@ def commutative_fixed_point_check(
     reach = 0.0
     for f in samples:
         averaged = orbit_average(orbits, f)
-        worst_violation = max(
-            worst_violation,
-            lipschitz_seminorm(space, averaged) - lipschitz_seminorm(space, f),
-        )
         lip = lipschitz_seminorm(space, f)
+        worst_violation = max(worst_violation, lipschitz_seminorm(space, averaged) - lip)
         if lip <= 1.0 + 1e-12:
             reach = max(reach, float(np.max(np.abs(f - averaged))))
 

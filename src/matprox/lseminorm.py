@@ -25,16 +25,16 @@ from .config import DEFAULT_TOLERANCES
 from .errors import ConfigError, CorollaryModeViolation, InputShapeError
 from .matrix_algebra import (
     DiagonalEmbedding,
-    jordan_product,
-    lie_product,
     operator_norm,
     operator_norms,
+    random_hermitian,
     require_self_adjoint,
     trace_state,
 )
 from .metric_core import (
     FiniteMetricSpace,
     diameter,
+    lipschitz_constraints,
     lipschitz_seminorm,
     lipschitz_seminorms,
     min_separation,
@@ -105,13 +105,10 @@ def l_seminorm(
     """
     m = _check_dim(pair, a)
     if not extend_complex:
-        m = require_self_adjoint(m, tol=tol)
+        return float(l_seminorms(pair, require_self_adjoint(m, tol=tol)[None])[0])
     diag = np.diag(m)
-    off = m - np.diag(diag)
-    deviation = operator_norm(off) / pair.beta
-    values = diag if extend_complex else diag.real
-    lip = lipschitz_seminorm(pair.space, values)
-    return max(deviation, lip)
+    deviation = operator_norm(m - np.diag(diag)) / pair.beta
+    return max(deviation, lipschitz_seminorm(pair.space, diag))
 
 
 def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
@@ -132,23 +129,34 @@ def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
     return np.maximum(deviations, lips)
 
 
-def quasi_leibniz_residual(
+def quasi_leibniz_residuals(
     pair: ApproximationPair, a: np.ndarray, b: np.ndarray
-) -> tuple[float, float]:
-    """Slack of the Leibniz-type inequality for the Jordan and Lie products.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slack of the Leibniz-type inequality for the Jordan and Lie products,
+    over two (count, n, n) stacks of self-adjoint elements paired by index.
 
     Returns D*(||a|| L(b) + ||b|| L(a)) - L(product) for each product; the
     inequality holds exactly when both residuals are nonnegative (small
-    negative values are rounding noise).
+    negative values are rounding noise).  Like :func:`l_seminorms`, skips
+    the self-adjointness validation.
     """
+    jordan = (a @ b + b @ a) / 2.0
+    lie = (a @ b - b @ a) / 2.0j
+    bound = pair.leibniz_constant * (
+        operator_norms(a) * l_seminorms(pair, b)
+        + operator_norms(b) * l_seminorms(pair, a)
+    )
+    return bound - l_seminorms(pair, jordan), bound - l_seminorms(pair, lie)
+
+
+def quasi_leibniz_residual(
+    pair: ApproximationPair, a: np.ndarray, b: np.ndarray
+) -> tuple[float, float]:
+    """:func:`quasi_leibniz_residuals` for one validated self-adjoint pair."""
     x = require_self_adjoint(_check_dim(pair, a))
     y = require_self_adjoint(_check_dim(pair, b))
-    bound = pair.leibniz_constant * (
-        operator_norm(x) * l_seminorm(pair, y) + operator_norm(y) * l_seminorm(pair, x)
-    )
-    jres = bound - l_seminorm(pair, jordan_product(x, y))
-    lres = bound - l_seminorm(pair, lie_product(x, y))
-    return float(jres), float(lres)
+    jres, lres = quasi_leibniz_residuals(pair, x[None], y[None])
+    return float(jres[0]), float(lres[0])
 
 
 def kernel_check(
@@ -221,20 +229,7 @@ def _lip_ball_sup_norm(space: FiniteMetricSpace, weights: np.ndarray) -> float:
     n = space.n_points
     if n == 1:
         return 0.0
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = np.zeros(n)
-            row[i] = 1.0
-            row[j] = -1.0
-            d = space.dist[i, j]
-            rows.append(row.copy())
-            rhs.append(d)
-            rows.append(-row)
-            rhs.append(d)
-    a_ub = np.asarray(rows)
-    b_ub = np.asarray(rhs)
+    a_ub, b_ub = lipschitz_constraints(space)
     a_eq = weights[None, :]
     best = 0.0
     for i in range(n):
@@ -269,10 +264,6 @@ def unit_ball_radius_bound(pair: ApproximationPair) -> float:
     return pair.beta + _lip_ball_sup_norm(pair.space, weights)
 
 
-def _sample_sort_key(a: np.ndarray) -> bytes:
-    return np.round(a.view(float), 9).tobytes()
-
-
 def sample_unit_ball(
     pair: ApproximationPair, count: int, seed: int
 ) -> list[np.ndarray]:
@@ -281,9 +272,8 @@ def sample_unit_ball(
     Each sample is diag(f) + c with Lip(f) <= 1 and c self-adjoint with zero
     diagonal and ||c|| <= beta, so membership is exact by construction
     rather than by rejection.  The expectation of such a sample is diag(f)
-    and its deviation term is ||c||/beta.  Output order is canonical
-    (sorted by a rounded byte key) so sharded generation reassembles
-    identically.
+    and its deviation term is ||c||/beta.  The same seed gives the same
+    samples in the same order.
     """
     if count < 1:
         raise ConfigError("sample count must be at least one")
@@ -297,13 +287,11 @@ def sample_unit_ball(
         if lip > 0.0:
             f = f * (target_lip / lip)
         f = f + rng.uniform(-1.0, 1.0)
-        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        c = (g + g.conj().T) / 2.0
+        c = random_hermitian(rng, n)
         np.fill_diagonal(c, 0.0)
         norm_c = operator_norm(c)
         target_dev = rng.uniform(0.0, 1.0)
         if norm_c > 0.0:
             c = c * (target_dev * pair.beta / norm_c)
         samples.append(np.diag(f.astype(complex)) + c)
-    samples.sort(key=_sample_sort_key)
     return samples

@@ -93,10 +93,23 @@ def pinch(a: np.ndarray) -> np.ndarray:
     return np.diag(np.diag(m))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def _gaussian_hermitian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return (g + np.swapaxes(g, -1, -2).conj()) / 2.0
+
+
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     """A random self-adjoint matrix with independent Gaussian entries."""
-    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * (g + g.conj().T) / 2.0
+    return _gaussian_hermitian(rng, (n, n))
+
+
+def random_hermitian_stack(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """A (count, n, n) stack of random self-adjoint matrices of operator norm
+    one (the zero matrix, drawn with probability zero, stays zero)."""
+    stack = _gaussian_hermitian(rng, (count, n, n))
+    norms = operator_norms(stack)
+    norms[norms == 0.0] = 1.0
+    return stack / norms[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -137,16 +150,6 @@ class DiagonalEmbedding:
                 f"matrix has off-diagonal mass {mass:.3e}, not in the diagonal algebra"
             )
         return np.diag(m)
-
-
-def embed_diagonal(rho: DiagonalEmbedding, values: np.ndarray) -> np.ndarray:
-    return rho.embed(values)
-
-
-def extract_diagonal(
-    rho: DiagonalEmbedding, a: np.ndarray, tol: float = DEFAULT_TOLERANCES.algebraic
-) -> np.ndarray:
-    return rho.extract(a, tol=tol)
 
 
 # ---------------------------------------------------------------------------

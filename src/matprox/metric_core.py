@@ -148,8 +148,8 @@ def check_probability(
         raise InputShapeError(
             f"measure has {w.shape} weights, space has {space.n_points} points"
         )
-    if np.min(w) < -tol:
-        raise ValueError("measure weights must be nonnegative")
+    if not np.all(np.isfinite(w)) or np.min(w) < -tol:
+        raise ValueError("measure weights must be finite and nonnegative")
     if abs(float(np.sum(w)) - 1.0) > tol:
         raise ValueError("measure weights must sum to one")
     return np.clip(w, 0.0, None)
@@ -172,6 +172,14 @@ def diameter(space: FiniteMetricSpace) -> float:
     return float(np.max(space.dist))
 
 
+def random_cloud_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
+    """Gaussian points in R^3, redrawn until no two lie within 1e-3."""
+    while True:
+        space = FiniteMetricSpace.from_points(rng.normal(size=(n, 3)))
+        if n == 1 or min_separation(space) > 1e-3:
+            return space
+
+
 def lipschitz_seminorm(space: FiniteMetricSpace, values: np.ndarray) -> float:
     """Largest ratio |f(x) - f(y)| / d(x, y) over pairs of distinct points.
 
@@ -180,12 +188,7 @@ def lipschitz_seminorm(space: FiniteMetricSpace, values: np.ndarray) -> float:
     functions are accepted; differences are measured in modulus.
     """
     f = check_function(space, values)
-    n = space.n_points
-    if n < 2:
-        return 0.0
-    num = np.abs(f[:, None] - f[None, :])
-    mask = ~np.eye(n, dtype=bool)
-    return float(np.max(num[mask] / space.dist[mask]))
+    return float(lipschitz_seminorms(space, f[None])[0])
 
 
 def lipschitz_seminorms(space: FiniteMetricSpace, batch: np.ndarray) -> np.ndarray:
@@ -199,6 +202,24 @@ def lipschitz_seminorms(space: FiniteMetricSpace, batch: np.ndarray) -> np.ndarr
     num = np.abs(fs[:, :, None] - fs[:, None, :])
     mask = ~np.eye(n, dtype=bool)
     return np.max(num[:, mask] / space.dist[mask][None, :], axis=1)
+
+
+def lipschitz_constraints(space: FiniteMetricSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-Lipschitz polytope {f : |f_i - f_j| <= d(i, j)} as A f <= b.
+
+    Each pair i < j, in ``np.triu_indices`` order, contributes the row
+    f_i - f_j <= d(i, j) followed by its negation; LP solvers see the rows
+    in exactly this order.
+    """
+    n = space.n_points
+    i, j = np.triu_indices(n, k=1)
+    rows = np.zeros((i.size, n))
+    rows[np.arange(i.size), i] = 1.0
+    rows[np.arange(i.size), j] = -1.0
+    a_ub = np.empty((2 * i.size, n))
+    a_ub[0::2] = rows
+    a_ub[1::2] = -rows
+    return a_ub, np.repeat(space.dist[i, j], 2)
 
 
 def _canonical_signed_difference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -238,27 +259,13 @@ def mk_distance(
     z = _canonical_signed_difference(pw, qw)
     if not np.any(z):
         return 0.0
-    # Variables f_1 .. f_{n-1}; f_0 = 0.
-    m = n - 1
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = np.zeros(m)
-            if i > 0:
-                row[i - 1] = 1.0
-            if j > 0:
-                row[j - 1] = -1.0
-            d = space.dist[i, j]
-            rows.append(row.copy())
-            rhs.append(d)
-            rows.append(-row)
-            rhs.append(d)
+    # Variables f_1 .. f_{n-1}; f_0 = 0, so its constraint column drops out.
+    a_ub, b_ub = lipschitz_constraints(space)
     res = linprog(
         c=-z[1:],
-        A_ub=np.asarray(rows),
-        b_ub=np.asarray(rhs),
-        bounds=[(None, None)] * m,
+        A_ub=a_ub[:, 1:],
+        b_ub=b_ub,
+        bounds=[(None, None)] * (n - 1),
         method="highs",
     )
     if not res.success:
@@ -319,27 +326,22 @@ class PointCloud:
 Generator = Union[Circle, Interval, FlatTorus, PointCloud]
 
 
-def _circle_net(circumference: float, n: int) -> tuple[FiniteMetricSpace, float]:
-    if circumference <= 0.0:
-        raise ConfigError("circle circumference must be positive")
-    step = circumference / n
+def _line_net(extent: float, n: int, wrap: bool) -> tuple[FiniteMetricSpace, float]:
+    """Equispaced n-net of a circle (``wrap``) or of a segment of that length."""
+    if extent <= 0.0:
+        raise ConfigError(
+            "circle circumference must be positive"
+            if wrap
+            else "interval length must be positive"
+        )
     gaps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    gaps = np.minimum(gaps, n - gaps)
+    if wrap:
+        gaps = np.minimum(gaps, n - gaps)
     # Distances come from integer index gaps so that rotations of the net
     # are bitwise isometries.
-    dist = step * gaps
+    dist = (extent / n) * gaps
     labels = tuple(f"p{i}" for i in range(n))
-    return FiniteMetricSpace(labels, dist), circumference / (2 * n)
-
-
-def _interval_net(length: float, n: int) -> tuple[FiniteMetricSpace, float]:
-    if length <= 0.0:
-        raise ConfigError("interval length must be positive")
-    step = length / n
-    gaps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    dist = step * gaps
-    labels = tuple(f"p{i}" for i in range(n))
-    return FiniteMetricSpace(labels, dist), length / (2 * n)
+    return FiniteMetricSpace(labels, dist), extent / (2 * n)
 
 
 def _torus_net(
@@ -395,9 +397,9 @@ def epsilon_net(generator: Generator, n: int) -> tuple[FiniteMetricSpace, float]
     if n < 1:
         raise ConfigError("a net needs at least one point")
     if isinstance(generator, Circle):
-        return _circle_net(generator.circumference, n)
+        return _line_net(generator.circumference, n, wrap=True)
     if isinstance(generator, Interval):
-        return _interval_net(generator.length, n)
+        return _line_net(generator.length, n, wrap=False)
     if isinstance(generator, FlatTorus):
         return _torus_net(generator.circumferences, n)
     if isinstance(generator, PointCloud):

@@ -13,7 +13,6 @@ from matprox import (
     beta_fixed,
     beta_fraction_of_delta,
     bridge_for_pair,
-    bridge_norm,
     certify_reach_upper,
     convergence_experiment,
     epsilon_net,
@@ -40,13 +39,13 @@ def test_bridge_norm_of_matching_diagonal_is_zero():
     pair = two_point_pair()
     bridge = bridge_for_pair(pair)
     f = np.array([0.3, -1.2])
-    assert bridge_norm(bridge, pair.rho.embed(f), f) == 0.0
+    assert bridge.norm(pair.rho.embed(f), f) == 0.0
 
 
 def test_bridge_norm_unit_against_zero():
     pair = two_point_pair()
     bridge = bridge_for_pair(pair)
-    assert bridge_norm(bridge, identity(2), np.zeros(2)) == 1.0
+    assert bridge.norm(identity(2), np.zeros(2)) == 1.0
 
 
 def test_bridge_height_is_zero_structurally():
@@ -56,7 +55,7 @@ def test_bridge_height_is_zero_structurally():
 def test_bridge_norm_dimension_mismatch():
     bridge = bridge_for_pair(two_point_pair())
     with pytest.raises(InputShapeError):
-        bridge_norm(bridge, identity(3), np.zeros(2))
+        bridge.norm(identity(3), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -114,17 +113,17 @@ def test_two_point_reach_interval_is_reported_not_asserted():
 
 def test_circle_pipeline_closed_form():
     for n in (4, 8, 16):
-        pair, bound = approximate_compact_space(Circle(TAU), n, beta_delta_over_n)
-        assert bound == pytest.approx(np.pi / n + 2 * np.pi / n**2, abs=1e-15)
+        pair, row = approximate_compact_space(Circle(TAU), n, beta_delta_over_n)
+        assert row.certified_bound == pytest.approx(np.pi / n + 2 * np.pi / n**2, abs=1e-15)
         assert pair.delta == pytest.approx(TAU / n, abs=1e-15)
 
 
 def test_maximal_corollary_mode_beta_equals_delta():
-    pair, bound = approximate_compact_space(
+    pair, row = approximate_compact_space(
         Circle(TAU), 6, beta_fraction_of_delta(1.0)
     )
     assert pair.leibniz_constant == 2.0
-    assert bound == pytest.approx(np.pi / 6 + TAU / 6, abs=1e-15)
+    assert row.certified_bound == pytest.approx(np.pi / 6 + TAU / 6, abs=1e-15)
 
 
 def test_finite_generator_bound_shrinks_with_beta():
@@ -132,18 +131,18 @@ def test_finite_generator_bound_shrinks_with_beta():
     points = rng.normal(size=(5, 2))
     cloud = PointCloud(points)
     for beta in (1e-3, 1e-6, 1e-9):
-        pair, bound = approximate_compact_space(cloud, 5, beta_fixed(beta))
-        assert bound == pytest.approx(beta, abs=1e-15)  # haus is exactly zero
+        pair, row = approximate_compact_space(cloud, 5, beta_fixed(beta))
+        assert row.certified_bound == pytest.approx(beta, abs=1e-15)  # haus is exactly zero
 
 
 def test_corollary_mode_violation_and_theorem_mode_fallback():
     with pytest.raises(CorollaryModeViolation):
         approximate_compact_space(Circle(TAU), 4, beta_fixed(10.0))
-    pair, bound = approximate_compact_space(
+    pair, row = approximate_compact_space(
         Circle(TAU), 4, beta_fixed(10.0), corollary_mode=False
     )
     assert pair.leibniz_constant == pytest.approx(1.0 + 10.0 / pair.delta)
-    assert bound == pytest.approx(np.pi / 4 + 10.0)
+    assert row.certified_bound == pytest.approx(np.pi / 4 + 10.0)
 
 
 def test_convergence_rows_strictly_decreasing_on_circle():
@@ -174,17 +173,17 @@ def test_nested_net_triangle_assembly():
     # The certified bound via a coarse net never beats the bound via a finer
     # net plus the Hausdorff leg between the two nets.
     for n in (4, 8, 16):
-        coarse_pair, bound_coarse = approximate_compact_space(
+        coarse_pair, coarse_row = approximate_compact_space(
             Circle(TAU), n, beta_delta_over_n
         )
-        fine_pair, bound_fine = approximate_compact_space(
+        fine_pair, fine_row = approximate_compact_space(
             Circle(TAU), 2 * n, beta_delta_over_n
         )
         fine_net, _ = epsilon_net(Circle(TAU), 2 * n)
         nets_leg = hausdorff_distance(
             fine_net, range(0, 2 * n, 2), range(2 * n)
         )
-        assert bound_coarse <= bound_fine + nets_leg + 1e-12
+        assert coarse_row.certified_bound <= fine_row.certified_bound + nets_leg + 1e-12
 
 
 def test_beta_rule_validation():
@@ -212,4 +211,4 @@ def test_witness_values_on_unit_ball_samples_stay_under_beta():
 
     for a in sample_unit_ball(pair, 300, seed=9):
         f = pair.rho.extract(pinch(a)).real
-        assert bridge_norm(bridge, a, f) <= pair.beta + 1e-12
+        assert bridge.norm(a, f) <= pair.beta + 1e-12

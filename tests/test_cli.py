@@ -163,9 +163,75 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert err["error"]["field"] == "config"
 
 
+def _config_file(tmp_path, payload: dict):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def _rejected_field(argv, out, capsys) -> str:
+    assert main(argv + ["--output", str(out)]) == 2
+    assert not out.exists()
+    return json.loads(capsys.readouterr().err.strip())["error"]["field"]
+
+
+def test_config_seed_must_be_an_integer(tmp_path, capsys):
+    argv = ["approximate", "--config", _config_file(tmp_path, {"seed": "abc"})]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "seed"
+
+
+def test_config_n_is_not_truncated(tmp_path, capsys):
+    argv = ["approximate", "--config", _config_file(tmp_path, {"n": 2.7})]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "n"
+
+
+def test_config_corollary_mode_must_be_a_json_boolean(tmp_path, capsys):
+    argv = ["approximate", "--config", _config_file(tmp_path, {"corollary_mode": "false"})]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "corollary_mode"
+
+
+def test_config_include_raw_must_be_a_json_boolean(tmp_path, capsys):
+    argv = ["leibniz", "--config", _config_file(tmp_path, {"include_raw": 0})]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "include_raw"
+
+
+def test_non_finite_generator_size_names_the_generator(tmp_path, capsys):
+    with pytest.raises(ValidationFailure):
+        parse_generator("circle(nan)")
+    argv = ["approximate", "--generator", "circle(nan)"]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "generator"
+
+
+@pytest.mark.parametrize(
+    "extra", [["--generator", "torus(1,1)", "--n", "5"], ["--n", "1"]]
+)
+def test_net_size_errors_name_n(tmp_path, capsys, extra):
+    argv = ["approximate"] + extra
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "n"
+
+
+def test_corollary_mode_violation_names_the_beta_rule(tmp_path, capsys):
+    argv = ["approximate", "--beta-rule", "fixed(10)"]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "beta_rule"
+
+
 # ---------------------------------------------------------------------------
 # mk.
 # ---------------------------------------------------------------------------
+
+
+def test_mk_dirac_matrix_is_exactly_symmetric_with_zero_diagonal(tmp_path):
+    rng = np.random.default_rng(14)
+    space_file = tmp_path / "cloud.json"
+    space_file.write_text(
+        json.dumps({"points": rng.uniform(size=(9, 2)).tolist()}), encoding="utf-8"
+    )
+    out = tmp_path / "mk.json"
+    assert main(["mk", "--space", str(space_file), "--output", str(out)]) == 0
+    dirac = np.asarray(read_json(out)["results"]["dirac_distance_matrix"])
+    assert np.array_equal(dirac, dirac.T)
+    assert np.all(np.diag(dirac) == 0.0)
+    assert np.all(dirac[~np.eye(9, dtype=bool)] > 0.0)
 
 
 def test_mk_command_recovers_ground_metric(tmp_path):
@@ -202,6 +268,16 @@ def test_mk_rejects_non_metric_space(tmp_path, capsys):
     assert main(["mk", "--space", str(space_file)]) == 2
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"]["field"] == "space"
+
+
+def test_mk_rejects_non_numeric_distances_and_nan_weights(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dist": [["a", 1], [1, 0]]}), encoding="utf-8")
+    assert _rejected_field(["mk", "--space", str(bad)], tmp_path / "a.json", capsys) == "space"
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]]}), encoding="utf-8")
+    argv = ["mk", "--space", str(good), "--p", "[NaN, 0.5, 0.5]", "--q", "[1, 0, 0]"]
+    assert _rejected_field(argv, tmp_path / "b.json", capsys) == "p"
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +378,14 @@ def test_leibniz_emits_raw_residuals(tmp_path):
         assert suite["min_jordan_residual"] >= -1e-9
         assert suite["min_lie_residual"] >= -1e-9
         assert len(suite["jordan_residuals"]) == 20
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--sizes", "2,x"), ("--ratios", "1,y")]
+)
+def test_leibniz_list_parse_errors_name_the_field(tmp_path, capsys, flag, value):
+    argv = ["leibniz", flag, value, "--pairs", "2"]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == flag[2:]
 
 
 # ---------------------------------------------------------------------------

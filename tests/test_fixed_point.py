@@ -12,16 +12,13 @@ from matprox import (
     action_kernel_dimension,
     action_lip_seminorm,
     action_lip_seminorms,
-    averaging_expectation,
     commutative_fixed_point_check,
     cyclic_rotation_group,
-    dual_action,
     enumerate_subgroups,
     epsilon_net,
     expectation_gap,
     fixed_point_bridge,
     fixed_point_sweep,
-    fixed_subalgebra_basis,
     identity,
     jordan_product,
     lie_product,
@@ -89,13 +86,13 @@ def test_identity_element_acts_trivially():
     torus = FuzzyTorus(6, 5)
     rng = np.random.default_rng(51)
     a = random_hermitian(rng, 6)
-    assert np.max(np.abs(dual_action(torus, (0, 0), a) - a)) <= 1e-12
+    assert np.max(np.abs(torus.dual_action((0, 0), a) - a)) <= 1e-12
 
 
 def test_defining_phase_on_the_clock_generator():
     for q in (3, 4, 8):
         torus = FuzzyTorus(q, 1)
-        moved = dual_action(torus, (1, 0), torus.clock)
+        moved = torus.dual_action((1, 0), torus.clock)
         assert np.max(np.abs(moved - np.exp(2j * np.pi / q) * torus.clock)) <= 1e-12
 
 
@@ -105,10 +102,10 @@ def test_action_composition_and_isometry():
     a = random_hermitian(rng, 8)
     for g, h in [((1, 2), (3, 5)), ((7, 0), (0, 7)), ((4, 4), (5, 1))]:
         combined = ((g[0] + h[0]) % 8, (g[1] + h[1]) % 8)
-        lhs = dual_action(torus, g, dual_action(torus, h, a))
-        rhs = dual_action(torus, combined, a)
+        lhs = torus.dual_action(g, torus.dual_action(h, a))
+        rhs = torus.dual_action(combined, a)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
-        assert abs(operator_norm(dual_action(torus, g, a)) - operator_norm(a)) <= 1e-10
+        assert abs(operator_norm(torus.dual_action(g, a)) - operator_norm(a)) <= 1e-10
 
 
 def test_action_matches_conjugation_oracle():
@@ -117,7 +114,7 @@ def test_action_matches_conjugation_oracle():
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
     for g in [(1, 0), (0, 1), (4, 7), (8, 8)]:
         w = torus.action_unitary(g)
-        assert np.max(np.abs(dual_action(torus, g, a) - w @ a @ w.conj().T)) <= 1e-12
+        assert np.max(np.abs(torus.dual_action(g, a) - w @ a @ w.conj().T)) <= 1e-12
 
 
 def test_action_is_a_star_automorphism():
@@ -126,13 +123,13 @@ def test_action_is_a_star_automorphism():
     a = random_hermitian(rng, 6)
     b = random_hermitian(rng, 6)
     g = (2, 5)
-    moved_j = dual_action(torus, g, jordan_product(a, b))
-    expect_j = jordan_product(dual_action(torus, g, a), dual_action(torus, g, b))
+    moved_j = torus.dual_action(g, jordan_product(a, b))
+    expect_j = jordan_product(torus.dual_action(g, a), torus.dual_action(g, b))
     assert np.max(np.abs(moved_j - expect_j)) <= 1e-12
-    moved_l = dual_action(torus, g, lie_product(a, b))
-    expect_l = lie_product(dual_action(torus, g, a), dual_action(torus, g, b))
+    moved_l = torus.dual_action(g, lie_product(a, b))
+    expect_l = lie_product(torus.dual_action(g, a), torus.dual_action(g, b))
     assert np.max(np.abs(moved_l - expect_l)) <= 1e-12
-    assert abs(trace_state(dual_action(torus, g, a)) - trace_state(a)) <= 1e-12
+    assert abs(trace_state(torus.dual_action(g, a)) - trace_state(a)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +207,7 @@ def test_seminorm_invariant_under_the_action():
     a = a / operator_norm(a)
     base = action_lip_seminorm(torus, ell, a)
     for g in torus.group_elements()[1:]:
-        moved = dual_action(torus, g, a)
+        moved = torus.dual_action(g, a)
         assert abs(action_lip_seminorm(torus, ell, moved, validate=False) - base) <= 1e-12
 
 
@@ -305,7 +302,7 @@ def test_trivial_subgroup_average_is_identity_map():
     torus = FuzzyTorus(6, 1)
     rng = np.random.default_rng(58)
     a = random_hermitian(rng, 6)
-    assert np.max(np.abs(averaging_expectation(torus, TorusSubgroup.trivial(6), a) - a)) <= 1e-12
+    assert np.max(np.abs(AveragingExpectation(torus, TorusSubgroup.trivial(6))(a) - a)) <= 1e-12
 
 
 def test_full_group_average_is_the_trace():
@@ -313,7 +310,7 @@ def test_full_group_average_is_the_trace():
         torus = FuzzyTorus(q, p)
         rng = np.random.default_rng(59)
         a = random_hermitian(rng, q)
-        averaged = averaging_expectation(torus, TorusSubgroup.full(q), a)
+        averaged = AveragingExpectation(torus, TorusSubgroup.full(q))(a)
         assert np.max(np.abs(averaged - trace_state(a) * identity(q))) <= 1e-12
 
 
@@ -326,7 +323,7 @@ def test_mask_average_matches_brute_force_conjugation():
         TorusSubgroup.from_generators(8, (2, 2)),
         TorusSubgroup.full(8),
     ):
-        fast = averaging_expectation(torus, sub, a)
+        fast = AveragingExpectation(torus, sub)(a)
         slow = average_by_conjugation(torus, sub, a)
         assert np.max(np.abs(fast - slow)) <= 1e-12
 
@@ -345,15 +342,15 @@ def test_fixed_basis_counts_satisfy_annihilator_duality():
     for q in (4, 6, 9):
         torus = FuzzyTorus(q, 1)
         for sub in enumerate_subgroups(q):
-            basis = fixed_subalgebra_basis(torus, sub)
+            basis = AveragingExpectation(torus, sub).fixed_basis()
             assert (0, 0) in basis
             assert len(basis) * sub.order == q * q
 
 
 def test_fixed_basis_extremes():
     torus = FuzzyTorus(5, 2)
-    assert len(fixed_subalgebra_basis(torus, TorusSubgroup.trivial(5))) == 25
-    assert fixed_subalgebra_basis(torus, TorusSubgroup.full(5)) == [(0, 0)]
+    assert len(AveragingExpectation(torus, TorusSubgroup.trivial(5)).fixed_basis()) == 25
+    assert AveragingExpectation(torus, TorusSubgroup.full(5)).fixed_basis() == [(0, 0)]
 
 
 # ---------------------------------------------------------------------------

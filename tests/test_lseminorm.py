@@ -13,6 +13,7 @@ from matprox import (
     min_separation,
     operator_norm,
     quasi_leibniz_residual,
+    quasi_leibniz_residuals,
     random_hermitian,
     sample_unit_ball,
     trace_state,
@@ -23,6 +24,7 @@ from matprox.errors import (
     CorollaryModeViolation,
     SelfAdjointnessError,
 )
+from matprox.matrix_algebra import random_hermitian_stack
 from matprox.metric_core import Circle, TAU, diameter, epsilon_net
 
 
@@ -166,6 +168,19 @@ def test_random_residual_suite(ratio, expected_d):
             b = random_hermitian(rng, n)
             jres, lres = quasi_leibniz_residual(pair, a, b)
             assert jres >= -1e-9 and lres >= -1e-9
+
+
+@pytest.mark.parametrize("ratio", [1.0, 3.0])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_batched_residuals_equal_per_pair_residuals_exactly(n, ratio):
+    pair = cloud_pair(n, seed=200 + n, ratio=ratio)
+    rng = np.random.default_rng(26)
+    a = random_hermitian_stack(rng, 40, n)
+    b = random_hermitian_stack(rng, 40, n)
+    jres, lres = quasi_leibniz_residuals(pair, a, b)
+    singles = [quasi_leibniz_residual(pair, x, y) for x, y in zip(a, b)]
+    assert jres.tolist() == [j for j, _ in singles]
+    assert lres.tolist() == [l for _, l in singles]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from matprox.errors import (
     InputShapeError,
     MetricAxiomError,
 )
+from matprox.metric_core import lipschitz_constraints
 
 
 def two_point(d: float = 1.0) -> FiniteMetricSpace:
@@ -177,6 +178,8 @@ def test_mk_dimension_mismatch():
 def test_mk_invalid_measure():
     with pytest.raises(ValueError):
         mk_distance(two_point(), np.array([0.9, 0.3]), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        mk_distance(two_point(), np.array([np.nan, 1.0]), np.array([1.0, 0.0]))
 
 
 def test_mk_state_space_diameter_matches_ground_diameter():
@@ -191,6 +194,24 @@ def test_mk_state_space_diameter_matches_ground_diameter():
             for j in range(n)
         )
         assert worst == pytest.approx(diameter(space), abs=1e-9)
+
+
+def test_lipschitz_constraints_match_the_pairwise_loop():
+    # The LP solver sees the rows in this order, so order is part of the
+    # contract: pairs i < j row-major, each +row before its -row.
+    rng = np.random.default_rng(17)
+    for space in (two_point(), circle_net(5), FiniteMetricSpace.from_points(rng.normal(size=(7, 2)))):
+        n = space.n_points
+        rows, rhs = [], []
+        for i in range(n):
+            for j in range(i + 1, n):
+                row = np.zeros(n)
+                row[i], row[j] = 1.0, -1.0
+                rows += [row, -row]
+                rhs += [space.dist[i, j]] * 2
+        a_ub, b_ub = lipschitz_constraints(space)
+        assert np.array_equal(a_ub, np.asarray(rows))
+        assert np.array_equal(b_ub, np.asarray(rhs))
 
 
 # ---------------------------------------------------------------------------
