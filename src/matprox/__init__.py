@@ -32,6 +32,7 @@ from .errors import (
     MatproxError,
     MetricAxiomError,
     NotInSubalgebraError,
+    ScaleUnderflowError,
     SelfAdjointnessError,
 )
 from .fixed_point import (

@@ -19,6 +19,7 @@ by the built-in generators.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_TOLERANCES
-from .errors import ConfigError, InputShapeError
+from .errors import ConfigError, InputShapeError, ScaleUnderflowError
 from .lseminorm import ApproximationPair, sample_unit_ball
 from .matrix_algebra import operator_norm, pinch
 from .metric_core import (
@@ -204,8 +205,8 @@ def beta_delta_over_n(delta: float, n: int) -> float:
 
 
 def beta_fixed(value: float) -> Callable[[float, int], float]:
-    if not value > 0.0:
-        raise ConfigError("fixed beta must be positive")
+    if not value >= sys.float_info.min:
+        raise ConfigError("fixed beta must be a positive normal float")
 
     def rule(delta: float, n: int) -> float:
         return value
@@ -214,8 +215,8 @@ def beta_fixed(value: float) -> Callable[[float, int], float]:
 
 
 def beta_fraction_of_delta(fraction: float) -> Callable[[float, int], float]:
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError("fraction of delta must lie in (0, 1]")
+    if not sys.float_info.min <= fraction <= 1.0:
+        raise ConfigError("fraction of delta must be a normal float in (0, 1]")
 
     def rule(delta: float, n: int) -> float:
         return fraction * delta
@@ -264,11 +265,16 @@ def approximate_compact_space(
     the certified bound Hausdorff(space, net) + beta.  In corollary mode the
     rule must produce beta <= delta (Leibniz constant 2); violations raise
     ``CorollaryModeViolation``, and the pair remains constructible with
-    ``corollary_mode=False`` at constant 1 + beta/delta.
+    ``corollary_mode=False`` at constant 1 + beta/delta.  A delta or beta
+    below the smallest normal float raises ``ScaleUnderflowError``.
     """
     net, haus = epsilon_net(generator, n)
     delta = min_separation(net)
     beta = float(beta_rule(delta, n))
+    if not (delta >= sys.float_info.min and beta >= sys.float_info.min):
+        raise ScaleUnderflowError(
+            f"net spacing {delta!r} and beta {beta!r} must be normal positive floats"
+        )
     pair = ApproximationPair(net, beta, corollary_mode=corollary_mode)
     row = ConvergenceRow(
         n=n, delta=delta, beta=beta, haus=haus, certified_bound=haus + beta

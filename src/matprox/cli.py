@@ -31,7 +31,7 @@ from .bridge import (
     convergence_experiment,
     estimate_reach_lower,
 )
-from .errors import CorollaryModeViolation, MatproxError
+from .errors import CorollaryModeViolation, MatproxError, ScaleUnderflowError
 from .fixed_point import (
     FuzzyTorus,
     LengthFunction,
@@ -265,6 +265,8 @@ def _cmd_approximate(args: argparse.Namespace) -> int:
         )
     except CorollaryModeViolation as exc:
         raise ValidationFailure("beta_rule", str(exc))
+    except ScaleUnderflowError as exc:
+        raise ValidationFailure("generator", str(exc))
     except MatproxError as exc:
         # The generator was validated when parsed; what remains is the net
         # size (too few points, not a grid, more than the cloud holds).
@@ -306,6 +308,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         report = convergence_experiment(generator, n_list, rule)
+    except ScaleUnderflowError as exc:
+        raise ValidationFailure("generator", str(exc))
     except MatproxError as exc:
         raise ValidationFailure("n_list", str(exc))
     results = {

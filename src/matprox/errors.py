@@ -25,6 +25,11 @@ class ConfigError(MatproxError):
     """An experiment descriptor or configuration value is invalid."""
 
 
+class ScaleUnderflowError(ConfigError):
+    """A net spacing or tolerance is below the smallest normal float, so the
+    quantities divided by it are no longer accurate."""
+
+
 class NotInSubalgebraError(MatproxError):
     """A matrix expected to lie in the diagonal subalgebra has off-diagonal mass."""
 

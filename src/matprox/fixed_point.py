@@ -39,7 +39,6 @@ from .errors import (
     InputShapeError,
 )
 from .matrix_algebra import (
-    operator_norm,
     operator_norms,
     random_hermitian,
     require_self_adjoint,
@@ -83,11 +82,12 @@ class FuzzyTorus:
         offs = np.arange(q)[None, :]
         self._gather_rows = np.broadcast_to(rows, (q, q))
         self._gather_cols = (rows + offs) % q
+        # Entry (r, c) lies on the diagonal offset (c - r) mod q.
+        self._entry_offsets = (offs - rows) % q
         # W[r, m] = w^(m r); coefficient transform satisfies W^H W = q I.
         self._char = self._twist_powers[np.outer(rows.ravel(), rows.ravel()) % q]
         self._m_grid = np.broadcast_to(rows, (q, q))
         self._n_grid = np.broadcast_to(offs, (q, q))
-        self._phase_cache: np.ndarray | None = None
 
     # -- basis and coefficients ------------------------------------------
 
@@ -103,13 +103,14 @@ class FuzzyTorus:
         return [(j, k) for j in range(self.q) for k in range(self.q)]
 
     def to_coefficients(self, a: np.ndarray) -> np.ndarray:
-        """Expand a matrix over the monomial basis; c[m, n] multiplies U^m V^n."""
+        """Expand a matrix, or a (..., q, q) stack, over the monomial basis;
+        c[..., m, n] multiplies U^m V^n."""
         mat = np.asarray(a, dtype=complex)
-        if mat.shape != (self.q, self.q):
+        if mat.ndim < 2 or mat.shape[-2:] != (self.q, self.q):
             raise InputShapeError(
                 f"element has shape {mat.shape}, torus dimension is {self.q}"
             )
-        diag_offsets = mat[self._gather_rows, self._gather_cols]
+        diag_offsets = mat[..., self._gather_rows, self._gather_cols]
         return (self._char.conj().T @ diag_offsets) / self.q
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
@@ -130,21 +131,6 @@ class FuzzyTorus:
         j, k = g
         idx = (j * self._m_grid + k * self._n_grid) % self.q
         return self._roots[idx]
-
-    def all_character_phases(self) -> np.ndarray:
-        """Phase grids of every group element, row-major (j, k) order."""
-        if self._phase_cache is None:
-            q = self.q
-            js = np.arange(q).repeat(q)
-            ks = np.tile(np.arange(q), q)
-            idx = (
-                js[:, None, None] * self._m_grid[None, :, :]
-                + ks[:, None, None] * self._n_grid[None, :, :]
-            ) % q
-            phases = self._roots[idx]
-            phases.setflags(write=False)
-            self._phase_cache = phases
-        return self._phase_cache
 
     def dual_action(self, g: GroupElement, a: np.ndarray) -> np.ndarray:
         """Apply the automorphism of the group element (j, k)."""
@@ -196,14 +182,16 @@ class LengthFunction:
         inv = vals[(-np.arange(q)) % q][:, (-np.arange(q)) % q]
         if np.max(np.abs(vals - inv)) > tol:
             raise ConfigError("length must be invariant under inversion")
+        # One first summand row j1 at a time keeps the check at q^3 memory.
         r = np.arange(q)
-        j1 = r[:, None, None, None]
-        k1 = r[None, :, None, None]
-        j2 = r[None, None, :, None]
-        k2 = r[None, None, None, :]
-        lhs = vals[(j1 + j2) % q, (k1 + k2) % q]
-        rhs = vals[j1, k1] + vals[j2, k2]
-        worst = float(np.max(lhs - rhs))
+        k1 = r[:, None, None]
+        j2 = r[None, :, None]
+        k2 = r[None, None, :]
+        excess = (
+            vals[(j1 + j2) % q, (k1 + k2) % q] - (vals[j1, k1] + vals[j2, k2])
+            for j1 in range(q)
+        )
+        worst = max(float(np.max(e)) for e in excess)
         if worst > tol:
             raise ConfigError(f"length is not subadditive (excess {worst:.3e})")
         vals = vals.copy()
@@ -245,12 +233,19 @@ class TorusSubgroup:
         elems = frozenset((int(j) % q, int(k) % q) for j, k in self.elements)
         if (0, 0) not in elems:
             raise ConfigError("a subgroup must contain the identity")
-        for a in elems:
-            if ((-a[0]) % q, (-a[1]) % q) not in elems:
-                raise ConfigError(f"subgroup lacks the inverse of {a}")
-            for b in elems:
-                if ((a[0] + b[0]) % q, (a[1] + b[1]) % q) not in elems:
-                    raise ConfigError(f"subgroup is not closed: {a} + {b} escapes")
+        arr = np.array(sorted(elems), dtype=int)
+        mask = np.zeros((q, q), dtype=bool)
+        mask[arr[:, 0], arr[:, 1]] = True
+        lacking = ~mask[-arr[:, 0] % q, -arr[:, 1] % q]
+        if np.any(lacking):
+            a = tuple(arr[np.argmax(lacking)].tolist())
+            raise ConfigError(f"subgroup lacks the inverse of {a}")
+        for a in arr.tolist():
+            # The translate a + elems, as a mask, must stay inside elems.
+            escaped = np.roll(mask, a, axis=(0, 1)) & ~mask
+            if np.any(escaped):
+                b = tuple(((np.argwhere(escaped)[0] - a) % q).tolist())
+                raise ConfigError(f"subgroup is not closed: {tuple(a)} + {b} escapes")
         object.__setattr__(self, "elements", elems)
         object.__setattr__(
             self,
@@ -373,11 +368,14 @@ class AveragingExpectation:
         self.torus = torus
         self.subgroup = subgroup
         elems = subgroup.element_array()
-        pairing = (
-            elems[:, 0, None, None] * torus._m_grid[None, :, :]
-            + elems[:, 1, None, None] * torus._n_grid[None, :, :]
-        ) % torus.q
-        mask = np.all(pairing == 0, axis=0)
+        mask = np.ones((torus.q, torus.q), dtype=bool)
+        # Blocks of 256 elements keep the pairing array small at q = 64.
+        for block in np.split(elems, range(256, len(elems), 256)):
+            pairing = (
+                block[:, 0, None, None] * torus._m_grid[None, :, :]
+                + block[:, 1, None, None] * torus._n_grid[None, :, :]
+            ) % torus.q
+            mask &= np.all(pairing == 0, axis=0)
         mask.setflags(write=False)
         self.mask = mask
 
@@ -403,27 +401,69 @@ class AveragingExpectation:
 # ---------------------------------------------------------------------------
 
 
-def _difference_stack(torus: FuzzyTorus, stack: np.ndarray) -> np.ndarray:
-    """For a (count, q, q) stack, the array of a - alpha^g(a) over all
-    nontrivial g, shaped (count, q^2 - 1, q, q)."""
+# Largest stack of exact differences handed to ``operator_norms`` at once.
+_NORM_CHUNK_BYTES = 8 << 20
+
+
+def _frobenius_bounds(torus: FuzzyTorus, stack: np.ndarray) -> np.ndarray:
+    """Upper bounds on ||a - alpha^g(a)|| over nontrivial g, shaped (count, q^2 - 1).
+
+    The monomials are orthogonal with squared Frobenius norm q, so
+    ||a - alpha^g(a)||_F^2 = 2q (sum |c_mn|^2 - Re sum |c_mn|^2 rho^(jm + kn)):
+    one 2-D FFT of |c|^2 gives every g at once, and ||x||_2 <= ||x||_F.
+
+    The margin covers rounding.  With S = sum |c|^2 and u the unit roundoff:
+    the batched coefficient transform errs by at most (q + 8) u sum_r |d_rn| / q
+    per entry, which by Cauchy-Schwarz moves sum |c|^2 by 4 (q + 8) sqrt(q) u S;
+    squaring adds 3 u S; the FFT's 2-norm error, about 14 u log2(q) times
+    ||fft2(|c|^2)||_2 = q ||(|c|^2)||_2 <= q S, bounds its error in any one
+    entry.  tau S with tau = 64 (q + 8) q u covers each of the two FFT entries
+    in the difference more than ten times over for every q >= 2, and since
+    ||a - alpha^g(a)||_F^2 <= 4 q S the margin also dwarfs the last roundings.
+    """
     q = torus.q
-    coeffs = np.einsum(
-        "mr,ern->emn",
-        torus._char.conj().T,
-        stack[:, torus._gather_rows, torus._gather_cols],
-    ) / q
-    phases = torus.all_character_phases()[1:]
-    scaled = (1.0 - phases)[None, :, :, :] * coeffs[:, None, :, :]
-    diag_offsets = np.einsum("rm,egmn->egrn", torus._char, scaled)
-    out = np.zeros((stack.shape[0], q * q - 1, q, q), dtype=complex)
-    out[:, :, torus._gather_rows, torus._gather_cols] = diag_offsets
-    return out
+    coeffs = torus.to_coefficients(stack)
+    spectrum = np.fft.fft2(coeffs.real**2 + coeffs.imag**2).real
+    total = spectrum[:, :1, :1]
+    frob_sq = 2.0 * q * (total - spectrum)
+    tau = 64.0 * (q + 8) * q * np.finfo(float).eps / 2.0
+    margin = 4.0 * q * tau * total
+    bound = np.sqrt(np.maximum(frob_sq, 0.0) + margin)
+    return bound.reshape(len(stack), q * q)[:, 1:]
+
+
+def _differences(
+    torus: FuzzyTorus, stack: np.ndarray, elem: np.ndarray, slot: np.ndarray
+) -> np.ndarray:
+    """a - alpha^g(a) for stack[elem] and the nontrivial g of index slot.
+
+    alpha^g with g = (j, k) is conjugation by a monomial unitary: in
+    diagonal-offset coordinates d[r, n] = a[r, r + n] it shifts rows by
+    s = j / p mod q and scales offset n by rho^(k n), so entrywise
+    alpha^g(a)[r, c] = rho^(k (c - r)) a[r + s, c + s], indices mod q.
+    """
+    q = torus.q
+    j, k = np.divmod(slot + 1, q)
+    shifted = torus._gather_cols[(pow(torus.p, -1, q) * j) % q]
+    moved = stack[elem[:, None, None], shifted[:, :, None], shifted[:, None, :]]
+    phases = torus._roots[(k[:, None, None] * torus._entry_offsets) % q]
+    return stack[elem] - phases * moved
 
 
 def action_lip_seminorms(
     torus: FuzzyTorus, ell: LengthFunction, stack: np.ndarray
 ) -> np.ndarray:
-    """Vectorized action seminorm over a (count, q, q) stack of elements."""
+    """Vectorized action seminorm over a (count, q, q) stack of elements.
+
+    Exact maximum over the q^2 - 1 nontrivial g, pruned: each element visits
+    its g in descending order of the Frobenius bound, in chunks of at most
+    ``_NORM_CHUNK_BYTES`` of differences, and stops once no remaining bound
+    exceeds the best exact value found.  The visits per element double from
+    chunk to chunk.  Within a chunk, the Schur test ||x||_2 <= sqrt(max row
+    sum * max column sum of |x|) screens the differences first; it is tight
+    on the sparse monomial lines, where the Frobenius bound is loose by about
+    sqrt(q / 2).  Only the differences that pass get an exact operator norm.
+    """
     s = np.asarray(stack, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (torus.q, torus.q):
         raise InputShapeError(
@@ -431,9 +471,37 @@ def action_lip_seminorms(
         )
     if ell.q != torus.q:
         raise InputShapeError("length function and torus orders differ")
-    diffs = _difference_stack(torus, s)
-    norms = operator_norms(diffs)
-    return np.max(norms / ell.flat_nontrivial()[None, :], axis=1)
+    count = s.shape[0]
+    lengths = ell.flat_nontrivial()
+    bounds = _frobenius_bounds(torus, s) / lengths
+    order = np.argsort(-bounds, axis=1, kind="stable")
+    ranked = np.take_along_axis(bounds, order, axis=1)
+    per_chunk = max(1, _NORM_CHUNK_BYTES // (16 * torus.q * torus.q))
+    # Covers rounding in the sums of q moduli behind the Schur test.
+    schur_slack = 1.0 + 8.0 * (torus.q + 2) * np.finfo(float).eps / 2.0
+    best = np.zeros(count)
+    visited = np.zeros(count, dtype=int)
+    step = 1
+    while True:
+        live = np.sum(ranked > best[:, None], axis=1)
+        quota = np.clip(live - visited, 0, step)
+        total = int(quota.sum())
+        if total == 0:
+            return best
+        elem = np.repeat(np.arange(count), quota)
+        rank = np.arange(total) - np.repeat(np.cumsum(quota) - quota, quota)
+        if total > per_chunk:
+            keep = np.sort(np.argsort(rank, kind="stable")[:per_chunk])
+            elem, rank = elem[keep], rank[keep]
+        slot = order[elem, visited[elem] + rank]
+        diffs = _differences(torus, s, elem, slot)
+        mags = np.abs(diffs)
+        schur = np.sqrt(mags.sum(axis=2).max(axis=1) * mags.sum(axis=1).max(axis=1))
+        need = schur_slack * schur / lengths[slot] > best[elem]
+        norms = operator_norms(diffs[need])
+        np.maximum.at(best, elem[need], norms / lengths[slot[need]])
+        visited += np.bincount(elem, minlength=count)
+        step *= 2
 
 
 def action_lip_seminorm(
@@ -464,7 +532,8 @@ def action_kernel_dimension(
     superoperators (identity minus conjugation) into a Gram matrix and
     counts its numerically zero eigenvalues.  Equals one exactly when the
     twist is invertible: only the identity coefficient survives every
-    character.
+    character.  Each conjugation C is unitary, so its Gram term
+    (I - C)^H (I - C) is 2I - C - C^H.
     """
     q = torus.q
     dim = q * q
@@ -472,8 +541,8 @@ def action_kernel_dimension(
     eye = np.eye(dim, dtype=complex)
     for g in torus.group_elements()[1:]:
         w = torus.action_unitary(g)
-        super_op = eye - np.kron(w, w.conj())
-        gram += super_op.conj().T @ super_op
+        conj = np.kron(w, w.conj())
+        gram += 2.0 * eye - conj - conj.conj().T
     eigs = np.linalg.eigvalsh(gram)
     return int(np.sum(eigs <= tol * max(1.0, float(eigs[-1]))))
 
@@ -546,16 +615,19 @@ def expectation_gap(
         raise ConfigError("need at least one sample")
     e_h = AveragingExpectation(torus, h)
     e_k = AveragingExpectation(torus, k)
+    if np.array_equal(e_h.mask, e_k.mask):
+        return 0.0
     signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
     support = np.argwhere(e_h.mask ^ e_k.mask)
     candidates = _structured_lines(torus, map(tuple, support.tolist()))
     rng = np.random.default_rng(seed)
     candidates.extend(random_hermitian(rng, torus.q) for _ in range(count))
-    best = 0.0
-    for a in _normalized_unit_ball(torus, ell, candidates):
-        gap_elem = torus.from_coefficients(signed_mask * torus.to_coefficients(a))
-        best = max(best, operator_norm(gap_elem))
-    return best
+    units = _normalized_unit_ball(torus, ell, candidates)
+    if not units:
+        return 0.0
+    coeffs = signed_mask * torus.to_coefficients(np.stack(units))
+    gaps = operator_norms(np.stack([torus.from_coefficients(c) for c in coeffs]))
+    return float(np.max(gaps))
 
 
 @dataclass(frozen=True)
@@ -602,10 +674,10 @@ def _directed_bridge_value(
     candidates = _structured_lines(torus, map(tuple, informative.tolist()))
     rng = np.random.default_rng(seed)
     candidates.extend(source(random_hermitian(rng, torus.q)) for _ in range(count))
-    best = 0.0
-    for a in _normalized_unit_ball(torus, ell, candidates):
-        best = max(best, operator_norm(a - target(a)))
-    return best
+    units = _normalized_unit_ball(torus, ell, candidates)
+    if not units:
+        return 0.0
+    return float(np.max(operator_norms(np.stack([a - target(a) for a in units]))))
 
 
 def fixed_point_bridge(

@@ -202,6 +202,17 @@ def test_non_finite_generator_size_names_the_generator(tmp_path, capsys):
     assert _rejected_field(argv, tmp_path / "out.json", capsys) == "generator"
 
 
+@pytest.mark.parametrize("command", ["approximate", "converge"])
+def test_subnormal_net_spacing_names_the_generator(tmp_path, capsys, command):
+    # circle(1e-320) ran to exit 0 with delta 1.25e-321 and overflowing
+    # Lipschitz quotients; a beta that underflows is the generator's fault too.
+    for spec in ("circle(1e-320)", "circle(1e-306)"):
+        argv = [command, "--generator", spec]
+        assert _rejected_field(argv, tmp_path / "out.json", capsys) == "generator"
+    argv = [command, "--beta-rule", "fixed(1e-320)"]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "beta_rule"
+
+
 @pytest.mark.parametrize(
     "extra", [["--generator", "torus(1,1)", "--n", "5"], ["--n", "1"]]
 )

@@ -23,10 +23,12 @@ from matprox import (
     jordan_product,
     lie_product,
     operator_norm,
+    operator_norms,
     random_hermitian,
     subgroup_hausdorff,
     trace_state,
 )
+from matprox import fixed_point
 from matprox.errors import ActionNotIsometricError, ConfigError
 from matprox.oracles import average_by_conjugation, brute_force_subgroups
 
@@ -191,6 +193,58 @@ def test_seminorm_matches_conjugation_path(q, p):
         assert fast == pytest.approx(slow, rel=1e-10, abs=1e-10)
 
 
+def _structured_stack(torus, rng):
+    q = torus.q
+    lines = fixed_point._structured_lines(
+        torus, [(1, 0), (0, 1), (1, 1), (q // 2, 1), (2, q - 1), (q // 3, q // 2)]
+    )
+    averaged = [
+        AveragingExpectation(torus, sub)(random_hermitian(rng, q))
+        for sub in (
+            TorusSubgroup.cyclic_first_factor(q, 2),
+            TorusSubgroup.from_generators(q, (0, 1)),
+            TorusSubgroup.from_generators(q, (1, 1)),
+        )
+    ]
+    scalars = [2.5 * identity(q), np.zeros((q, q), dtype=complex)]
+    return np.stack(lines + averaged + scalars)
+
+
+@pytest.mark.parametrize("q,p", [(6, 5), (12, 5), (12, 7), (16, 3)])
+def test_pruned_seminorm_matches_conjugation_on_structured_inputs(q, p):
+    # Monomial lines are where the Frobenius bound is loosest (by about
+    # sqrt(q / 2)); averaged elements and scalars have many tied values.
+    torus = FuzzyTorus(q, p)
+    ell = LengthFunction.max_arc(q)
+    stack = _structured_stack(torus, np.random.default_rng(58))
+    fast = action_lip_seminorms(torus, ell, stack)
+    for a, value in zip(stack, fast):
+        slow = _seminorm_by_explicit_conjugation(torus, ell, a)
+        assert value == pytest.approx(slow, rel=1e-12, abs=1e-13)
+
+
+def test_exact_norm_stacks_stay_within_the_byte_budget(monkeypatch):
+    q = 32
+    torus = FuzzyTorus(q, 3)
+    ell = LengthFunction.max_arc(q)
+    stack = _structured_stack(torus, np.random.default_rng(59))
+    sizes = []
+
+    def recording(diffs):
+        sizes.append(diffs.nbytes)
+        return operator_norms(diffs)
+
+    monkeypatch.setattr(fixed_point, "operator_norms", recording)
+    expected = action_lip_seminorms(torus, ell, stack)
+    assert 0 < max(sizes) <= fixed_point._NORM_CHUNK_BYTES
+    # A budget of 4 matrices changes the chunking, not the values.
+    monkeypatch.setattr(fixed_point, "_NORM_CHUNK_BYTES", 4 * 16 * q * q)
+    sizes.clear()
+    small = action_lip_seminorms(torus, ell, stack)
+    assert max(sizes) <= 4 * 16 * q * q
+    assert np.allclose(small, expected, rtol=1e-14, atol=0.0)
+
+
 def test_seminorm_on_clock_plus_adjoint_is_positive():
     for q in (3, 5, 8):
         torus = FuzzyTorus(q, 1)
@@ -254,6 +308,16 @@ def test_subgroup_validation_rejects_non_closed_sets():
         TorusSubgroup(4, frozenset({(0, 0), (1, 0)}))
     with pytest.raises(ConfigError):
         TorusSubgroup(4, frozenset({(1, 0), (2, 0), (3, 0)}))
+
+
+def test_subgroup_validation_names_each_rejection():
+    with pytest.raises(ConfigError, match="must contain the identity"):
+        TorusSubgroup(6, frozenset({(1, 0), (5, 0)}))
+    with pytest.raises(ConfigError, match=r"lacks the inverse of \(1, 2\)"):
+        TorusSubgroup(6, frozenset({(0, 0), (1, 2)}))
+    with pytest.raises(ConfigError, match=r"not closed: \(1, 0\) \+ \(1, 0\) escapes"):
+        TorusSubgroup(6, frozenset({(0, 0), (1, 0), (5, 0)}))
+    assert TorusSubgroup.full(64).order == 64 * 64
 
 
 def test_enumeration_rejects_large_orders():
