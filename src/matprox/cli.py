@@ -364,8 +364,8 @@ def _cmd_leibniz(args: argparse.Namespace) -> int:
                 "min_lie_residual": float(np.min(lres)),
             }
             if include_raw:
-                suite["jordan_residuals"] = [float(x) for x in jres]
-                suite["lie_residuals"] = [float(x) for x in lres]
+                suite["jordan_residuals"] = jres.tolist()
+                suite["lie_residuals"] = lres.tolist()
             suites.append(suite)
     resolved = {**config, "sizes": sizes, "ratios": ratios}
     out = _emit_result(args, "leibniz.json", resolved, {"suites": suites}, start)

@@ -140,8 +140,12 @@ def quasi_leibniz_residuals(
     negative values are rounding noise).  Like :func:`l_seminorms`, skips
     the self-adjointness validation.
     """
-    jordan = (a @ b + b @ a) / 2.0
-    lie = (a @ b - b @ a) / 2.0j
+    ab = a @ b
+    # ba = (ab)^* for self-adjoint a and b; taking it so makes both products
+    # bitwise self-adjoint, so their norms take the eigenvalue path.
+    ba = np.swapaxes(ab, -1, -2).conj()
+    jordan = (ab + ba) / 2.0
+    lie = (ab - ba) / 2.0j
     bound = pair.leibniz_constant * (
         operator_norms(a) * l_seminorms(pair, b)
         + operator_norms(b) * l_seminorms(pair, a)

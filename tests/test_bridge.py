@@ -5,6 +5,7 @@ from matprox import (
     ApproximationPair,
     Circle,
     FiniteMetricSpace,
+    FlatTorus,
     Interval,
     PointCloud,
     TAU,
@@ -104,6 +105,26 @@ def test_two_point_reach_interval_is_reported_not_asserted():
     pair = two_point_pair(beta=0.5)
     values = [estimate_reach_lower(pair, iters=8, seed=s) for s in range(3)]
     assert all(0.0 <= v <= 0.5 + 1e-9 for v in values)
+
+
+@pytest.mark.parametrize(
+    "generator,expected",
+    [
+        (Circle(TAU), 0.00439131496424872),
+        (Interval(1.0), 0.0006988993465755378),
+        (FlatTorus((1.0, 1.0)), 0.0034944972990339127),
+    ],
+    ids=["circle", "interval", "torus"],
+)
+def test_reach_lower_estimate_is_pinned(generator, expected):
+    # The coordinate descent follows the exact path of its objective values.
+    # With operator_norm taken from eigvalsh (about 1e-15 away from the SVD)
+    # these three estimates moved by 3.7e-9 to 1.3e-8 relative, so the values
+    # pin the single-matrix norm to the SVD.
+    pair, _ = approximate_compact_space(generator, 25, beta_delta_over_n)
+    assert estimate_reach_lower(pair, iters=1, seed=1) == pytest.approx(
+        expected, rel=1e-12, abs=0.0
+    )
 
 
 # ---------------------------------------------------------------------------

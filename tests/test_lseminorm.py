@@ -12,6 +12,7 @@ from matprox import (
     lipschitz_seminorm,
     min_separation,
     operator_norm,
+    operator_norms,
     quasi_leibniz_residual,
     quasi_leibniz_residuals,
     random_hermitian,
@@ -19,6 +20,7 @@ from matprox import (
     trace_state,
     unit_ball_radius_bound,
 )
+from matprox import lseminorm
 from matprox.errors import (
     ConfigError,
     CorollaryModeViolation,
@@ -172,12 +174,31 @@ def test_random_residual_suite(ratio, expected_d):
 
 @pytest.mark.parametrize("ratio", [1.0, 3.0])
 @pytest.mark.parametrize("n", [2, 5, 8])
-def test_batched_residuals_equal_per_pair_residuals_exactly(n, ratio):
+def test_batched_residuals_equal_per_pair_residuals_exactly(n, ratio, monkeypatch):
     pair = cloud_pair(n, seed=200 + n, ratio=ratio)
     rng = np.random.default_rng(26)
     a = random_hermitian_stack(rng, 40, n)
     b = random_hermitian_stack(rng, 40, n)
+    # Reference: the products formed as a@b and b@a separately.
+    bound = pair.leibniz_constant * (
+        operator_norms(a) * l_seminorms(pair, b) + operator_norms(b) * l_seminorms(pair, a)
+    )
+    jref = bound - l_seminorms(pair, (a @ b + b @ a) / 2.0)
+    lref = bound - l_seminorms(pair, (a @ b - b @ a) / 2.0j)
+    seen = []
+
+    def spy(p, stack):
+        seen.append(stack)
+        return l_seminorms(p, stack)
+
+    monkeypatch.setattr(lseminorm, "l_seminorms", spy)
     jres, lres = quasi_leibniz_residuals(pair, a, b)
+    # b, a, then the Jordan and Lie stacks: all bitwise self-adjoint.
+    assert len(seen) == 4
+    for stack in seen:
+        assert np.array_equal(stack, np.swapaxes(stack, 1, 2).conj())
+    np.testing.assert_allclose(jres, jref, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(lres, lref, rtol=1e-12, atol=0.0)
     singles = [quasi_leibniz_residual(pair, x, y) for x, y in zip(a, b)]
     assert jres.tolist() == [j for j, _ in singles]
     assert lres.tolist() == [l for _, l in singles]

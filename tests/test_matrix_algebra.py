@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matprox import (
     DiagonalEmbedding,
@@ -68,6 +71,68 @@ def test_operator_norms_batches_match_single_calls():
     batched = operator_norms(stack)
     singles = [operator_norm(m) for m in stack]
     assert np.allclose(batched, singles, atol=1e-12)
+
+
+def _hermitian(g: np.ndarray) -> np.ndarray:
+    """(g + g^*)/2, which is bitwise equal to its conjugate transpose."""
+    h = (g + np.swapaxes(g, -1, -2).conj()) / 2.0
+    assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())
+    return h
+
+
+def _assert_eigenvalue_norms(stack: np.ndarray) -> None:
+    """operator_norms of a bitwise self-adjoint stack is max |eigenvalue|
+    and matches the per-matrix SVD within 1e-13 relative."""
+    norms = operator_norms(stack)
+    w = np.linalg.eigvalsh(stack)
+    assert np.array_equal(norms, np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
+    svd = np.array([np.linalg.svd(m, compute_uv=False)[0] for m in stack])
+    assert np.all(np.abs(norms - svd) <= 1e-13 * svd)
+
+
+@st.composite
+def _hermitian_stacks(draw):
+    n = draw(st.integers(1, 16))
+    count = draw(st.integers(1, 4))
+    entries = st.floats(-1e6, 1e6, allow_subnormal=False)
+    re = draw(arrays(float, (count, n, n), elements=entries))
+    im = draw(arrays(float, (count, n, n), elements=entries))
+    return _hermitian(re + 1j * im)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_hermitian_stacks())
+def test_self_adjoint_stacks_take_eigenvalue_norms(stack):
+    _assert_eigenvalue_norms(stack)
+
+
+def test_eigenvalue_norms_on_fixed_cases():
+    zeros = operator_norms(np.zeros((3, 5, 5), dtype=complex))
+    assert np.all(zeros == 0.0) and not np.any(np.signbit(zeros))
+    _assert_eigenvalue_norms(np.zeros((3, 5, 5), dtype=complex))
+    _assert_eigenvalue_norms(-2.5 * identity(4)[None])
+    negative = np.diag([1.0, -3.0, 2.0]).astype(complex)
+    assert operator_norms(negative[None])[0] == 3.0
+    _assert_eigenvalue_norms(negative[None])
+    rng = np.random.default_rng(18)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    _assert_eigenvalue_norms(_hermitian(-np.outer(v, v.conj()))[None])
+    _assert_eigenvalue_norms(random_hermitian(rng, 64)[None])
+
+
+def test_one_ulp_off_self_adjoint_takes_the_svd():
+    rng = np.random.default_rng(19)
+    g = rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))
+    # Inside the matrix, in the first row, and the imaginary part of a diagonal.
+    for index, part in [((2, 1, 4), "real"), ((0, 0, 3), "real"), ((1, 2, 2), "imag")]:
+        stack = _hermitian(g)
+        z = stack[index]
+        if part == "real":
+            stack[index] = complex(np.nextafter(z.real, np.inf), z.imag)
+        else:
+            stack[index] = complex(z.real, np.nextafter(z.imag, np.inf))
+        svd = np.linalg.svd(stack, compute_uv=False)[..., 0]
+        assert np.array_equal(operator_norms(stack), svd)
 
 
 # ---------------------------------------------------------------------------
