@@ -16,7 +16,6 @@ from .bridge import (
     beta_delta_over_n,
     beta_fixed,
     beta_fraction_of_delta,
-    bridge_for_pair,
     certify_reach_upper,
     convergence_experiment,
     estimate_reach_lower,

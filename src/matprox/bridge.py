@@ -61,12 +61,6 @@ class UnitPivotBridge:
         return operator_norm(m - self.pair.rho.embed(f))
 
 
-def bridge_for_pair(pair: ApproximationPair) -> UnitPivotBridge:
-    """The bridge from the matrix algebra to the functions on its space:
-    identity on matrices, diagonal embedding on functions."""
-    return UnitPivotBridge(pair)
-
-
 @dataclass(frozen=True)
 class ReachCertificate:
     """An upper bound on the reach of a bridge plus the witnessing data.
@@ -98,7 +92,7 @@ def certify_reach_upper(
     deterministic unit-ball samples and the worst observed values recorded;
     a witness violation would falsify the certificate and raises.
     """
-    bridge = bridge_for_pair(pair)
+    bridge = UnitPivotBridge(pair)
     worst_forward = 0.0
     for a in sample_unit_ball(pair, samples, seed):
         f = pair.rho.extract(pinch(a)).real

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,13 +91,16 @@ class FuzzyTorus:
 
     # -- basis and coefficients ------------------------------------------
 
-    def monomial(self, m: int, n: int) -> np.ndarray:
-        """The basis element U^m V^n (unit trace-norm, unitary)."""
-        q = self.q
-        mat = np.zeros((q, q), dtype=complex)
-        r = np.arange(q)
-        mat[r, (r + n) % q] = self._twist_powers[(m * r) % q]
-        return mat
+    def monomial(self, m: int | np.ndarray, n: int | np.ndarray) -> np.ndarray:
+        """The basis element U^m V^n (unit trace-norm, unitary), or the stack
+        of them for index arrays: w^(m r) at (r, r + n)."""
+        m = np.asarray(m)[..., None, None]
+        n = np.asarray(n)[..., None, None]
+        return np.where(
+            self._entry_offsets == n % self.q,
+            self._twist_powers[(m * self._gather_rows) % self.q],
+            0.0,
+        )
 
     def group_elements(self) -> list[GroupElement]:
         return [(j, k) for j in range(self.q) for k in range(self.q)]
@@ -114,28 +117,43 @@ class FuzzyTorus:
         return (self._char.conj().T @ diag_offsets) / self.q
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_coefficients`, for one grid or a stack."""
         coeff = np.asarray(c, dtype=complex)
-        if coeff.shape != (self.q, self.q):
+        if coeff.ndim < 2 or coeff.shape[-2:] != (self.q, self.q):
             raise InputShapeError(
-                f"coefficients have shape {coeff.shape}, expected ({self.q}, {self.q})"
+                f"coefficients have shape {coeff.shape}, expected (..., {self.q}, {self.q})"
             )
         diag_offsets = self._char @ coeff
-        mat = np.zeros((self.q, self.q), dtype=complex)
-        mat[self._gather_rows, self._gather_cols] = diag_offsets
+        mat = np.zeros(diag_offsets.shape, dtype=complex)
+        mat[..., self._gather_rows, self._gather_cols] = diag_offsets
         return mat
 
     # -- the dual action --------------------------------------------------
 
-    def character_phases(self, g: GroupElement) -> np.ndarray:
-        """Phase grid exp(2 pi i (j m + k n) / q) of a group element."""
-        j, k = g
-        idx = (j * self._m_grid + k * self._n_grid) % self.q
-        return self._roots[idx]
-
     def dual_action(self, g: GroupElement, a: np.ndarray) -> np.ndarray:
-        """Apply the automorphism of the group element (j, k)."""
-        c = self.to_coefficients(a)
-        return self.from_coefficients(self.character_phases(g) * c)
+        """Apply the automorphism of the group element g = (j, k).
+
+        alpha^g is conjugation by a monomial unitary: in diagonal-offset
+        coordinates d[r, n] = a[r, r + n] it shifts rows by s = j / p mod q
+        and scales offset n by rho^(k n), so entrywise
+        alpha^g(a)[r, c] = rho^(k (c - r)) a[r + s, c + s], indices mod q.
+        On a (count, q, q) stack, j and k may be arrays of length count:
+        one group element per matrix.
+        """
+        q = self.q
+        mat = np.asarray(a, dtype=complex)
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (q, q):
+            raise InputShapeError(
+                f"element has shape {mat.shape}, torus dimension is {q}"
+            )
+        stack = mat.reshape(-1, q, q)
+        j, k = (np.broadcast_to(x, len(stack)) for x in g)
+        shifted = self._gather_cols[(pow(self.p, -1, q) * j) % q]
+        moved = stack[
+            np.arange(len(stack))[:, None, None], shifted[:, :, None], shifted[:, None, :]
+        ]
+        phases = self._roots[(k[:, None, None] * self._entry_offsets) % q]
+        return (phases * moved).reshape(mat.shape)
 
     def action_unitary(self, g: GroupElement) -> np.ndarray:
         """A unitary whose conjugation realizes the group element's action.
@@ -435,19 +453,9 @@ def _frobenius_bounds(torus: FuzzyTorus, stack: np.ndarray) -> np.ndarray:
 def _differences(
     torus: FuzzyTorus, stack: np.ndarray, elem: np.ndarray, slot: np.ndarray
 ) -> np.ndarray:
-    """a - alpha^g(a) for stack[elem] and the nontrivial g of index slot.
-
-    alpha^g with g = (j, k) is conjugation by a monomial unitary: in
-    diagonal-offset coordinates d[r, n] = a[r, r + n] it shifts rows by
-    s = j / p mod q and scales offset n by rho^(k n), so entrywise
-    alpha^g(a)[r, c] = rho^(k (c - r)) a[r + s, c + s], indices mod q.
-    """
-    q = torus.q
-    j, k = np.divmod(slot + 1, q)
-    shifted = torus._gather_cols[(pow(torus.p, -1, q) * j) % q]
-    moved = stack[elem[:, None, None], shifted[:, :, None], shifted[:, None, :]]
-    phases = torus._roots[(k[:, None, None] * torus._entry_offsets) % q]
-    return stack[elem] - phases * moved
+    """a - alpha^g(a) for stack[elem] and the nontrivial g of index slot."""
+    picked = stack[elem]
+    return picked - torus.dual_action(np.divmod(slot + 1, torus.q), picked)
 
 
 def action_lip_seminorms(
@@ -498,8 +506,9 @@ def action_lip_seminorms(
         mags = np.abs(diffs)
         schur = np.sqrt(mags.sum(axis=2).max(axis=1) * mags.sum(axis=1).max(axis=1))
         need = schur_slack * schur / lengths[slot] > best[elem]
-        norms = operator_norms(diffs[need])
-        np.maximum.at(best, elem[need], norms / lengths[slot[need]])
+        if need.any():
+            norms = operator_norms(diffs[need])
+            np.maximum.at(best, elem[need], norms / lengths[slot[need]])
         visited += np.bincount(elem, minlength=count)
         step *= 2
 
@@ -552,46 +561,61 @@ def action_kernel_dimension(
 # ---------------------------------------------------------------------------
 
 
-def _structured_lines(
-    torus: FuzzyTorus, support: Iterable[GroupElement]
-) -> list[np.ndarray]:
+def _structured_lines(torus: FuzzyTorus, support: np.ndarray) -> np.ndarray:
     """Self-adjoint single-coefficient elements covering a coefficient set.
 
-    The gap between two averaging expectations is attained on coefficient
-    lines, so these are always sampled alongside random draws."""
+    ``support`` holds (m, n) rows.  Each pair {(m, n), (-m, -n)} mod q gives
+    x + x^* and i (x - x^*) for x = U^m V^n at the lexicographically smaller
+    exponent, pairs in order of first appearance, with vanishing candidates
+    dropped.  The gap between two averaging expectations is attained on
+    coefficient lines, so these are always sampled alongside random draws."""
     q = torus.q
-    seen: set[GroupElement] = set()
-    out: list[np.ndarray] = []
-    for m, n in support:
-        partner = ((-m) % q, (-n) % q)
-        key = min((m, n), partner)
-        if key in seen:
-            continue
-        seen.add(key)
-        mono = torus.monomial(*key)
-        for candidate in (mono + mono.conj().T, 1j * (mono - mono.conj().T)):
-            if float(np.max(np.abs(candidate))) > 1e-12:
-                out.append(candidate)
-    return out
-
-
-def _centered(torus: FuzzyTorus, a: np.ndarray) -> np.ndarray:
-    return a - (np.trace(a) / torus.q) * np.eye(torus.q)
+    idx = np.asarray(support, dtype=int).reshape(-1, 2) % q
+    keys = np.minimum(idx @ [q, 1], ((-idx) % q) @ [q, 1])
+    _, first = np.unique(keys, return_index=True)
+    mono = torus.monomial(*np.divmod(keys[np.sort(first)], q))
+    adj = np.swapaxes(mono, -1, -2).conj()
+    lines = np.stack([mono + adj, 1j * (mono - adj)], axis=1).reshape(-1, q, q)
+    return lines[np.abs(lines).max(axis=(1, 2)) > 1e-12]
 
 
 def _normalized_unit_ball(
-    torus: FuzzyTorus, ell: LengthFunction, candidates: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Center candidates, rescale each to action seminorm exactly one."""
-    kept: list[np.ndarray] = []
-    centered = [_centered(torus, a) for a in candidates]
-    if not centered:
-        return kept
-    values = action_lip_seminorms(torus, ell, np.stack(centered))
-    for a, val in zip(centered, values):
-        if val > 1e-12:
-            kept.append(a / val)
-    return kept
+    torus: FuzzyTorus, ell: LengthFunction, candidates: np.ndarray
+) -> np.ndarray:
+    """Center a (count, q, q) stack and rescale each element to action
+    seminorm exactly one; elements with seminorm <= 1e-12 are dropped."""
+    traces = np.trace(candidates, axis1=1, axis2=2) / torus.q
+    centered = candidates - traces[:, None, None] * np.eye(torus.q)
+    values = action_lip_seminorms(torus, ell, centered)
+    keep = values > 1e-12
+    return centered[keep] / values[keep, None, None]
+
+
+def _hermitian_draws(q: int, count: int, seed: int) -> np.ndarray:
+    """(count, q, q) random self-adjoint draws that depend only on the seed."""
+    rng = np.random.default_rng(seed)
+    draws = [random_hermitian(rng, q) for _ in range(count)]
+    return np.array(draws, dtype=complex).reshape(count, q, q)
+
+
+def _sampled_gap(
+    torus: FuzzyTorus,
+    ell: LengthFunction,
+    e_h: AveragingExpectation,
+    e_k: AveragingExpectation,
+    support: np.ndarray,
+    draws: np.ndarray,
+) -> float:
+    """Largest ||(E_h - E_k) u|| over the structured lines on the coefficient
+    mask ``support`` and the draws, each normalized to the traceless unit
+    ball; exactly 0.0 when the support is empty."""
+    if not support.any():
+        return 0.0
+    candidates = np.concatenate([_structured_lines(torus, np.argwhere(support)), draws])
+    units = _normalized_unit_ball(torus, ell, candidates)
+    signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
+    coeffs = signed_mask * torus.to_coefficients(units)
+    return float(np.max(operator_norms(torus.from_coefficients(coeffs))))
 
 
 def expectation_gap(
@@ -615,19 +639,8 @@ def expectation_gap(
         raise ConfigError("need at least one sample")
     e_h = AveragingExpectation(torus, h)
     e_k = AveragingExpectation(torus, k)
-    if np.array_equal(e_h.mask, e_k.mask):
-        return 0.0
-    signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
-    support = np.argwhere(e_h.mask ^ e_k.mask)
-    candidates = _structured_lines(torus, map(tuple, support.tolist()))
-    rng = np.random.default_rng(seed)
-    candidates.extend(random_hermitian(rng, torus.q) for _ in range(count))
-    units = _normalized_unit_ball(torus, ell, candidates)
-    if not units:
-        return 0.0
-    coeffs = signed_mask * torus.to_coefficients(np.stack(units))
-    gaps = operator_norms(np.stack([torus.from_coefficients(c) for c in coeffs]))
-    return float(np.max(gaps))
+    draws = _hermitian_draws(torus.q, count, seed)
+    return _sampled_gap(torus, ell, e_h, e_k, e_h.mask ^ e_k.mask, draws)
 
 
 @dataclass(frozen=True)
@@ -657,29 +670,6 @@ class FixedPointBridgeReport:
     model: str = SPECIALIZATION_NOTE
 
 
-def _directed_bridge_value(
-    torus: FuzzyTorus,
-    ell: LengthFunction,
-    source: AveragingExpectation,
-    target: AveragingExpectation,
-    count: int,
-    seed: int,
-) -> float:
-    # Elements fixed by the source whose coefficients the target kills.
-    if bool(np.all(target.mask | ~source.mask)):
-        # The source algebra embeds in the target one; the identity witness
-        # gives bridge norm zero.
-        return 0.0
-    informative = np.argwhere(source.mask & ~target.mask)
-    candidates = _structured_lines(torus, map(tuple, informative.tolist()))
-    rng = np.random.default_rng(seed)
-    candidates.extend(source(random_hermitian(rng, torus.q)) for _ in range(count))
-    units = _normalized_unit_ball(torus, ell, candidates)
-    if not units:
-        return 0.0
-    return float(np.max(operator_norms(np.stack([a - target(a) for a in units]))))
-
-
 def fixed_point_bridge(
     torus: FuzzyTorus,
     ell: LengthFunction,
@@ -688,11 +678,16 @@ def fixed_point_bridge(
     count: int = 64,
     seed: int = 0,
 ) -> FixedPointBridgeReport:
-    """Reach report for the unit-pivot bridge between two fixed algebras."""
+    """Reach report for the unit-pivot bridge between two fixed algebras.
+
+    For u fixed by h, u - E_k u = (E_h - E_k) u: left to right is the sampled
+    gap on the coefficients h keeps and k kills, over E_h of the draws, and
+    right to left swaps the roles."""
     e_h = AveragingExpectation(torus, h)
     e_k = AveragingExpectation(torus, k)
-    forward = _directed_bridge_value(torus, ell, e_h, e_k, count, seed)
-    backward = _directed_bridge_value(torus, ell, e_k, e_h, count, seed)
+    draws = _hermitian_draws(torus.q, count, seed)
+    forward = _sampled_gap(torus, ell, e_h, e_k, e_h.mask & ~e_k.mask, e_h(draws))
+    backward = _sampled_gap(torus, ell, e_k, e_h, e_k.mask & ~e_h.mask, e_k(draws))
     return FixedPointBridgeReport(
         q=torus.q,
         p=torus.p,

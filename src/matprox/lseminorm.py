@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .config import DEFAULT_TOLERANCES
 from .errors import ConfigError, CorollaryModeViolation, InputShapeError
 from .matrix_algebra import (
     DiagonalEmbedding,
+    jordan_lie,
     operator_norm,
     operator_norms,
     random_hermitian,
@@ -34,7 +34,6 @@ from .matrix_algebra import (
 from .metric_core import (
     FiniteMetricSpace,
     diameter,
-    lipschitz_constraints,
     lipschitz_seminorm,
     lipschitz_seminorms,
     min_separation,
@@ -140,12 +139,7 @@ def quasi_leibniz_residuals(
     negative values are rounding noise).  Like :func:`l_seminorms`, skips
     the self-adjointness validation.
     """
-    ab = a @ b
-    # ba = (ab)^* for self-adjoint a and b; taking it so makes both products
-    # bitwise self-adjoint, so their norms take the eigenvalue path.
-    ba = np.swapaxes(ab, -1, -2).conj()
-    jordan = (ab + ba) / 2.0
-    lie = (ab - ba) / 2.0j
+    jordan, lie = jordan_lie(a, b)
     bound = pair.leibniz_constant * (
         operator_norms(a) * l_seminorms(pair, b)
         + operator_norms(b) * l_seminorms(pair, a)
@@ -228,44 +222,21 @@ def kernel_dimension(
     return len(basis) - rank
 
 
-def _lip_ball_sup_norm(space: FiniteMetricSpace, weights: np.ndarray) -> float:
-    """max ||f||_inf over {Lip(f) <= 1, sum_i w_i f_i = 0}, solved by LP."""
-    n = space.n_points
-    if n == 1:
-        return 0.0
-    a_ub, b_ub = lipschitz_constraints(space)
-    a_eq = weights[None, :]
-    best = 0.0
-    for i in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = -sign
-            res = linprog(
-                c=c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=[0.0],
-                bounds=[(None, None)] * n,
-                method="highs",
-            )
-            if not res.success:
-                raise RuntimeError(f"norm-bound LP failed: {res.message}")
-            best = max(best, -float(res.fun))
-    return best
-
-
 def unit_ball_radius_bound(pair: ApproximationPair) -> float:
     """Norm bound beta + B for the centered unit ball of the seminorm.
 
-    B is the largest sup norm of a function with Lipschitz seminorm at most
-    one and zero mean against the trace state pulled back to the space
-    (uniform weights on a full matrix algebra); it is computed exactly by
-    LP.  Every self-adjoint a with L(a) <= 1 and tau(a) = 0 satisfies
-    ||a|| <= beta + B.
+    B = max_i sum_j w_j d(i, j), with w the trace state pulled back to the
+    space (uniform weights on a full matrix algebra), is the largest sup
+    norm of a function f with Lipschitz seminorm at most one and
+    sum_j w_j f_j = 0.  Proof: for such f, f_i = sum_j w_j (f_i - f_j) <=
+    sum_j w_j d(i, j), and likewise for -f_i; the function
+    f = c - d(i, .) with c = sum_j w_j d(i, j) is 1-Lipschitz, has zero
+    mean and takes the value c at i.  Every self-adjoint a with L(a) <= 1
+    and tau(a) = 0 then satisfies ||a|| <= ||a - E(a)|| + ||E(a)|| <= beta + B,
+    since E(a) is the diagonal of such an f.
     """
     weights = np.full(pair.dim, 1.0 / pair.dim)
-    return pair.beta + _lip_ball_sup_norm(pair.space, weights)
+    return pair.beta + float(np.max(pair.space.dist @ weights))
 
 
 def sample_unit_ball(

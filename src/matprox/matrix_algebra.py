@@ -80,6 +80,16 @@ def lie_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (x @ y - y @ x) / 2.0j
 
 
+def jordan_lie(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jordan and Lie products of two self-adjoint (..., n, n) stacks paired
+    by index, from one matrix product: ba = (ab)^* for self-adjoint a and b.
+    Taking ba so makes both products bitwise self-adjoint, so their norms
+    take the eigenvalue path of :func:`operator_norms`."""
+    ab = a @ b
+    ba = np.swapaxes(ab, -1, -2).conj()
+    return (ab + ba) / 2.0, (ab - ba) / 2.0j
+
+
 def trace_state(a: np.ndarray) -> complex:
     """The normalized trace, i.e. the unique tracial state of the algebra."""
     m = _as_square(a)

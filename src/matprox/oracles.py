@@ -4,8 +4,9 @@ Each oracle recomputes a quantity by a different method than the library
 uses: the transport distance by enumerating vertices of the unit-Lipschitz
 polytope instead of solving an LP, operator norms by power iteration
 instead of SVD, group averaging by explicit conjugation sums instead of
-coefficient masks, and subgroup lattices by brute-force closure instead of
-the divisor parametrization.  They are deliberately slow and simple.
+coefficient masks, the unit-ball radius by 2n LPs instead of its closed
+form, and subgroup lattices by brute-force closure instead of the divisor
+parametrization.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .fixed_point import FuzzyTorus, GroupElement, TorusSubgroup
-from .metric_core import FiniteMetricSpace, check_probability
+from .metric_core import FiniteMetricSpace, check_probability, lipschitz_constraints
 
 
 def enumerate_lipschitz_vertices(space: FiniteMetricSpace) -> np.ndarray:
@@ -87,6 +89,32 @@ def mk_by_enumeration(
         vertices = enumerate_lipschitz_vertices(space)
     objective = vertices @ (pw - qw)
     return float(max(np.max(objective), 0.0))
+
+
+def lip_ball_sup_norm_by_lp(space: FiniteMetricSpace, weights: np.ndarray) -> float:
+    """max ||f||_inf over {Lip(f) <= 1, sum_i w_i f_i = 0}, by 2n LPs."""
+    n = space.n_points
+    if n == 1:
+        return 0.0
+    a_ub, b_ub = lipschitz_constraints(space)
+    best = 0.0
+    for i in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[i] = -sign
+            res = linprog(
+                c=c,
+                A_ub=a_ub,
+                b_ub=b_ub,
+                A_eq=weights[None, :],
+                b_eq=[0.0],
+                bounds=[(None, None)] * n,
+                method="highs",
+            )
+            if not res.success:
+                raise RuntimeError(f"norm-bound LP failed: {res.message}")
+            best = max(best, -float(res.fun))
+    return best
 
 
 def power_iteration_norm(a: np.ndarray, iters: int = 500, seed: int = 7) -> float:

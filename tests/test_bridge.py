@@ -9,11 +9,11 @@ from matprox import (
     Interval,
     PointCloud,
     TAU,
+    UnitPivotBridge,
     approximate_compact_space,
     beta_delta_over_n,
     beta_fixed,
     beta_fraction_of_delta,
-    bridge_for_pair,
     certify_reach_upper,
     convergence_experiment,
     epsilon_net,
@@ -38,23 +38,23 @@ def two_point_pair(beta: float = 0.5) -> ApproximationPair:
 
 def test_bridge_norm_of_matching_diagonal_is_zero():
     pair = two_point_pair()
-    bridge = bridge_for_pair(pair)
+    bridge = UnitPivotBridge(pair)
     f = np.array([0.3, -1.2])
     assert bridge.norm(pair.rho.embed(f), f) == 0.0
 
 
 def test_bridge_norm_unit_against_zero():
     pair = two_point_pair()
-    bridge = bridge_for_pair(pair)
+    bridge = UnitPivotBridge(pair)
     assert bridge.norm(identity(2), np.zeros(2)) == 1.0
 
 
 def test_bridge_height_is_zero_structurally():
-    assert bridge_for_pair(two_point_pair()).height == 0.0
+    assert UnitPivotBridge(two_point_pair()).height == 0.0
 
 
 def test_bridge_norm_dimension_mismatch():
-    bridge = bridge_for_pair(two_point_pair())
+    bridge = UnitPivotBridge(two_point_pair())
     with pytest.raises(InputShapeError):
         bridge.norm(identity(3), np.zeros(2))
 
@@ -227,7 +227,7 @@ def test_sampled_estimates_never_exceed_certificates_across_configs():
 
 def test_witness_values_on_unit_ball_samples_stay_under_beta():
     pair = two_point_pair(beta=0.3)
-    bridge = bridge_for_pair(pair)
+    bridge = UnitPivotBridge(pair)
     from matprox import pinch
 
     for a in sample_unit_ball(pair, 300, seed=9):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,9 @@ def test_monomials_match_matrix_powers_and_are_orthonormal():
             inner = trace_state(a.conj().T @ b)
             expected = 1.0 if key_a == key_b else 0.0
             assert abs(inner - expected) <= 1e-12
+    ms, ns = np.array(list(basis)).T
+    for key, mono in zip(basis, torus.monomial(ms, ns)):
+        assert np.array_equal(mono, basis[key])
 
 
 def test_coefficient_round_trip():
@@ -77,6 +82,10 @@ def test_coefficient_round_trip():
     rng = np.random.default_rng(50)
     a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     assert np.max(np.abs(torus.from_coefficients(torus.to_coefficients(a)) - a)) <= 1e-12
+    stack = rng.normal(size=(4, 7, 7)) + 1j * rng.normal(size=(4, 7, 7))
+    coeffs = torus.to_coefficients(stack)
+    for c, rebuilt in zip(coeffs, torus.from_coefficients(coeffs)):
+        assert np.array_equal(torus.from_coefficients(c), rebuilt)
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +123,15 @@ def test_action_matches_conjugation_oracle():
     torus = FuzzyTorus(9, 2)
     rng = np.random.default_rng(53)
     a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    for g in [(1, 0), (0, 1), (4, 7), (8, 8)]:
+    elements = [(1, 0), (0, 1), (4, 7), (8, 8)]
+    for g in elements:
         w = torus.action_unitary(g)
         assert np.max(np.abs(torus.dual_action(g, a) - w @ a @ w.conj().T)) <= 1e-12
+    # One group element per matrix of a stack.
+    j, k = np.array(elements).T
+    moved = torus.dual_action((j, k), np.repeat(a[None], len(elements), axis=0))
+    for g, m in zip(elements, moved):
+        assert np.array_equal(m, torus.dual_action(g, a))
 
 
 def test_action_is_a_star_automorphism():
@@ -196,7 +211,7 @@ def test_seminorm_matches_conjugation_path(q, p):
 def _structured_stack(torus, rng):
     q = torus.q
     lines = fixed_point._structured_lines(
-        torus, [(1, 0), (0, 1), (1, 1), (q // 2, 1), (2, q - 1), (q // 3, q // 2)]
+        torus, np.array([(1, 0), (0, 1), (1, 1), (q // 2, 1), (2, q - 1), (q // 3, q // 2)])
     )
     averaged = [
         AveragingExpectation(torus, sub)(random_hermitian(rng, q))
@@ -207,7 +222,7 @@ def _structured_stack(torus, rng):
         )
     ]
     scalars = [2.5 * identity(q), np.zeros((q, q), dtype=complex)]
-    return np.stack(lines + averaged + scalars)
+    return np.concatenate([lines, averaged, scalars])
 
 
 @pytest.mark.parametrize("q,p", [(6, 5), (12, 5), (12, 7), (16, 3)])
@@ -382,14 +397,18 @@ def test_mask_average_matches_brute_force_conjugation():
     torus = FuzzyTorus(8, 3)
     rng = np.random.default_rng(60)
     a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    stack = rng.normal(size=(3, 8, 8)) + 1j * rng.normal(size=(3, 8, 8))
     for sub in (
         TorusSubgroup.cyclic_first_factor(8, 4),
         TorusSubgroup.from_generators(8, (2, 2)),
         TorusSubgroup.full(8),
     ):
-        fast = AveragingExpectation(torus, sub)(a)
+        expect = AveragingExpectation(torus, sub)
+        fast = expect(a)
         slow = average_by_conjugation(torus, sub, a)
         assert np.max(np.abs(fast - slow)) <= 1e-12
+        for x, averaged in zip(stack, expect(stack)):
+            assert np.array_equal(expect(x), averaged)
 
 
 def test_nested_subgroups_compose_to_the_larger_average():
@@ -501,6 +520,53 @@ def test_bridge_reach_decreases_along_the_chain():
         for m in (1, 2, 3, 6)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(reaches, reaches[1:]))
+
+
+def _directed_bridge_reference(torus, ell, source, target, count, seed):
+    # Worst ||u - E_target(u)|| over unit-ball elements u fixed by the source,
+    # with the draws and lines that fixed_point_bridge samples.
+    if np.all(target.mask | ~source.mask):
+        return 0.0
+    lines = fixed_point._structured_lines(torus, np.argwhere(source.mask & ~target.mask))
+    rng = np.random.default_rng(seed)
+    draws = np.stack([source(random_hermitian(rng, torus.q)) for _ in range(count)])
+    units = fixed_point._normalized_unit_ball(torus, ell, np.concatenate([lines, draws]))
+    return float(np.max(operator_norms(np.stack([u - target(u) for u in units]))))
+
+
+def test_bridge_directions_match_the_direct_witness_formula():
+    q = 6
+    torus = FuzzyTorus(q, 5)
+    ell = LengthFunction.max_arc(q)
+    subgroups = enumerate_subgroups(q)
+    expect = {sub: AveragingExpectation(torus, sub) for sub in subgroups}
+    # Each unordered pair covers both orders: swapping h and k swaps the directions.
+    for h, k in itertools.combinations(subgroups, 2):
+        report = fixed_point_bridge(torus, ell, h, k, count=2, seed=4)
+        for got, source, target in (
+            (report.worst_left_to_right, expect[h], expect[k]),
+            (report.worst_right_to_left, expect[k], expect[h]),
+        ):
+            ref = _directed_bridge_reference(torus, ell, source, target, 2, 4)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_seminorm_never_takes_norms_of_an_empty_stack(monkeypatch):
+    # The Schur screen can leave nothing of a chunk; that chunk makes no call.
+    shapes = []
+
+    def recording(diffs):
+        shapes.append(diffs.shape)
+        return operator_norms(diffs)
+
+    monkeypatch.setattr(fixed_point, "operator_norms", recording)
+    torus = FuzzyTorus(12, 1)
+    ell = LengthFunction.max_arc(12)
+    h = TorusSubgroup.from_generators(12, (1, 0))
+    k = TorusSubgroup.full(12)
+    expectation_gap(torus, ell, h, k, count=8, seed=0)
+    fixed_point_bridge(torus, ell, h, k, count=8, seed=0)
+    assert shapes and min(shape[0] for shape in shapes) > 0
 
 
 def test_sweep_rows_cover_orders_and_end_at_zero():

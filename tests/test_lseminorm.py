@@ -27,7 +27,16 @@ from matprox.errors import (
     SelfAdjointnessError,
 )
 from matprox.matrix_algebra import random_hermitian_stack
-from matprox.metric_core import Circle, TAU, diameter, epsilon_net
+from matprox.metric_core import (
+    TAU,
+    Circle,
+    FlatTorus,
+    Interval,
+    diameter,
+    epsilon_net,
+    random_cloud_space,
+)
+from matprox.oracles import lip_ball_sup_norm_by_lp
 
 
 def two_point_pair(beta: float = 1.0) -> ApproximationPair:
@@ -244,6 +253,25 @@ def test_circle_net_radius_bound_is_half_diameter_for_two_points():
     assert unit_ball_radius_bound(pair) == pytest.approx(
         0.1 + diameter(net) / 2, abs=1e-9
     )
+
+
+def test_radius_bound_matches_the_lp_oracle():
+    # The closed form against 2n LPs: for the uniform weights the bound uses,
+    # and for random weights, for which its proof holds as well.
+    rng = np.random.default_rng(31)
+    spaces = [random_cloud_space(rng, n) for n in range(2, 20)]
+    for generator, n in ((Circle(TAU), 12), (Interval(1.0), 9), (FlatTorus((1.0, 2.0)), 16)):
+        spaces.append(epsilon_net(generator, n)[0])
+    for space in spaces:
+        n = space.n_points
+        pair = ApproximationPair(space, min_separation(space))
+        expected = pair.beta + lip_ball_sup_norm_by_lp(space, np.full(n, 1.0 / n))
+        assert unit_ball_radius_bound(pair) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        weights = rng.uniform(0.1, 1.0, size=n)
+        weights /= weights.sum()
+        assert float(np.max(space.dist @ weights)) == pytest.approx(
+            lip_ball_sup_norm_by_lp(space, weights), rel=1e-12, abs=0.0
+        )
 
 
 def test_samples_live_in_the_unit_ball_and_are_deterministic():

@@ -20,6 +20,7 @@ from matprox import (
     trace_state,
 )
 from matprox.errors import InputShapeError, NotInSubalgebraError
+from matprox.matrix_algebra import jordan_lie
 from matprox.oracles import power_iteration_norm
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -165,6 +166,11 @@ def test_products_preserve_self_adjointness():
         b = random_hermitian(rng, n)
         assert is_self_adjoint(jordan_product(a, b), tol=1e-12)
         assert is_self_adjoint(lie_product(a, b), tol=1e-12)
+        # The one-product form is bitwise self-adjoint and agrees with the
+        # general forms to rounding.
+        for fast, general in zip(jordan_lie(a, b), (jordan_product(a, b), lie_product(a, b))):
+            assert np.array_equal(fast, fast.conj().T)
+            assert np.max(np.abs(fast - general)) <= 1e-12
 
 
 def test_product_dimension_mismatch():
