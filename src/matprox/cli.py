@@ -37,7 +37,6 @@ from .fixed_point import (
     LengthFunction,
     SPECIALIZATION_NOTE,
     TorusSubgroup,
-    expectation_gap,
     fixed_point_bridge,
     fixed_point_sweep,
 )
@@ -457,10 +456,10 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
     count = _int_field(config, "count", 1)
 
     start = time.perf_counter()
-    if config["sweep"]:
+    if config["sweep"] is not None:
         sweep = _list_field(config, "sweep", int)
-        if any(x < 2 for x in sweep):
-            raise ValidationFailure("sweep", "sweep orders must be at least 2")
+        if not sweep or min(sweep) < 2:
+            raise ValidationFailure("sweep", "sweep needs one or more orders, each at least 2")
         rows = fixed_point_sweep(sweep, count=count, seed=seed)
         results = {"model": SPECIALIZATION_NOTE, "sweep_rows": rows}
         resolved = {**config, "sweep": sweep}
@@ -488,7 +487,6 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         sub_k = TorusSubgroup.from_generators(q, *k_gens) if k_gens else TorusSubgroup.trivial(q)
     except MatproxError as exc:
         raise ValidationFailure("h_generators", str(exc))
-    gap = expectation_gap(torus, ell, sub_h, sub_k, count=count, seed=seed)
     report = fixed_point_bridge(torus, ell, sub_h, sub_k, count=count, seed=seed)
     results = {
         "model": report.model,
@@ -497,7 +495,7 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         "H_generators": [list(g) for g in sub_h.generators],
         "K_generators": [list(g) for g in sub_k.generators],
         "haus_ell": report.haus_ell,
-        "gap_sampled": gap,
+        "gap_sampled": report.gap_sampled,
         "reach_report": {
             "worst_left_to_right": report.worst_left_to_right,
             "worst_right_to_left": report.worst_right_to_left,

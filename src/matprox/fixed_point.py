@@ -80,14 +80,14 @@ class FuzzyTorus:
         self.shift = shift
         rows = np.arange(q)[:, None]
         offs = np.arange(q)[None, :]
-        self._gather_rows = np.broadcast_to(rows, (q, q))
+        # Index grids: entry (r, c) of _row_grid is r, of _col_grid is c.
+        self._row_grid = np.broadcast_to(rows, (q, q))
+        self._col_grid = np.broadcast_to(offs, (q, q))
         self._gather_cols = (rows + offs) % q
         # Entry (r, c) lies on the diagonal offset (c - r) mod q.
         self._entry_offsets = (offs - rows) % q
         # W[r, m] = w^(m r); coefficient transform satisfies W^H W = q I.
         self._char = self._twist_powers[np.outer(rows.ravel(), rows.ravel()) % q]
-        self._m_grid = np.broadcast_to(rows, (q, q))
-        self._n_grid = np.broadcast_to(offs, (q, q))
 
     # -- basis and coefficients ------------------------------------------
 
@@ -98,7 +98,7 @@ class FuzzyTorus:
         n = np.asarray(n)[..., None, None]
         return np.where(
             self._entry_offsets == n % self.q,
-            self._twist_powers[(m * self._gather_rows) % self.q],
+            self._twist_powers[(m * self._row_grid) % self.q],
             0.0,
         )
 
@@ -113,7 +113,7 @@ class FuzzyTorus:
             raise InputShapeError(
                 f"element has shape {mat.shape}, torus dimension is {self.q}"
             )
-        diag_offsets = mat[..., self._gather_rows, self._gather_cols]
+        diag_offsets = mat[..., self._row_grid, self._gather_cols]
         return (self._char.conj().T @ diag_offsets) / self.q
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
@@ -125,7 +125,7 @@ class FuzzyTorus:
             )
         diag_offsets = self._char @ coeff
         mat = np.zeros(diag_offsets.shape, dtype=complex)
-        mat[..., self._gather_rows, self._gather_cols] = diag_offsets
+        mat[..., self._row_grid, self._gather_cols] = diag_offsets
         return mat
 
     # -- the dual action --------------------------------------------------
@@ -227,10 +227,6 @@ class LengthFunction:
 
     def __call__(self, g: GroupElement) -> float:
         return float(self.values[g[0] % self.q, g[1] % self.q])
-
-    def flat_nontrivial(self) -> np.ndarray:
-        """Lengths of all group elements except the identity, row-major order."""
-        return self.values.ravel()[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +386,8 @@ class AveragingExpectation:
         # Blocks of 256 elements keep the pairing array small at q = 64.
         for block in np.split(elems, range(256, len(elems), 256)):
             pairing = (
-                block[:, 0, None, None] * torus._m_grid[None, :, :]
-                + block[:, 1, None, None] * torus._n_grid[None, :, :]
+                block[:, 0, None, None] * torus._row_grid[None, :, :]
+                + block[:, 1, None, None] * torus._col_grid[None, :, :]
             ) % torus.q
             mask &= np.all(pairing == 0, axis=0)
         mask.setflags(write=False)
@@ -480,7 +476,7 @@ def action_lip_seminorms(
     if ell.q != torus.q:
         raise InputShapeError("length function and torus orders differ")
     count = s.shape[0]
-    lengths = ell.flat_nontrivial()
+    lengths = ell.values.ravel()[1:]  # the nontrivial g, row-major
     bounds = _frobenius_bounds(torus, s) / lengths
     order = np.argsort(-bounds, axis=1, kind="stable")
     ranked = np.take_along_axis(bounds, order, axis=1)
@@ -583,39 +579,60 @@ def _normalized_unit_ball(
     torus: FuzzyTorus, ell: LengthFunction, candidates: np.ndarray
 ) -> np.ndarray:
     """Center a (count, q, q) stack and rescale each element to action
-    seminorm exactly one; elements with seminorm <= 1e-12 are dropped."""
+    seminorm exactly one; elements with seminorm <= 1e-12 become zero, so
+    the stack keeps its length."""
     traces = np.trace(candidates, axis1=1, axis2=2) / torus.q
     centered = candidates - traces[:, None, None] * np.eye(torus.q)
-    values = action_lip_seminorms(torus, ell, centered)
-    keep = values > 1e-12
-    return centered[keep] / values[keep, None, None]
+    values = action_lip_seminorms(torus, ell, centered)[:, None, None]
+    return np.divide(centered, values, out=np.zeros_like(centered), where=values > 1e-12)
 
 
-def _hermitian_draws(q: int, count: int, seed: int) -> np.ndarray:
-    """(count, q, q) random self-adjoint draws that depend only on the seed."""
-    rng = np.random.default_rng(seed)
-    draws = [random_hermitian(rng, q) for _ in range(count)]
-    return np.array(draws, dtype=complex).reshape(count, q, q)
-
-
-def _sampled_gap(
+def _sampled_gaps(
     torus: FuzzyTorus,
     ell: LengthFunction,
     e_h: AveragingExpectation,
     e_k: AveragingExpectation,
-    support: np.ndarray,
-    draws: np.ndarray,
-) -> float:
-    """Largest ||(E_h - E_k) u|| over the structured lines on the coefficient
-    mask ``support`` and the draws, each normalized to the traceless unit
-    ball; exactly 0.0 when the support is empty."""
-    if not support.any():
-        return 0.0
-    candidates = np.concatenate([_structured_lines(torus, np.argwhere(support)), draws])
-    units = _normalized_unit_ball(torus, ell, candidates)
+    count: int,
+    seed: int,
+    reach: bool = True,
+) -> tuple[float, float, float]:
+    """The sampled gap and both bridge directions, from one normalized sample.
+
+    The sample is the structured lines on H & ~K and on K & ~H (the fixed-
+    coefficient masks), the draws, and with ``reach`` E_h and E_k of the
+    draws, each normalized to the traceless unit ball.  Every value is a
+    largest ||(E_h - E_k) u||: the gap over all lines and the raw draws; left
+    to right over the H & ~K lines and E_h of the draws, since u - E_k u =
+    (E_h - E_k) u for u fixed by h; right to left over the K & ~H lines and
+    E_k of the draws.  Each value is exactly 0.0 on an empty support; without
+    ``reach`` the directions cover the lines alone.
+    """
+    if count < 1:
+        raise ConfigError("need at least one sample")
+    supports = (e_h.mask & ~e_k.mask, e_k.mask & ~e_h.mask)
+    if not any(s.any() for s in supports):
+        return 0.0, 0.0, 0.0
+    lines = [_structured_lines(torus, np.argwhere(s)) for s in supports]
+    rng = np.random.default_rng(seed)
+    draws = np.array([random_hermitian(rng, torus.q) for _ in range(count)], dtype=complex)
+    imaged = [reach and s.any() for s in supports]
+    sizes = [len(x) for x in lines] + [count] + [count * t for t in imaged]
+    # The gap's own sample and the images of the draws get one seminorm call
+    # each, so the gap never depends on ``reach``.  Dropping the line parts
+    # and taking the images late keeps the peak memory that of one call.
+    gap_sample = np.concatenate([*lines, draws])
+    del lines
+    units = [_normalized_unit_ball(torus, ell, gap_sample)]
+    if any(imaged):
+        images = [e(draws) for e, t in zip((e_h, e_k), imaged) if t]
+        units.append(_normalized_unit_ball(torus, ell, np.concatenate(images)))
+    units = np.concatenate(units)
     signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
     coeffs = signed_mask * torus.to_coefficients(units)
-    return float(np.max(operator_norms(torus.from_coefficients(coeffs))))
+    norms = operator_norms(torus.from_coefficients(coeffs))
+    # Peaks over the H & ~K lines, K & ~H lines, draws, E_h draws, E_k draws.
+    peak = [float(np.max(x, initial=0.0)) for x in np.split(norms, np.cumsum(sizes)[:-1])]
+    return max(peak[:3]), max(peak[0], peak[3]), max(peak[1], peak[4])
 
 
 def expectation_gap(
@@ -635,22 +652,22 @@ def expectation_gap(
     supremum of a convex maximization; it is exactly zero when the
     subgroups agree.
     """
-    if count < 1:
-        raise ConfigError("need at least one sample")
     e_h = AveragingExpectation(torus, h)
     e_k = AveragingExpectation(torus, k)
-    draws = _hermitian_draws(torus.q, count, seed)
-    return _sampled_gap(torus, ell, e_h, e_k, e_h.mask ^ e_k.mask, draws)
+    return _sampled_gaps(torus, ell, e_h, e_k, count, seed, reach=False)[0]
 
 
 @dataclass(frozen=True)
 class FixedPointBridgeReport:
-    """Sampled reach data for the bridge between two fixed-point subalgebras.
+    """Sampled gap and reach data for the bridge between two fixed-point
+    subalgebras.
 
     The bridge is the ambient algebra with the two canonical injections and
-    the unit pivot (height zero).  Each direction's value is the worst
-    sampled bridge norm of a unit-ball element of one fixed algebra against
-    its witness, the other expectation applied to it (feasible because the
+    the unit pivot (height zero).  ``gap_sampled`` is the sampled sup of
+    ||E_h(a) - E_k(a)|| over the traceless unit ball, as from
+    :func:`expectation_gap`.  Each direction's value is the worst sampled
+    bridge norm of a unit-ball element of one fixed algebra against its
+    witness, the other expectation applied to it (feasible because the
     expectations do not increase the seminorm).  Sampled, not certified.
     """
 
@@ -659,6 +676,7 @@ class FixedPointBridgeReport:
     left_generators: tuple[GroupElement, ...]
     right_generators: tuple[GroupElement, ...]
     haus_ell: float
+    gap_sampled: float
     worst_left_to_right: float
     worst_right_to_left: float
     reach_sampled: float
@@ -678,22 +696,18 @@ def fixed_point_bridge(
     count: int = 64,
     seed: int = 0,
 ) -> FixedPointBridgeReport:
-    """Reach report for the unit-pivot bridge between two fixed algebras.
-
-    For u fixed by h, u - E_k u = (E_h - E_k) u: left to right is the sampled
-    gap on the coefficients h keeps and k kills, over E_h of the draws, and
-    right to left swaps the roles."""
+    """Gap and reach report for the unit-pivot bridge between two fixed
+    algebras, all three values taken from one sample (see ``_sampled_gaps``)."""
     e_h = AveragingExpectation(torus, h)
     e_k = AveragingExpectation(torus, k)
-    draws = _hermitian_draws(torus.q, count, seed)
-    forward = _sampled_gap(torus, ell, e_h, e_k, e_h.mask & ~e_k.mask, e_h(draws))
-    backward = _sampled_gap(torus, ell, e_k, e_h, e_k.mask & ~e_h.mask, e_k(draws))
+    gap, forward, backward = _sampled_gaps(torus, ell, e_h, e_k, count, seed)
     return FixedPointBridgeReport(
         q=torus.q,
         p=torus.p,
         left_generators=h.generators,
         right_generators=k.generators,
         haus_ell=subgroup_hausdorff(ell, h, k),
+        gap_sampled=gap,
         worst_left_to_right=forward,
         worst_right_to_left=backward,
         reach_sampled=max(forward, backward),
@@ -770,24 +784,9 @@ def _check_permutation_group(
 
 
 def _orbits(perms: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    seen = [False] * n
-    orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for sigma in perms:
-                y = sigma[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        for x in orbit:
-            seen[x] = True
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
+    """Orbits of a validated permutation group, ordered by least point: the
+    group is closed, so the orbit of x is just its images."""
+    return sorted({tuple(sorted({sigma[x] for sigma in perms})) for x in range(n)})
 
 
 def orbit_average(

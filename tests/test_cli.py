@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from matprox import acceptance
+from matprox import acceptance, fixed_point
 from matprox.cli import main, parse_beta_rule, parse_generator
 from matprox.cli import ValidationFailure
 from matprox.metric_core import Circle, FlatTorus, Interval
@@ -338,6 +338,31 @@ def test_fixedpoint_sweep_writes_csv(tmp_path):
     csv_lines = out.with_suffix(".csv").read_text(encoding="utf-8").splitlines()
     assert csv_lines[0] == "q,m,haus_ell,gap_sampled,dim_fixed"
     assert len(csv_lines) > 4
+
+
+def test_fixedpoint_normalizes_each_sample_once(tmp_path, monkeypatch):
+    # One pass for the gap and both directions: the lines on H ^ K, the draws,
+    # and E_H and E_K of the draws each get one action seminorm.
+    sizes = []
+
+    def recording(torus, ell, stack):
+        sizes.append(len(stack))
+        return seminorms(torus, ell, stack)
+
+    seminorms = fixed_point.action_lip_seminorms
+    monkeypatch.setattr(fixed_point, "action_lip_seminorms", recording)
+    argv = ["fixedpoint", "--q", "12", "--h-generators", "[]", "--count", "8"]
+    assert main(argv + ["--output", str(tmp_path / "fp.json")]) == 0
+    lines = 143  # every nontrivial coefficient: H is trivial and K the full group
+    assert 0 < sum(sizes) <= lines + 3 * 8
+
+
+@pytest.mark.parametrize("sweep", ["", ","])
+def test_fixedpoint_empty_sweep_names_the_sweep(tmp_path, capsys, sweep):
+    # An empty sweep is neither the single-pair mode nor an empty table.
+    out = tmp_path / "sweep.json"
+    assert _rejected_field(["fixedpoint", "--sweep", sweep], out, capsys) == "sweep"
+    assert not out.with_suffix(".csv").exists()
 
 
 def test_fixedpoint_determinism(tmp_path):

@@ -543,12 +543,51 @@ def test_bridge_directions_match_the_direct_witness_formula():
     # Each unordered pair covers both orders: swapping h and k swaps the directions.
     for h, k in itertools.combinations(subgroups, 2):
         report = fixed_point_bridge(torus, ell, h, k, count=2, seed=4)
+        assert report.gap_sampled == expectation_gap(torus, ell, h, k, count=2, seed=4)
         for got, source, target in (
             (report.worst_left_to_right, expect[h], expect[k]),
             (report.worst_right_to_left, expect[k], expect[h]),
         ):
             ref = _directed_bridge_reference(torus, ell, source, target, 2, 4)
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "q,p,h_gens,k_gens,count,seed,expected",
+    [
+        (12, 1, [(1, 0)], [(1, 0), (0, 1)], 48, 0,
+         (1.0471975511965963, 1.0471975511965963, 0.0)),
+        (8, 1, [], [(1, 0), (0, 1)], 48, 0,
+         (1.1107207345395915, 1.1107207345395915, 0.0)),
+        (16, 3, [(4, 0)], [(0, 2)], 12, 5,
+         (1.0261721529770298, 1.0261721529770298, 1.0261721529770291)),
+    ],
+    ids=["default", "q8-trivial-h", "q16-cross"],
+)
+def test_bridge_report_values_are_pinned(q, p, h_gens, k_gens, count, seed, expected):
+    # gap_sampled and the reach directions of the fixedpoint CLI's default
+    # pair, a trivial H, and a pair with both directions nonzero, as taken
+    # by separate gap and direction passes: one shared sample must keep them.
+    torus = FuzzyTorus(q, p)
+    ell = LengthFunction.max_arc(q)
+    h = TorusSubgroup.from_generators(q, *h_gens) if h_gens else TorusSubgroup.trivial(q)
+    k = TorusSubgroup.from_generators(q, *k_gens)
+    report = fixed_point_bridge(torus, ell, h, k, count=count, seed=seed)
+    got = (report.gap_sampled, report.worst_left_to_right, report.worst_right_to_left)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_sample_count_below_one_is_rejected(count):
+    torus = FuzzyTorus(6, 1)
+    ell = LengthFunction.max_arc(6)
+    h = TorusSubgroup.cyclic_first_factor(6, 2)
+    k = TorusSubgroup.cyclic_first_factor(6, 6)
+    for pair in ((h, k), (h, h)):
+        with pytest.raises(ConfigError):
+            expectation_gap(torus, ell, *pair, count=count)
+        with pytest.raises(ConfigError):
+            fixed_point_bridge(torus, ell, *pair, count=count)
 
 
 def test_seminorm_never_takes_norms_of_an_empty_stack(monkeypatch):
