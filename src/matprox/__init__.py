@@ -31,6 +31,7 @@ from .errors import (
     MatproxError,
     MetricAxiomError,
     NotInSubalgebraError,
+    ScaleOverflowError,
     ScaleUnderflowError,
     SelfAdjointnessError,
 )

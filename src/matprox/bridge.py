@@ -27,7 +27,12 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_TOLERANCES
-from .errors import ConfigError, InputShapeError, ScaleUnderflowError
+from .errors import (
+    ConfigError,
+    InputShapeError,
+    ScaleOverflowError,
+    ScaleUnderflowError,
+)
 from .lseminorm import ApproximationPair, sample_unit_ball
 from .matrix_algebra import operator_norm, pinch
 from .metric_core import (
@@ -164,6 +169,12 @@ def _coordinate_descent_inf(
     return current
 
 
+# The bounded minimiser's parabolic step multiplies two interval widths by a
+# difference of objective values.  Each factor is at most about twice the net's
+# diameter, so past this diameter the product can overflow.
+_LARGEST_DIAMETER = sys.float_info.max ** (1.0 / 3.0) / 16.0
+
+
 def estimate_reach_lower(
     pair: ApproximationPair,
     iters: int = 32,
@@ -177,10 +188,16 @@ def estimate_reach_lower(
     and descending; the maximum over samples is therefore a lower bound of
     the sup-inf reach of this particular bridge (and says nothing about the
     distance itself).  Always at most the certified upper bound, up to
-    rounding.
+    rounding.  A net wider than the minimiser can handle raises
+    ``ScaleOverflowError``.
     """
     if iters < 1:
         raise ConfigError("need at least one sample")
+    diameter = float(np.max(pair.space.dist))
+    if not diameter <= _LARGEST_DIAMETER:
+        raise ScaleOverflowError(
+            f"net diameter {diameter!r} exceeds {_LARGEST_DIAMETER:.3e}, where the reach descent overflows"
+        )
     best = 0.0
     for a in sample_unit_ball(pair, iters, seed):
         start = pair.rho.extract(pinch(a)).real

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -31,7 +32,12 @@ from .bridge import (
     convergence_experiment,
     estimate_reach_lower,
 )
-from .errors import CorollaryModeViolation, MatproxError, ScaleUnderflowError
+from .errors import (
+    CorollaryModeViolation,
+    MatproxError,
+    ScaleOverflowError,
+    ScaleUnderflowError,
+)
 from .fixed_point import (
     FuzzyTorus,
     LengthFunction,
@@ -270,7 +276,10 @@ def _cmd_approximate(args: argparse.Namespace) -> int:
         # The generator was validated when parsed; what remains is the net
         # size (too few points, not a grid, more than the cloud holds).
         raise ValidationFailure("n", str(exc))
-    sampled_lower = estimate_reach_lower(pair, iters=reach_samples, seed=seed)
+    try:
+        sampled_lower = estimate_reach_lower(pair, iters=reach_samples, seed=seed)
+    except ScaleOverflowError as exc:
+        raise ValidationFailure("generator", str(exc))
     results = {
         "generator": str(config["generator"]),
         "n": n,
@@ -542,14 +551,44 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are validation failures, so they reach
+    stderr as the JSON error object instead of argparse's usage text."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.type is int:
+            # An integer flag that does not parse names its own field.
+            action.type = _integer_flag(action.dest)
+        return action
+
+    def error(self, message: str):
+        # Unrecognized arguments, a missing or unknown subcommand, a flag
+        # without its value: the command line as a whole is at fault.
+        raise ValidationFailure("argv", message)
+
+
+def _integer_flag(field: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValidationFailure(field, f"{field} must be an integer, got {text!r}") from None
+
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
     parser.add_argument("--output", help="output path (default from $%s)" % OUTPUT_DIR_ENV)
     parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process: parsing reads it and
+    never changes it, and each call of :func:`main` gets a fresh namespace."""
+    parser = _Parser(
         prog="matprox",
         description="matrix-algebra approximations of compact metric spaces with certificates",
     )
@@ -602,9 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ValidationFailure as failure:
         return _error_exit(failure)

@@ -30,6 +30,11 @@ class ScaleUnderflowError(ConfigError):
     quantities divided by it are no longer accurate."""
 
 
+class ScaleOverflowError(ConfigError):
+    """A net is so large that products of its distances in the reach
+    descent's scalar minimiser overflow."""
+
+
 class NotInSubalgebraError(MatproxError):
     """A matrix expected to lie in the diagonal subalgebra has off-diagonal mass."""
 

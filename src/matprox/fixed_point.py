@@ -72,8 +72,15 @@ class FuzzyTorus:
         self.omega = complex(np.exp(2j * np.pi * self.p / self.q))
         # Powers of the twist root, indexed mod q; used for U and the basis.
         self._twist_powers = np.exp(2j * np.pi * self.p * np.arange(q) / q)
-        # Characters of the acting group are p-independent roots of unity.
+        # Characters of the acting group are p-independent roots of unity,
+        # conjugate-symmetric bitwise: roots[-m] is the exact conjugate of
+        # roots[m] and roots[q / 2] is exactly -1.  The dual action then maps
+        # bitwise self-adjoint elements to bitwise self-adjoint ones.
         self._roots = np.exp(2j * np.pi * np.arange(q) / q)
+        upper = np.arange(q // 2 + 1, q)
+        self._roots[upper] = self._roots[q - upper].conj()
+        if q % 2 == 0:
+            self._roots[q // 2] = -1.0
         self.clock = np.diag(self._twist_powers)
         shift = np.zeros((q, q), dtype=complex)
         shift[np.arange(q), (np.arange(q) + 1) % q] = 1.0
@@ -86,6 +93,13 @@ class FuzzyTorus:
         self._gather_cols = (rows + offs) % q
         # Entry (r, c) lies on the diagonal offset (c - r) mod q.
         self._entry_offsets = (offs - rows) % q
+        # The dual action's tables over flattened entries r q + c: row s of
+        # _shift_gather reads a[r + s, c + s], row k of _action_phases holds
+        # rho^(k (c - r)).
+        shifts = np.arange(q)[:, None, None]
+        self._p_inv = pow(self.p, -1, q)
+        self._shift_gather = (((rows + shifts) % q) * q + (offs + shifts) % q).reshape(q, q * q)
+        self._action_phases = self._roots[(shifts * self._entry_offsets) % q].reshape(q, q * q)
         # W[r, m] = w^(m r); coefficient transform satisfies W^H W = q I.
         self._char = self._twist_powers[np.outer(rows.ravel(), rows.ravel()) % q]
 
@@ -146,14 +160,11 @@ class FuzzyTorus:
             raise InputShapeError(
                 f"element has shape {mat.shape}, torus dimension is {q}"
             )
-        stack = mat.reshape(-1, q, q)
-        j, k = (np.broadcast_to(x, len(stack)) for x in g)
-        shifted = self._gather_cols[(pow(self.p, -1, q) * j) % q]
-        moved = stack[
-            np.arange(len(stack))[:, None, None], shifted[:, :, None], shifted[:, None, :]
-        ]
-        phases = self._roots[(k[:, None, None] * self._entry_offsets) % q]
-        return (phases * moved).reshape(mat.shape)
+        flat = mat.reshape(-1, q * q)
+        j, k = (np.broadcast_to(x, len(flat)) for x in g)
+        gather = self._shift_gather[(self._p_inv * j) % q]
+        moved = np.take(flat, gather + q * q * np.arange(len(flat))[:, None])
+        return (self._action_phases[k % q] * moved).reshape(mat.shape)
 
     def action_unitary(self, g: GroupElement) -> np.ndarray:
         """A unitary whose conjugation realizes the group element's action.
@@ -583,6 +594,11 @@ def _normalized_unit_ball(
     the stack keeps its length."""
     traces = np.trace(candidates, axis1=1, axis2=2) / torus.q
     centered = candidates - traces[:, None, None] * np.eye(torus.q)
+    # The candidates are self-adjoint; their Hermitian part makes them so
+    # bitwise (it is the identity on the lines and the draws), so every action
+    # difference is bitwise self-adjoint and takes the eigenvalue norm.  Row-
+    # major order keeps the flat gathers of ``dual_action`` free of copies.
+    centered = np.add(centered, np.swapaxes(centered, 1, 2).conj(), order="C") / 2.0
     values = action_lip_seminorms(torus, ell, centered)[:, None, None]
     return np.divide(centered, values, out=np.zeros_like(centered), where=values > 1e-12)
 

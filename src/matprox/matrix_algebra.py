@@ -47,14 +47,19 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
 
     A stack that is bitwise equal to its conjugate transpose is self-adjoint,
     so its norms are max(-lambda_min, lambda_max) from ``eigvalsh``, which is
-    cheaper than the SVD and agrees with it to rounding.  Every other stack,
-    including one that is self-adjoint only up to rounding, takes the SVD.
+    cheaper than the SVD and agrees with it to rounding.  The self-adjoint
+    stacks of this package are built so bitwise: ``jordan_lie`` takes ba as
+    (ab)^*, and the fuzzy torus's conjugate-symmetric character table makes
+    each action difference a - alpha^g(a) of a bitwise self-adjoint a bitwise
+    self-adjoint.  Every other stack, including one that is self-adjoint only
+    up to rounding, takes the SVD.
     """
     s = np.asarray(stack, dtype=complex)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise InputShapeError(f"expected a stack of square matrices, got {s.shape}")
     # The first rows against the first columns reject most stacks that are
-    # not self-adjoint (the torus differences) before the full comparison.
+    # not self-adjoint (the (E_H - E_K) u images of the fixed-point gaps)
+    # before the full comparison.
     if np.array_equal(s[..., 0, :], s[..., :, 0].conj()) and np.array_equal(
         s, np.swapaxes(s, -1, -2).conj()
     ):

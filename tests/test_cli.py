@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from matprox import acceptance, fixed_point
-from matprox.cli import main, parse_beta_rule, parse_generator
+from matprox.cli import build_parser, main, parse_beta_rule, parse_generator
 from matprox.cli import ValidationFailure
 from matprox.metric_core import Circle, FlatTorus, Interval
 
@@ -213,6 +213,63 @@ def test_subnormal_net_spacing_names_the_generator(tmp_path, capsys, command):
     assert _rejected_field(argv, tmp_path / "out.json", capsys) == "beta_rule"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spec", ["circle(1e150)", "circle(1e308)"])
+def test_overflowing_net_names_the_generator(tmp_path, capsys, spec):
+    # Both ran to exit 0 after overflow warnings in the reach descent.
+    argv = ["approximate", "--generator", spec]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "generator"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_net_below_the_overflow_range_still_runs(tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["approximate", "--generator", "circle(1e100)", "--output", str(out)]) == 0
+    assert read_json(out)["results"]["sampled_lower"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["approximate", "--n", "abc"], "n"),
+        (["fixedpoint", "--q", "abc"], "q"),
+        (["approximate", "--reach-samples", "1.5"], "reach_samples"),
+        (["approximate", "--bogus", "1"], "argv"),
+        (["nosuch"], "argv"),
+    ],
+)
+def test_argument_errors_are_json_errors(tmp_path, capsys, argv, field):
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == field
+
+
+def test_missing_subcommand_is_a_json_error(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.err.strip())["error"]["field"] == "argv"
+    assert captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["approximate", "--help"])
+    assert exc.value.code == 0
+    assert "--reach-samples" in capsys.readouterr().out
+
+
+def test_reused_parser_leaks_nothing_between_calls(tmp_path):
+    first = ["fixedpoint", "--q", "4", "--count", "4", "--seed", "7", "--h-generators", "[]"]
+    second = ["approximate", "--n", "4", "--reach-samples", "1"]
+    assert build_parser() is build_parser()
+    outs = [tmp_path / f"{i}.json" for i in range(3)]
+    assert main(first + ["--output", str(outs[0])]) == 0
+    assert main(second + ["--output", str(outs[1])]) == 0
+    build_parser.cache_clear()
+    assert main(second + ["--output", str(outs[2])]) == 0
+    reused, fresh = (strip_runtime(read_json(out)) for out in outs[1:])
+    assert reused == fresh
+    assert reused["resolved_config"]["seed"] == 0
+
+
 @pytest.mark.parametrize(
     "extra", [["--generator", "torus(1,1)", "--n", "5"], ["--n", "1"]]
 )
@@ -355,6 +412,32 @@ def test_fixedpoint_normalizes_each_sample_once(tmp_path, monkeypatch):
     assert main(argv + ["--output", str(tmp_path / "fp.json")]) == 0
     lines = 143  # every nontrivial coefficient: H is trivial and K the full group
     assert 0 < sum(sizes) <= lines + 3 * 8
+
+
+def test_action_seminorm_norms_are_bitwise_self_adjoint(tmp_path, monkeypatch):
+    # Every difference stack that the default pair's action seminorms hand to
+    # operator_norms is exactly self-adjoint, so it takes the eigenvalue path.
+    inside = []
+    seen = []
+
+    def seminorms(torus, ell, stack):
+        inside.append(True)
+        try:
+            return action_lip_seminorms(torus, ell, stack)
+        finally:
+            inside.pop()
+
+    def norms(stack):
+        if inside:
+            seen.append(np.array_equal(stack, np.swapaxes(stack, -1, -2).conj()))
+        return operator_norms(stack)
+
+    action_lip_seminorms = fixed_point.action_lip_seminorms
+    operator_norms = fixed_point.operator_norms
+    monkeypatch.setattr(fixed_point, "action_lip_seminorms", seminorms)
+    monkeypatch.setattr(fixed_point, "operator_norms", norms)
+    assert main(["fixedpoint", "--output", str(tmp_path / "fp.json")]) == 0
+    assert seen and all(seen)
 
 
 @pytest.mark.parametrize("sweep", ["", ","])

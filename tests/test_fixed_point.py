@@ -134,6 +134,50 @@ def test_action_matches_conjugation_oracle():
         assert np.array_equal(m, torus.dual_action(g, a))
 
 
+def _advanced_index_action(torus, g, stack):
+    """The dual action as a three-array advanced-index gather with a phase
+    table built per call: the reference for the table-driven gather."""
+    q = torus.q
+    j, k = (np.broadcast_to(x, len(stack)) for x in g)
+    shifted = torus._gather_cols[(pow(torus.p, -1, q) * j) % q]
+    moved = stack[
+        np.arange(len(stack))[:, None, None], shifted[:, :, None], shifted[:, None, :]
+    ]
+    phases = torus._roots[(k[:, None, None] * torus._entry_offsets) % q]
+    return phases * moved
+
+
+_ORDERS_AND_TWISTS = [(2, 1), (3, 1), (3, 2), (6, 1), (6, 5), (7, 1), (7, 3), (7, 6),
+                      (12, 1), (12, 5), (12, 7), (16, 1), (16, 3), (16, 9)]
+
+
+@pytest.mark.parametrize("q,p", _ORDERS_AND_TWISTS)
+def test_character_table_is_bitwise_conjugate_symmetric(q, p):
+    roots = FuzzyTorus(q, p)._roots
+    assert np.array_equal(roots[(-np.arange(q)) % q], roots.conj())
+    # The lower half is exp(2 pi i m / q) itself; the mirror fixes the rest.
+    lower = np.arange((q + 1) // 2)
+    assert np.array_equal(roots[lower], np.exp(2j * np.pi * lower / q))
+    if q % 2 == 0:
+        assert roots[q // 2].real == -1.0 and roots[q // 2].imag == 0.0
+
+
+@pytest.mark.parametrize("q,p", _ORDERS_AND_TWISTS)
+def test_table_driven_action_equals_the_advanced_index_gather(q, p):
+    torus = FuzzyTorus(q, p)
+    rng = np.random.default_rng(q * 100 + p)
+    nontrivial = np.divmod(np.arange(1, q * q), q)
+    stack = np.array([random_hermitian(rng, q) for _ in range(q * q - 1)])
+    moved = torus.dual_action(nontrivial, stack)
+    assert np.array_equal(moved, _advanced_index_action(torus, nontrivial, stack))
+    for g, a, m in list(zip(zip(*nontrivial), stack, moved))[:: max(1, q // 2)]:
+        w = torus.action_unitary(g)
+        assert np.max(np.abs(m - w @ a @ w.conj().T)) <= 1e-12
+    # Bitwise self-adjoint elements have bitwise self-adjoint differences.
+    diffs = stack - moved
+    assert np.array_equal(diffs, np.swapaxes(diffs, 1, 2).conj())
+
+
 def test_action_is_a_star_automorphism():
     torus = FuzzyTorus(6, 1)
     rng = np.random.default_rng(54)
