@@ -3,10 +3,11 @@
 Every run resolves its configuration (defaults, then an optional JSON
 config file, then command-line flags), validates it fully before any
 computation, and echoes the resolved configuration inside the result JSON
-so certificates are self-describing.  Identical configuration and seed
-produce byte-identical output except for the ``runtime_ms`` field.  Exit
-codes: 0 success, 2 validation error (a machine-readable error object goes
-to stderr), 3 acceptance failure.
+so certificates are self-describing.  Each subcommand's keys are declared
+once, in :data:`COMMANDS`, with their defaults, checks and flags.
+Identical configuration and seed produce byte-identical output except for
+the ``runtime_ms`` field.  Exit codes: 0 success, 2 validation error (a
+machine-readable error object goes to stderr), 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -86,16 +87,25 @@ def _parse_scalar(token: str, field: str) -> float:
     return value
 
 
+def _read_file(path: Path, field: str, what: str) -> str:
+    """The text of the file a key names; a missing or unreadable file (a
+    directory, a name too long) is that key's fault."""
+    try:
+        if path.exists():
+            return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationFailure(field, f"cannot read {what} {path}: {exc}") from None
+    raise ValidationFailure(field, f"{what} {path} does not exist")
+
+
 def parse_generator(spec: str):
     """Parse a generator spec: circle(c), interval(l), torus(c1,c2,...),
     or cloud:<path-to-json-points-file>."""
     text = spec.strip()
     if text.startswith("cloud:"):
         path = Path(text[len("cloud:") :])
-        if not path.exists():
-            raise ValidationFailure("generator", f"point file {path} does not exist")
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(_read_file(path, "generator", "point file"))
             pts = np.asarray(payload["points"], dtype=float)
             labels = tuple(payload["labels"]) if "labels" in payload else None
             FiniteMetricSpace.from_points(pts, labels)
@@ -141,296 +151,63 @@ def parse_beta_rule(spec: str) -> Callable[[float, int], float]:
     )
 
 
-def _resolve_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    config = dict(defaults)
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ValidationFailure("config", f"config file {path} does not exist")
-        try:
-            loaded = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure("config", f"config file is not valid JSON: {exc}")
-        if not isinstance(loaded, dict):
-            raise ValidationFailure("config", "config file must hold a JSON object")
-        unknown = set(loaded) - set(defaults)
-        if unknown:
-            raise ValidationFailure("config", f"unknown config keys {sorted(unknown)}")
-        config.update(loaded)
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            config[key] = flag
-    return config
+# ---------------------------------------------------------------------------
+# Checks.  Each takes a key's resolved value and the key's name, and returns
+# what the handler gets or raises a ValidationFailure naming the key.
+# ---------------------------------------------------------------------------
+
+_Check = Callable[[Any, str], Any]
 
 
-def _int_field(config: dict, field: str, minimum: int | None = None) -> int:
-    value = config[field]
-    if type(value) is not int:
-        raise ValidationFailure(field, f"{field} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValidationFailure(field, f"{field} must be at least {minimum}, got {value}")
-    return value
+def _integer(minimum: int | None = None, maximum: int | None = None) -> _Check:
+    def check(value, field: str) -> int:
+        if type(value) is not int:
+            raise ValidationFailure(field, f"{field} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValidationFailure(field, f"{field} must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ValidationFailure(field, f"{field} must be at most {maximum}, got {value}")
+        return value
+
+    return check
 
 
-def _bool_field(config: dict, field: str) -> bool:
-    value = config[field]
+def _boolean(value, field: str) -> bool:
     if not isinstance(value, bool):
         raise ValidationFailure(field, f"{field} must be true or false, got {value!r}")
     return value
 
 
-def _list_field(config: dict, field: str, kind: type) -> list:
-    """Finite ints or floats, from a JSON array or a comma-separated string."""
-    raw = config[field]
-    items = [tok for tok in raw.split(",") if tok.strip()] if isinstance(raw, str) else raw
-    if not isinstance(items, list):
-        raise ValidationFailure(field, f"{field} must be a list, got {raw!r}")
-    accepted = (int, float) if kind is float else (int,)
-    values = []
-    for item in items:
-        if isinstance(item, str):
-            try:
-                item = kind(item)
-            except ValueError:
-                raise ValidationFailure(field, f"cannot parse {field} entry {item!r}") from None
-        if type(item) not in accepted or not math.isfinite(item):
-            raise ValidationFailure(field, f"{field} entries must be finite {kind.__name__}s, got {item!r}")
-        values.append(kind(item))
-    return values
+def _numbers(kind: type, rule: Callable[[list], Any], message: str, maximum: int | None = None) -> _Check:
+    """Finite ints or floats, from a JSON array or a comma-separated string,
+    that satisfy ``rule`` (else ``message``) and are at most ``maximum``."""
+
+    def check(raw, field: str) -> list:
+        items = [tok for tok in raw.split(",") if tok.strip()] if isinstance(raw, str) else raw
+        if not isinstance(items, list):
+            raise ValidationFailure(field, f"{field} must be a list, got {raw!r}")
+        accepted = (int, float) if kind is float else (int,)
+        values = []
+        for item in items:
+            if isinstance(item, str):
+                try:
+                    item = kind(item)
+                except ValueError:
+                    raise ValidationFailure(field, f"cannot parse {field} entry {item!r}") from None
+            if type(item) not in accepted or not math.isfinite(item):
+                raise ValidationFailure(field, f"{field} entries must be finite {kind.__name__}s, got {item!r}")
+            values.append(kind(item))
+        if not rule(values):
+            raise ValidationFailure(field, message)
+        if maximum is not None and any(x > maximum for x in values):
+            raise ValidationFailure(field, f"{field} entries must be at most {maximum}, got {max(values)}")
+        return values
+
+    return check
 
 
-def _output_path(args: argparse.Namespace, default_name: str) -> Path:
-    if getattr(args, "output", None):
-        return Path(args.output)
-    base = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    return base / default_name
-
-
-def _write_text(path: Path, text: str) -> None:
-    # Full results are assembled in memory first; the temp-file rename keeps
-    # partially written artifacts from ever appearing under the final name.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _emit_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _emit_result(
-    args: argparse.Namespace, default_name: str, config: dict, results: dict, start: float
-) -> Path:
-    """Write a subcommand's result JSON, timed from ``start``; returns its path."""
-    payload = {
-        "command": args.command,
-        "resolved_config": config,
-        "results": results,
-        "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
-    }
-    out = _output_path(args, default_name)
-    _emit_json(out, payload)
-    return out
-
-
-def _error_exit(failure: ValidationFailure) -> int:
-    envelope = {"error": {"field": failure.field, "message": failure.message}}
-    print(json.dumps(envelope, sort_keys=True), file=sys.stderr)
-    return 2
-
-
-# ---------------------------------------------------------------------------
-# Subcommand handlers.
-# ---------------------------------------------------------------------------
-
-
-def _cmd_approximate(args: argparse.Namespace) -> int:
-    defaults = {
-        "generator": "circle(2pi)",
-        "n": 8,
-        "beta_rule": "delta_over_n",
-        "corollary_mode": True,
-        "seed": 0,
-        "reach_samples": 8,
-    }
-    config = _resolve_config(args, defaults)
-    generator = parse_generator(str(config["generator"]))
-    n = _int_field(config, "n", 1)
-    rule = parse_beta_rule(str(config["beta_rule"]))
-    seed = _int_field(config, "seed", 0)
-    reach_samples = _int_field(config, "reach_samples", 1)
-    corollary_mode = _bool_field(config, "corollary_mode")
-
-    start = time.perf_counter()
-    try:
-        pair, row = approximate_compact_space(
-            generator, n, rule, corollary_mode=corollary_mode
-        )
-    except CorollaryModeViolation as exc:
-        raise ValidationFailure("beta_rule", str(exc))
-    except ScaleUnderflowError as exc:
-        raise ValidationFailure("generator", str(exc))
-    except MatproxError as exc:
-        # The generator was validated when parsed; what remains is the net
-        # size (too few points, not a grid, more than the cloud holds).
-        raise ValidationFailure("n", str(exc))
-    try:
-        sampled_lower = estimate_reach_lower(pair, iters=reach_samples, seed=seed)
-    except ScaleOverflowError as exc:
-        raise ValidationFailure("generator", str(exc))
-    results = {
-        "generator": str(config["generator"]),
-        "n": n,
-        "delta": pair.delta,
-        "beta": pair.beta,
-        "haus": row.haus,
-        "certified_bound": row.certified_bound,
-        "sampled_lower": sampled_lower,
-        "sampled_lower_certified": False,
-        "D_constant": pair.leibniz_constant,
-        "corollary_mode": corollary_mode,
-        "seed": seed,
-    }
-    out = _emit_result(args, "approximate.json", config, results, start)
-    print(f"wrote {out}")
-    return 0
-
-
-def _cmd_converge(args: argparse.Namespace) -> int:
-    defaults = {
-        "generator": "circle(2pi)",
-        "n_list": [4, 8, 16, 32],
-        "beta_rule": "delta_over_n",
-        "seed": 0,
-    }
-    config = _resolve_config(args, defaults)
-    generator = parse_generator(str(config["generator"]))
-    rule = parse_beta_rule(str(config["beta_rule"]))
-    n_list = _list_field(config, "n_list", int)
-    if not n_list or sorted(set(n_list)) != n_list:
-        raise ValidationFailure("n_list", "net sizes must be strictly increasing")
-    _int_field(config, "seed", 0)
-
-    start = time.perf_counter()
-    try:
-        report = convergence_experiment(generator, n_list, rule)
-    except ScaleUnderflowError as exc:
-        raise ValidationFailure("generator", str(exc))
-    except MatproxError as exc:
-        raise ValidationFailure("n_list", str(exc))
-    results = {
-        "rows": [dataclasses.asdict(r) for r in report.rows],
-        "strictly_decreasing": report.strictly_decreasing,
-        "nonincreasing": report.nonincreasing,
-    }
-    resolved = {**config, "n_list": n_list}
-    out = _emit_result(args, "converge.json", resolved, results, start)
-    csv_path = out.with_suffix(".csv")
-    _write_text(csv_path, report.to_csv())
-    print(f"wrote {out} and {csv_path}")
-    return 0
-
-
-def _cmd_leibniz(args: argparse.Namespace) -> int:
-    defaults = {
-        "sizes": [2, 3, 4, 5, 6, 7, 8],
-        "ratios": [1.0, 3.0],
-        "pairs": 500,
-        "seed": 0,
-        "include_raw": True,
-    }
-    config = _resolve_config(args, defaults)
-    sizes = _list_field(config, "sizes", int)
-    if any(x < 2 for x in sizes):
-        raise ValidationFailure("sizes", "matrix sizes must be at least 2")
-    ratios = _list_field(config, "ratios", float)
-    if any(r <= 0.0 for r in ratios):
-        raise ValidationFailure("ratios", "beta/delta ratios must be positive")
-    pairs = _int_field(config, "pairs", 1)
-    seed = _int_field(config, "seed", 0)
-    include_raw = _bool_field(config, "include_raw")
-
-    start = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    suites = []
-    for ratio in ratios:
-        for n in sizes:
-            space = random_cloud_space(rng, n)
-            delta = min_separation(space)
-            pair = ApproximationPair(space, ratio * delta, corollary_mode=ratio <= 1.0)
-            a = random_hermitian_stack(rng, pairs, n)
-            b = random_hermitian_stack(rng, pairs, n)
-            jres, lres = quasi_leibniz_residuals(pair, a, b)
-            suite = {
-                "n": n,
-                "beta_over_delta": ratio,
-                "D_constant": pair.leibniz_constant,
-                "pairs": pairs,
-                "min_jordan_residual": float(np.min(jres)),
-                "min_lie_residual": float(np.min(lres)),
-            }
-            if include_raw:
-                suite["jordan_residuals"] = jres.tolist()
-                suite["lie_residuals"] = lres.tolist()
-            suites.append(suite)
-    resolved = {**config, "sizes": sizes, "ratios": ratios}
-    out = _emit_result(args, "leibniz.json", resolved, {"suites": suites}, start)
-    print(f"wrote {out}")
-    return 0
-
-
-def _cmd_mk(args: argparse.Namespace) -> int:
-    defaults = {"space": None, "p": None, "q": None, "seed": 0}
-    config = _resolve_config(args, defaults)
-    _int_field(config, "seed", 0)
-    if not config["space"]:
-        raise ValidationFailure("space", "a space file is required")
-    path = Path(str(config["space"]))
-    if not path.exists():
-        raise ValidationFailure("space", f"space file {path} does not exist")
-    try:
-        space = load_space(path.read_text(encoding="utf-8"))
-    except (MatproxError, TypeError, ValueError) as exc:
-        raise ValidationFailure("space", str(exc))
-
-    def _measure(raw, field):
-        if raw is None:
-            return None
-        try:
-            weights = json.loads(raw) if isinstance(raw, str) else raw
-            return check_probability(space, np.asarray(weights, dtype=float))
-        except (TypeError, ValueError, MatproxError) as exc:
-            raise ValidationFailure(
-                field, f"{field} must be a JSON array of {space.n_points} probability weights: {exc}"
-            ) from None
-
-    p = _measure(config["p"], "p")
-    q = _measure(config["q"], "q")
-    if (p is None) != (q is None):
-        raise ValidationFailure("q", "p and q must be given together")
-
-    start = time.perf_counter()
-    n = space.n_points
-    eye = np.eye(n)
-    # The transport LP is bitwise symmetric in its two measures, so each
-    # unordered pair is solved once; Dirac masses at one point are 0 apart.
-    dirac = np.zeros((n, n))
-    for i, j in zip(*np.triu_indices(n, k=1)):
-        dirac[i, j] = dirac[j, i] = mk_distance(space, eye[i], eye[j])
-    residual = float(np.max(np.abs(dirac - space.dist)))
-    results: dict[str, Any] = {
-        "labels": list(space.labels),
-        "dirac_distance_matrix": dirac.tolist(),
-        "max_gap_to_ground_metric": residual,
-    }
-    if p is not None:
-        results["mk_p_q"] = mk_distance(space, p, q)
-    resolved = {**config, "space": str(config["space"])}
-    out = _emit_result(args, "mk.json", resolved, results, start)
-    print(f"wrote {out}")
-    return 0
+def _optional(check: _Check) -> _Check:
+    return lambda value, field: None if value is None else check(value, field)
 
 
 def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
@@ -450,52 +227,186 @@ def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
     raise ValidationFailure(field, f"{field} must be pairs of integers")
 
 
-def _cmd_fixedpoint(args: argparse.Namespace) -> int:
-    defaults = {
-        "q": 12,
-        "p": 1,
-        "h_generators": [[1, 0]],
-        "k_generators": [[1, 0], [0, 1]],
-        "count": 48,
-        "seed": 0,
-        "sweep": None,
+def _space_file(value, field: str) -> FiniteMetricSpace:
+    if not value:
+        raise ValidationFailure(field, "a space file is required")
+    try:
+        return load_space(_read_file(Path(str(value)), field, "space file"))
+    except (MatproxError, TypeError, ValueError) as exc:
+        raise ValidationFailure(field, str(exc))
+
+
+def _write_text(path: Path, text: str) -> None:
+    # Full results are assembled in memory first; the temp-file rename keeps
+    # partially written artifacts from ever appearing under the final name.
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def _emit_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _error_exit(failure: ValidationFailure) -> int:
+    envelope = {"error": {"field": failure.field, "message": failure.message}}
+    print(json.dumps(envelope, sort_keys=True), file=sys.stderr)
+    return 2
+
+
+# ---------------------------------------------------------------------------
+# Subcommand handlers.  Each takes the checked values and the resolved config
+# and returns its payload; only checks that span keys are left to them.
+# ---------------------------------------------------------------------------
+
+
+class _Output(NamedTuple):
+    name: str  # default file name, without the .json suffix
+    results: dict
+    csv: str | None = None
+
+
+def _approximate(v: dict, config: dict) -> _Output:
+    try:
+        pair, row = approximate_compact_space(
+            v["generator"], v["n"], v["beta_rule"], corollary_mode=v["corollary_mode"]
+        )
+    except CorollaryModeViolation as exc:
+        raise ValidationFailure("beta_rule", str(exc))
+    except ScaleUnderflowError as exc:
+        raise ValidationFailure("generator", str(exc))
+    except MatproxError as exc:
+        # The generator was validated when parsed; what remains is the net
+        # size (too few points, not a grid, more than the cloud holds).
+        raise ValidationFailure("n", str(exc))
+    try:
+        sampled_lower = estimate_reach_lower(pair, iters=v["reach_samples"], seed=v["seed"])
+    except ScaleOverflowError as exc:
+        raise ValidationFailure("generator", str(exc))
+    results = {
+        "generator": config["generator"],
+        "n": v["n"],
+        "delta": pair.delta,
+        "beta": pair.beta,
+        "haus": row.haus,
+        "certified_bound": row.certified_bound,
+        "sampled_lower": sampled_lower,
+        "sampled_lower_certified": False,
+        "D_constant": pair.leibniz_constant,
+        "corollary_mode": v["corollary_mode"],
+        "seed": v["seed"],
     }
-    config = _resolve_config(args, defaults)
-    seed = _int_field(config, "seed", 0)
-    count = _int_field(config, "count", 1)
+    return _Output("approximate", results)
 
-    start = time.perf_counter()
-    if config["sweep"] is not None:
-        sweep = _list_field(config, "sweep", int)
-        if not sweep or min(sweep) < 2:
-            raise ValidationFailure("sweep", "sweep needs one or more orders, each at least 2")
-        rows = fixed_point_sweep(sweep, count=count, seed=seed)
-        results = {"model": SPECIALIZATION_NOTE, "sweep_rows": rows}
-        resolved = {**config, "sweep": sweep}
-        out = _emit_result(args, "fixedpoint_sweep.json", resolved, results, start)
-        csv_lines = ["q,m,haus_ell,gap_sampled,dim_fixed"]
-        for r in rows:
-            csv_lines.append(
-                f"{r['q']},{r['m']},{r['haus_ell']!r},{r['gap_sampled']!r},{r['dim_fixed']}"
-            )
-        csv_path = out.with_suffix(".csv")
-        _write_text(csv_path, "\n".join(csv_lines) + "\n")
-        print(f"wrote {out} and {csv_path}")
-        return 0
 
-    q = _int_field(config, "q", 2)
-    p = _int_field(config, "p")
+def _converge(v: dict, config: dict) -> _Output:
+    try:
+        report = convergence_experiment(v["generator"], v["n_list"], v["beta_rule"])
+    except ScaleUnderflowError as exc:
+        raise ValidationFailure("generator", str(exc))
+    except MatproxError as exc:
+        raise ValidationFailure("n_list", str(exc))
+    results = {
+        "rows": [dataclasses.asdict(r) for r in report.rows],
+        "strictly_decreasing": report.strictly_decreasing,
+        "nonincreasing": report.nonincreasing,
+    }
+    return _Output("converge", results, report.to_csv())
+
+
+def _leibniz(v: dict, config: dict) -> _Output:
+    rng = np.random.default_rng(v["seed"])
+    pairs = v["pairs"]
+    suites = []
+    for ratio in v["ratios"]:
+        for n in v["sizes"]:
+            space = random_cloud_space(rng, n)
+            delta = min_separation(space)
+            beta = ratio * delta
+            if not beta >= sys.float_info.min:
+                raise ValidationFailure(
+                    "ratios", f"ratio {ratio!r} at size {n} puts beta = {beta!r} below the smallest normal float"
+                )
+            pair = ApproximationPair(space, beta, corollary_mode=ratio <= 1.0)
+            a = random_hermitian_stack(rng, pairs, n)
+            b = random_hermitian_stack(rng, pairs, n)
+            try:
+                # Deviations ||a - E(a)|| / beta and the Leibniz bounds
+                # D (||a|| L(b) + ||b|| L(a)) overflow at extreme ratios.
+                with np.errstate(over="raise", invalid="raise"):
+                    jres, lres = quasi_leibniz_residuals(pair, a, b)
+            except FloatingPointError as exc:
+                raise ValidationFailure("ratios", f"ratio {ratio!r} at size {n} overflows the residuals ({exc})") from None
+            suite = {
+                "n": n,
+                "beta_over_delta": ratio,
+                "D_constant": pair.leibniz_constant,
+                "pairs": pairs,
+                "min_jordan_residual": float(np.min(jres)),
+                "min_lie_residual": float(np.min(lres)),
+            }
+            if v["include_raw"]:
+                suite["jordan_residuals"] = jres.tolist()
+                suite["lie_residuals"] = lres.tolist()
+            suites.append(suite)
+    return _Output("leibniz", {"suites": suites})
+
+
+def _mk(v: dict, config: dict) -> _Output:
+    space = v["space"]
+
+    def _measure(raw, field):
+        if raw is None:
+            return None
+        try:
+            weights = json.loads(raw) if isinstance(raw, str) else raw
+            return check_probability(space, np.asarray(weights, dtype=float))
+        except (TypeError, ValueError, MatproxError) as exc:
+            raise ValidationFailure(
+                field, f"{field} must be a JSON array of {space.n_points} probability weights: {exc}"
+            ) from None
+
+    p = _measure(v["p"], "p")
+    q = _measure(v["q"], "q")
+    if (p is None) != (q is None):
+        raise ValidationFailure("q", "p and q must be given together")
+
+    n = space.n_points
+    eye = np.eye(n)
+    # The transport LP is bitwise symmetric in its two measures, so each
+    # unordered pair is solved once; Dirac masses at one point are 0 apart.
+    dirac = np.zeros((n, n))
+    for i, j in zip(*np.triu_indices(n, k=1)):
+        dirac[i, j] = dirac[j, i] = mk_distance(space, eye[i], eye[j])
+    residual = float(np.max(np.abs(dirac - space.dist)))
+    results: dict[str, Any] = {
+        "labels": list(space.labels),
+        "dirac_distance_matrix": dirac.tolist(),
+        "max_gap_to_ground_metric": residual,
+    }
+    if p is not None:
+        results["mk_p_q"] = mk_distance(space, p, q)
+    return _Output("mk", results)
+
+
+def _fixedpoint(v: dict, config: dict) -> _Output:
+    q, p, count, seed = v["q"], v["p"], v["count"], v["seed"]
     if math.gcd(p % q, q) != 1:
         raise ValidationFailure("p", f"p={p} must be coprime to q={q}")
-    h_gens = _parse_generators(config["h_generators"], "h_generators")
-    k_gens = _parse_generators(config["k_generators"], "k_generators")
-    try:
-        torus = FuzzyTorus(q, p)
-        ell = LengthFunction.max_arc(q)
-        sub_h = TorusSubgroup.from_generators(q, *h_gens) if h_gens else TorusSubgroup.trivial(q)
-        sub_k = TorusSubgroup.from_generators(q, *k_gens) if k_gens else TorusSubgroup.trivial(q)
-    except MatproxError as exc:
-        raise ValidationFailure("h_generators", str(exc))
+    if v["sweep"] is not None:
+        rows = fixed_point_sweep(v["sweep"], count=count, seed=seed)
+        csv = "q,m,haus_ell,gap_sampled,dim_fixed\n" + "".join(
+            f"{r['q']},{r['m']},{r['haus_ell']!r},{r['gap_sampled']!r},{r['dim_fixed']}\n" for r in rows
+        )
+        return _Output("fixedpoint_sweep", {"model": SPECIALIZATION_NOTE, "sweep_rows": rows}, csv)
+
+    # q >= 2, p coprime to q and integer generators: none of these can raise.
+    h_gens, k_gens = v["h_generators"], v["k_generators"]
+    torus = FuzzyTorus(q, p)
+    ell = LengthFunction.max_arc(q)
+    sub_h = TorusSubgroup.from_generators(q, *h_gens) if h_gens else TorusSubgroup.trivial(q)
+    sub_k = TorusSubgroup.from_generators(q, *k_gens) if k_gens else TorusSubgroup.trivial(q)
     report = fixed_point_bridge(torus, ell, sub_h, sub_k, count=count, seed=seed)
     results = {
         "model": report.model,
@@ -518,17 +429,15 @@ def _cmd_fixedpoint(args: argparse.Namespace) -> int:
         },
         "seed": seed,
     }
-    out = _emit_result(args, "fixedpoint.json", config, results, start)
-    print(f"wrote {out}")
-    return 0
+    return _Output("fixedpoint", results)
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _selftest(output: str | None) -> int:
     # Imported here: the acceptance suite sits above every other module.
     from .acceptance import all_passed, run_all
 
     results = run_all(stream=sys.stdout)
-    if getattr(args, "output", None):
+    if output:
         payload = {
             "command": "selftest",
             "results": [
@@ -542,25 +451,104 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
                 for r in results
             ],
         }
-        _emit_json(Path(args.output), payload)
+        _emit_json(Path(output), payload)
     return 0 if all_passed(results) else 3
 
 
+def _as_given(given, checked):
+    return given
+
+
+def _as_checked(given, checked):
+    return checked
+
+
+@dataclasses.dataclass(frozen=True)
+class _Key:
+    """A config key: its default, its check, its flag help, and what the
+    resolved config echoes (the value as given unless ``show`` says else).
+    The flag is the name with dashes; an integer default makes an integer
+    flag, and a boolean key has no flag (config file only)."""
+
+    name: str
+    default: Any
+    check: _Check
+    help: str | None = None
+    show: Callable[[Any, Any], Any] = _as_given
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    help: str
+    run: Callable[[dict, dict], _Output]
+    keys: tuple[_Key, ...]  # in the order they are checked
+
+
+# The command table: every config key of every subcommand, once.  Matrix
+# dimensions, net sizes and torus orders stay at the desk scale.
+_MAX_DIM = 64
+_SEED = _Key("seed", 0, _integer(0), "deterministic seed")
+_GENERATOR = _Key("generator", "circle(2pi)", lambda value, field: parse_generator(str(value)),
+                  "circle(c) | interval(l) | torus(c1,..) | cloud:<file>")
+_BETA_RULE = _Key("beta_rule", "delta_over_n", lambda value, field: parse_beta_rule(str(value)),
+                  "delta_over_n | fixed(v) | fraction_of_delta(r)")
+_WEIGHTS = "JSON array of weights"
+_SUBGROUP = "JSON array of [j,k] pairs"
+
+COMMANDS = {
+    "approximate": _Command("one net: certified bound haus + beta", _approximate, (
+        _GENERATOR,
+        _Key("n", 8, _integer(1, _MAX_DIM), "net size"),
+        _BETA_RULE,
+        _SEED,
+        _Key("reach_samples", 8, _integer(1), "random elements for the sampled reach"),
+        _Key("corollary_mode", True, _boolean),
+    )),
+    "converge": _Command("sweep net sizes; CSV of certified bounds", _converge, (
+        _GENERATOR,
+        _BETA_RULE,
+        _Key("n_list", [4, 8, 16, 32], _numbers(int, lambda xs: xs and sorted(set(xs)) == xs,
+             "net sizes must be strictly increasing", _MAX_DIM), "comma-separated net sizes", _as_checked),
+        _SEED,
+    )),
+    "leibniz": _Command("residual suite for the product inequality", _leibniz, (
+        _Key("sizes", [2, 3, 4, 5, 6, 7, 8], _numbers(int, lambda xs: all(x >= 2 for x in xs),
+             "matrix sizes must be at least 2", _MAX_DIM), "comma-separated matrix sizes", _as_checked),
+        _Key("ratios", [1.0, 3.0], _numbers(float, lambda xs: all(r > 0.0 for r in xs),
+             "beta/delta ratios must be positive"), "comma-separated beta/delta ratios", _as_checked),
+        _Key("pairs", 500, _integer(1), "random element pairs per suite"),
+        _SEED,
+        _Key("include_raw", True, _boolean),
+    )),
+    "mk": _Command("transport distances on a space file", _mk, (
+        _SEED,
+        _Key("space", None, _space_file, "JSON file with labels + dist or points", lambda given, _: str(given)),
+        # Checked against the space by the handler.
+        _Key("p", None, lambda value, field: value, _WEIGHTS),
+        _Key("q", None, lambda value, field: value, _WEIGHTS),
+    )),
+    "fixedpoint": _Command("subgroup gap and bridge reports on a fuzzy torus", _fixedpoint, (
+        _SEED,
+        _Key("count", 48, _integer(1), "random elements per sample"),
+        _Key("sweep", None, _optional(_numbers(int, lambda xs: xs and min(xs) >= 2,
+             "sweep needs one or more orders, each at least 2", _MAX_DIM)),
+             "comma-separated torus orders for the gap sweep", _as_checked),
+        _Key("q", 12, _integer(2, _MAX_DIM), "torus order"),
+        _Key("p", 1, _integer(), "twist, coprime to q"),
+        _Key("h_generators", [[1, 0]], _parse_generators, _SUBGROUP),
+        _Key("k_generators", [[1, 0], [0, 1]], _parse_generators, _SUBGROUP),
+    )),
+}
+
+
 # ---------------------------------------------------------------------------
-# Argument parsing.
+# Argument parsing, config resolution and the run.
 # ---------------------------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are validation failures, so they reach
     stderr as the JSON error object instead of argparse's usage text."""
-
-    def add_argument(self, *args, **kwargs):
-        action = super().add_argument(*args, **kwargs)
-        if action.type is int:
-            # An integer flag that does not parse names its own field.
-            action.type = _integer_flag(action.dest)
-        return action
 
     def error(self, message: str):
         # Unrecognized arguments, a missing or unknown subcommand, a flag
@@ -578,72 +566,79 @@ def _integer_flag(field: str) -> Callable[[str], int]:
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
-    parser.add_argument("--output", help="output path (default from $%s)" % OUTPUT_DIR_ENV)
-    parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: parsing reads it and
-    never changes it, and each call of :func:`main` gets a fresh namespace."""
+    """The command-line parser, built once per process from :data:`COMMANDS`:
+    parsing reads it and never changes it, and each call of :func:`main` gets
+    a fresh namespace."""
     parser = _Parser(
         prog="matprox",
         description="matrix-algebra approximations of compact metric spaces with certificates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("approximate", help="one net: certified bound haus + beta")
-    _add_common(p)
-    p.add_argument("--generator", help="circle(c) | interval(l) | torus(c1,..) | cloud:<file>")
-    p.add_argument("--n", type=int, help="net size")
-    p.add_argument("--beta-rule", dest="beta_rule", help="delta_over_n | fixed(v) | fraction_of_delta(r)")
-    p.add_argument("--reach-samples", dest="reach_samples", type=int)
-    p.set_defaults(handler=_cmd_approximate)
-
-    p = sub.add_parser("converge", help="sweep net sizes; CSV of certified bounds")
-    _add_common(p)
-    p.add_argument("--generator")
-    p.add_argument("--n-list", dest="n_list", help="comma-separated net sizes")
-    p.add_argument("--beta-rule", dest="beta_rule")
-    p.set_defaults(handler=_cmd_converge)
-
-    p = sub.add_parser("leibniz", help="residual suite for the product inequality")
-    _add_common(p)
-    p.add_argument("--sizes", help="comma-separated matrix sizes")
-    p.add_argument("--ratios", help="comma-separated beta/delta ratios")
-    p.add_argument("--pairs", type=int)
-    p.set_defaults(handler=_cmd_leibniz)
-
-    p = sub.add_parser("mk", help="transport distances on a space file")
-    _add_common(p)
-    p.add_argument("--space", help="JSON file with labels + dist or points")
-    p.add_argument("--p", help="JSON array of weights")
-    p.add_argument("--q", help="JSON array of weights")
-    p.set_defaults(handler=_cmd_mk)
-
-    p = sub.add_parser("fixedpoint", help="subgroup gap and bridge reports on a fuzzy torus")
-    _add_common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--p", type=int, dest="p")
-    p.add_argument("--h-generators", dest="h_generators", help="JSON array of [j,k] pairs")
-    p.add_argument("--k-generators", dest="k_generators", help="JSON array of [j,k] pairs")
-    p.add_argument("--count", type=int)
-    p.add_argument("--sweep", help="comma-separated torus orders for the gap sweep")
-    p.set_defaults(handler=_cmd_fixedpoint)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        p.add_argument("--output", help="output path (default from $%s)" % OUTPUT_DIR_ENV)
+        for key in command.keys:
+            if isinstance(key.default, bool):
+                continue
+            kind = _integer_flag(key.name) if type(key.default) is int else None
+            p.add_argument("--" + key.name.replace("_", "-"), type=kind, help=key.help)
     p = sub.add_parser("selftest", help="run the full acceptance suite")
     p.add_argument("--output", help="optional JSON result path")
-    p.set_defaults(handler=_cmd_selftest)
-
     return parser
+
+
+def _resolve_config(args: argparse.Namespace, keys: tuple[_Key, ...]) -> dict[str, Any]:
+    config = {key.name: key.default for key in keys}
+    if args.config:
+        try:
+            loaded = json.loads(_read_file(Path(args.config), "config", "config file"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValidationFailure("config", f"config file is not valid JSON: {exc}")
+        if not isinstance(loaded, dict):
+            raise ValidationFailure("config", "config file must hold a JSON object")
+        unknown = set(loaded) - set(config)
+        if unknown:
+            raise ValidationFailure("config", f"unknown config keys {sorted(unknown)}")
+        config.update(loaded)
+    for name in config:
+        flag = getattr(args, name, None)
+        if flag is not None:
+            config[name] = flag
+    return config
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Check every key of the subcommand, run its handler, and write the
+    result JSON (and CSV), timed from the end of the checks."""
+    command = COMMANDS[args.command]
+    given = _resolve_config(args, command.keys)
+    checked = {key.name: key.check(given[key.name], key.name) for key in command.keys}
+    config = {key.name: key.show(given[key.name], checked[key.name]) for key in command.keys}
+    start = time.perf_counter()
+    output = command.run(checked, config)
+    payload = {
+        "command": args.command,
+        "resolved_config": config,
+        "results": output.results,
+        "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
+    }
+    out = Path(args.output or Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{output.name}.json")
+    _emit_json(out, payload)
+    written = [out]
+    if output.csv is not None:
+        written.append(out.with_suffix(".csv"))
+        _write_text(written[1], output.csv)
+    print("wrote " + " and ".join(map(str, written)))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        return _selftest(args.output) if args.command == "selftest" else _run(args)
     except ValidationFailure as failure:
         return _error_exit(failure)
     except MatproxError as exc:

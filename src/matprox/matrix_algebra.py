@@ -129,7 +129,8 @@ def pinch(a: np.ndarray) -> np.ndarray:
 
 def _gaussian_hermitian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return (g + np.swapaxes(g, -1, -2).conj()) / 2.0
+    # Row-major, so later flat reshapes of the stack need no copy.
+    return np.add(g, np.swapaxes(g, -1, -2).conj(), order="C") / 2.0
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

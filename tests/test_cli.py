@@ -1,12 +1,29 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matprox import acceptance, fixed_point
 from matprox.cli import build_parser, main, parse_beta_rule, parse_generator
 from matprox.cli import ValidationFailure
 from matprox.metric_core import Circle, FlatTorus, Interval
+
+
+# Every config key of every subcommand; the boolean ones have no flag.
+KEYS = {
+    "approximate": ["generator", "n", "beta_rule", "seed", "reach_samples", "corollary_mode"],
+    "converge": ["generator", "beta_rule", "n_list", "seed"],
+    "leibniz": ["sizes", "ratios", "pairs", "seed", "include_raw"],
+    "mk": ["seed", "space", "p", "q"],
+    "fixedpoint": ["seed", "count", "sweep", "q", "p", "h_generators", "k_generators"],
+}
+BOOLEAN_KEYS = {"corollary_mode", "include_raw"}
 
 
 def read_json(path):
@@ -256,6 +273,83 @@ def test_help_still_exits_zero(capsys):
     assert "--reach-samples" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", sorted(KEYS))
+def test_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for key in KEYS[command]:
+        flag = "--" + key.replace("_", "-")
+        assert (flag in text) == (key not in BOOLEAN_KEYS), flag
+    assert "--config" in text and "--output" in text
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["approximate", "--n", "{}"], "n"),
+        (["converge", "--n-list", "4,{}"], "n_list"),
+        (["leibniz", "--pairs", "2", "--sizes", "2,{}"], "sizes"),
+        (["fixedpoint", "--q", "{}"], "q"),
+        (["fixedpoint", "--sweep", "4,{}"], "sweep"),
+    ],
+)
+@pytest.mark.parametrize("size", [65, 100000])
+def test_matrix_dimensions_are_capped_at_64(tmp_path, capsys, argv, field, size):
+    # 100000 ended in a MemoryError traceback (a 149 GiB array for fixedpoint).
+    argv = argv[:-1] + [argv[-1].format(size)]
+    out = tmp_path / "out.json"
+    assert _rejected_field(argv, out, capsys) == field
+    assert not out.with_suffix(".csv").exists()
+
+
+def test_dimension_64_is_allowed(tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["converge", "--n-list", "32,64", "--output", str(out)]) == 0
+    assert [r["n"] for r in read_json(out)["results"]["rows"]] == [32, 64]
+
+
+@pytest.mark.parametrize(
+    "extra,field",
+    [
+        (["--q", "1"], "q"),
+        (["--q", "65"], "q"),
+        (["--p", "2"], "p"),
+        (["--h-generators", "x"], "h_generators"),
+        (["--k-generators", "[[1]]"], "k_generators"),
+    ],
+)
+def test_sweep_runs_check_every_key(tmp_path, capsys, extra, field):
+    # A sweep ignored q, p and the generators, and ran with any of them.
+    out = tmp_path / "sweep.json"
+    argv = ["fixedpoint", "--sweep", "4,6", "--count", "2"] + extra
+    assert _rejected_field(argv, out, capsys) == field
+    assert not out.with_suffix(".csv").exists()
+
+
+def test_cloud_generator_runs_on_a_points_file(tmp_path):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 2], [3, 3]]}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = ["approximate", "--generator", f"cloud:{points}", "--n", "3", "--reach-samples", "1"]
+    assert main(argv + ["--output", str(out)]) == 0
+    assert read_json(out)["results"]["n"] == 3
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", json.dumps({"labels": ["a"]}), json.dumps({"points": [[0, 0], [1, 1], [0, 0]]})],
+    ids=["missing", "malformed", "no-points", "duplicate-points"],
+)
+def test_bad_cloud_files_name_the_generator(tmp_path, capsys, content):
+    points = tmp_path / "points.json"
+    if content is not None:
+        points.write_text(content, encoding="utf-8")
+    argv = ["approximate", "--generator", f"cloud:{points}", "--n", "2"]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "generator"
+
+
 def test_reused_parser_leaks_nothing_between_calls(tmp_path):
     first = ["fixedpoint", "--q", "4", "--count", "4", "--seed", "7", "--h-generators", "[]"]
     second = ["approximate", "--n", "4", "--reach-samples", "1"]
@@ -500,11 +594,103 @@ def test_leibniz_emits_raw_residuals(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["mk", "--space", "{dir}"], "space"),
+        (["approximate", "--generator", "cloud:{dir}"], "generator"),
+        (["approximate", "--config", "{dir}"], "config"),
+        (["approximate", "--config", "{binary}"], "config"),
+    ],
+)
+def test_unreadable_input_files_name_their_key(tmp_path, capsys, argv, field):
+    # A directory ended in an IsADirectoryError traceback, and a config file
+    # that is not UTF-8 in a UnicodeDecodeError one.
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    argv = [arg.format(dir=tmp_path, binary=binary) for arg in argv]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == field
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ratio", ["5e-324", "1e-310", "3e-308", "1e308"])
+def test_leibniz_ratios_outside_the_float_range_name_the_ratios(tmp_path, capsys, ratio):
+    # 5e-324 named "input", which is no key; the others wrote NaN or Infinity
+    # residuals after overflow warnings.
+    argv = ["leibniz", "--ratios", ratio, "--pairs", "500"]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "ratios"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("ratio", ["1e-300", "1e300"])
+def test_leibniz_extreme_ratios_inside_the_range_still_run(tmp_path, ratio):
+    out = tmp_path / "out.json"
+    assert main(["leibniz", "--ratios", ratio, "--pairs", "50", "--output", str(out)]) == 0
+    for suite in read_json(out)["results"]["suites"]:
+        residuals = suite["jordan_residuals"] + suite["lie_residuals"]
+        assert np.all(np.isfinite(residuals))
+
+
+@pytest.mark.parametrize(
     "flag,value", [("--sizes", "2,x"), ("--ratios", "1,y")]
 )
 def test_leibniz_list_parse_errors_name_the_field(tmp_path, capsys, flag, value):
     argv = ["leibniz", flag, value, "--pairs", "2"]
     assert _rejected_field(argv, tmp_path / "out.json", capsys) == flag[2:]
+
+
+# ---------------------------------------------------------------------------
+# The contract on any input: exit 0, 2 or 3, and on exit 2 one JSON error
+# naming a key, argv or config, with nothing written.
+# ---------------------------------------------------------------------------
+
+# A cheap valid config per subcommand (the space path is filled in per run).
+CHEAP = {
+    "approximate": {"n": 4, "reach_samples": 1},
+    "converge": {"n_list": [4, 8]},
+    "leibniz": {"sizes": [2, 3], "ratios": [1.0], "pairs": 4},
+    "mk": {"space": None, "p": [0.5, 0.5, 0], "q": [1, 0, 0]},
+    "fixedpoint": {"q": 4, "count": 4, "h_generators": [[2, 0]], "k_generators": [[1, 0]]},
+}
+# Keys with an upper bound; only they get 10^9, which would size an array.
+BOUNDED = {"n", "n_list", "sizes", "q", "sweep"}
+POOL = ["abc", 1.5, True, None, {"a": 1}, -1, 0, 65, 10**9, 5e-324, 1e308, [], [[]], [[1, 2]], ""]
+
+
+@st.composite
+def _fuzzed_runs(draw):
+    command = draw(st.sampled_from(sorted(KEYS)))
+    key = draw(st.sampled_from(KEYS[command]))
+    value = draw(st.sampled_from(POOL).filter(lambda x: x != 10**9 or key in BOUNDED))
+    by_flag = key not in BOOLEAN_KEYS and draw(st.booleans())
+    return command, key, value, by_flag
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_runs())
+def test_any_single_bad_value_keeps_the_exit_contract(run):
+    command, key, value, by_flag = run
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        space = work / "space.json"
+        space.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]]}), encoding="utf-8")
+        config = dict(CHEAP[command])
+        if command == "mk":
+            config["space"] = str(space)
+        argv = [command]
+        if by_flag:
+            argv += ["--" + key.replace("_", "-"), value if isinstance(value, str) else json.dumps(value)]
+        else:
+            config[key] = value
+        (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        out = work / "out.json"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", str(work / "config.json"), "--output", str(out)])
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert json.loads(err.getvalue())["error"]["field"] in KEYS[command] + ["argv", "config"]
+            assert not out.exists() and not out.with_suffix(".csv").exists()
 
 
 # ---------------------------------------------------------------------------

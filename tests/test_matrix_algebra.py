@@ -20,7 +20,7 @@ from matprox import (
     trace_state,
 )
 from matprox.errors import InputShapeError, NotInSubalgebraError
-from matprox.matrix_algebra import jordan_lie
+from matprox.matrix_algebra import _gaussian_hermitian, jordan_lie, random_hermitian_stack
 from matprox.oracles import power_iteration_norm
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -134,6 +134,18 @@ def test_one_ulp_off_self_adjoint_takes_the_svd():
             stack[index] = complex(z.real, np.nextafter(z.imag, np.inf))
         svd = np.linalg.svd(stack, compute_uv=False)[..., 0]
         assert np.array_equal(operator_norms(stack), svd)
+
+
+@pytest.mark.parametrize("shape", [(500, 8, 8), (1000, 9, 9), (120, 64, 64)])
+def test_hermitian_draws_are_row_major(shape):
+    # numpy laid these shapes out column-major in their last two axes, so
+    # every flat reshape of a draw copied.
+    stack = _gaussian_hermitian(np.random.default_rng(7), shape)
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert stack.flags.c_contiguous
+    assert np.array_equal(stack, (g + np.swapaxes(g, -1, -2).conj()) / 2.0)
+    assert random_hermitian_stack(np.random.default_rng(7), *shape[:2]).flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------

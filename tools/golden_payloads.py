@@ -1,0 +1,94 @@
+"""Write the CLI payloads of a fixed list of configs, for byte comparison.
+
+Usage: ``PYTHONPATH=<tree>/src python tools/golden_payloads.py OUT_DIR``
+
+Runs every config below in-process through ``matprox.cli.main``, with OUT_DIR
+as the working directory, so the input files it writes there (a point cloud,
+two space files, the config files) appear in the payloads as relative paths.
+Each payload is written to ``OUT_DIR/<name>.json`` without its ``runtime_ms``
+field, and each CSV next to it.  Two trees write the same bytes exactly when
+their payloads agree apart from ``runtime_ms``, so
+
+    PYTHONPATH=old/src python tools/golden_payloads.py /tmp/old
+    PYTHONPATH=new/src python tools/golden_payloads.py /tmp/new
+    diff -r /tmp/old /tmp/new
+
+prints nothing when a change keeps every output.  Exits 1 naming the first
+config that does not exit 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+from matprox.cli import main
+
+INPUTS = {
+    "points.json": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.25], [0.2, 0.8]]},
+    "space_dist.json": {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]},
+    "space_points.json": {"points": [[0, 0], [1, 0], [0, 1], [1, 2]]},
+}
+
+# (name, argv, config file contents or None).  Each subcommand runs with its
+# defaults, with non-default values by flag and by config file, and with its
+# input files; fixedpoint also runs a sweep each way.
+CONFIGS = [
+    ("approximate_defaults", ["approximate"], None),
+    ("approximate_flags", ["approximate", "--generator", "interval(1.5)", "--n", "6",
+                           "--beta-rule", "fixed(0.05)", "--reach-samples", "2", "--seed", "3"], None),
+    ("approximate_config", ["approximate"], {"generator": "torus(6.28, 6.28)", "n": 9,
+                                             "beta_rule": "fraction_of_delta(0.5)",
+                                             "corollary_mode": False, "reach_samples": 2, "seed": 1}),
+    ("approximate_cloud", ["approximate", "--generator", "cloud:points.json", "--n", "5",
+                           "--reach-samples", "2"], None),
+    ("converge_defaults", ["converge"], None),
+    ("converge_flags", ["converge", "--generator", "interval(2)", "--n-list", "3,5,9",
+                        "--beta-rule", "fixed(0.01)", "--seed", "2"], None),
+    ("converge_config", ["converge", "--n-list", "4,16"], {"generator": "torus(1,1)", "n_list": [4, 9]}),
+    ("converge_cloud", ["converge", "--generator", "cloud:points.json", "--n-list", "2,4,6"], None),
+    ("leibniz_defaults", ["leibniz"], None),
+    ("leibniz_flags", ["leibniz", "--sizes", "2,5", "--ratios", "0.5,2", "--pairs", "30", "--seed", "4"], None),
+    ("leibniz_config", ["leibniz"], {"sizes": [3, 4], "ratios": "1.0", "pairs": 10, "include_raw": False}),
+    ("mk_dist", ["mk", "--space", "space_dist.json"], None),
+    ("mk_flags", ["mk", "--space", "space_dist.json", "--p", "[0.5, 0.5, 0]", "--q", "[0, 0.25, 0.75]"], None),
+    ("mk_config", ["mk"], {"space": "space_points.json", "p": [0.25, 0.25, 0.25, 0.25],
+                           "q": [1, 0, 0, 0], "seed": 5}),
+    ("fixedpoint_defaults", ["fixedpoint"], None),
+    ("fixedpoint_flags", ["fixedpoint", "--q", "6", "--p", "5", "--h-generators", "[[3, 0]]",
+                          "--k-generators", "[[1, 0]]", "--count", "8", "--seed", "2"], None),
+    ("fixedpoint_config", ["fixedpoint"], {"q": 8, "p": 3, "h_generators": [], "count": 6}),
+    ("fixedpoint_sweep_flags", ["fixedpoint", "--sweep", "4,6", "--count", "6"], None),
+    ("fixedpoint_sweep_config", ["fixedpoint", "--seed", "1"], {"sweep": [6, 12], "count": 4}),
+]
+
+
+def run(out_dir: Path) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    os.chdir(out_dir)
+    for name, payload in INPUTS.items():
+        Path(name).write_text(json.dumps(payload), encoding="utf-8")
+    for name, argv, config in CONFIGS:
+        if config is not None:
+            Path(f"{name}.config.json").write_text(json.dumps(config), encoding="utf-8")
+            argv = argv + ["--config", f"{name}.config.json"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--output", f"{name}.json"])
+        if code != 0:
+            print(f"{name}: {' '.join(argv)} exited {code}", file=sys.stderr)
+            return 1
+        out = Path(f"{name}.json")
+        payload = json.loads(out.read_text(encoding="utf-8"))
+        del payload["runtime_ms"]
+        out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    sys.exit(run(Path(sys.argv[1])))
