@@ -568,22 +568,88 @@ def action_kernel_dimension(
 # ---------------------------------------------------------------------------
 
 
-def _structured_lines(torus: FuzzyTorus, support: np.ndarray) -> np.ndarray:
-    """Self-adjoint single-coefficient elements covering a coefficient set.
+# Monomials per block of the closed-form line seminorms; the largest array of
+# a block holds 2 q^2 floats per monomial.
+_LINE_BLOCK = 128
 
-    ``support`` holds (m, n) rows.  Each pair {(m, n), (-m, -n)} mod q gives
-    x + x^* and i (x - x^*) for x = U^m V^n at the lexicographically smaller
-    exponent, pairs in order of first appearance, with vanishing candidates
-    dropped.  The gap between two averaging expectations is attained on
-    coefficient lines, so these are always sampled alongside random draws."""
+
+def _line_norms(
+    torus: FuzzyTorus, ell: LengthFunction, exponents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Operator norms and action seminorms of the coefficient lines, in closed
+    form: for x = U^m V^n at each (m, n) row of ``exponents``, column 0 is
+    the line x + x^* and column 1 the line i (x - x^*); both are (count, 2).
+
+    No line is built as a matrix.  With rho = exp(2 pi i / q):
+
+    - The action is a character: alpha_g(x) = rho^s x for g = (j, k) and
+      s = j m + k n mod q, so alpha_g(x^*) = rho^(-s) x^*.
+    - The spectrum of x.  x has entry w^(m r) at (r, r + n), so it maps
+      e_(r+n) to w^(m r) e_r and is unitary.  Let G = gcd(n, q) (G = q for
+      n = 0) and L = q / G.  The basis vectors of each residue r0 < G mod G
+      form one cycle of x of length L, and x^L is the scalar w^(m S) on it,
+      S = sum of the r = r0 mod G in [0, q) = L r0 + G L (L - 1) / 2.  So
+      the cycle carries the L-th roots of w^(m S): the angles
+      2 pi (e / q + t) / L for t < L, with e = p m S mod q.  These q
+      eigenvalues zeta share their eigenvectors with x^*, which has the
+      conjugates.
+    - The norm of a difference.  With c = 1 - rho^s, x + x^* - alpha_g(x +
+      x^*) = c x + (c x)^* has the eigenvalues 2 Re(c zeta), and i (x - x^*)
+      - alpha_g(i (x - x^*)) = i c x + (i c x)^* has -2 Im(c zeta).  So each
+      line has q difference norms N_s = 2 max |Re(c zeta)| or 2 max |Im(c
+      zeta)|, one per s.
+    - The seminorm is max over nontrivial g of N_(s(g)) / length(g): one
+      gather over the q^2 - 1 group elements per monomial.  The lines'
+      own norms are 2 max |Re zeta| and 2 max |Im zeta|.
+
+    Monomials go in blocks of ``_LINE_BLOCK``, so memory stays O(block q^2).
+    A line with x = x^* or x = -x^* vanishes; its closed-form norm and
+    seminorm are then at rounding level.
+    """
     q = torus.q
-    idx = np.asarray(support, dtype=int).reshape(-1, 2) % q
-    keys = np.minimum(idx @ [q, 1], ((-idx) % q) @ [q, 1])
-    _, first = np.unique(keys, return_index=True)
-    mono = torus.monomial(*np.divmod(keys[np.sort(first)], q))
-    adj = np.swapaxes(mono, -1, -2).conj()
-    lines = np.stack([mono + adj, 1j * (mono - adj)], axis=1).reshape(-1, q, q)
-    return lines[np.abs(lines).max(axis=(1, 2)) > 1e-12]
+    idx = np.asarray(exponents, dtype=int).reshape(-1, 2) % q
+    lengths = ell.values.ravel()[1:]  # the nontrivial g, row-major
+    j, k = np.divmod(np.arange(1, q * q), q)
+    c = 1.0 - torus._roots  # 1 - rho^s for each s
+    norms = np.empty((len(idx), 2))
+    seminorms = np.empty((len(idx), 2))
+    for start in range(0, len(idx), _LINE_BLOCK):
+        block = slice(start, start + _LINE_BLOCK)
+        m, n = idx[block, :1], idx[block, 1:]
+        cycles = np.gcd(n, q)
+        period = q // cycles
+        r0, t = np.divmod(np.arange(q), period)
+        e = (torus.p * m * (period * r0 + cycles * period * (period - 1) // 2)) % q
+        zeta = np.exp(2j * np.pi * (e + q * t) / (q * period))  # (block, eigenvalue)
+        norms[block] = 2.0 * np.stack(
+            [np.abs(zeta.real).max(axis=1), np.abs(zeta.imag).max(axis=1)], axis=1
+        )
+        moved = c[:, None] * zeta[:, None, :]  # (block, s, eigenvalue)
+        diff_norms = 2.0 * np.stack(
+            [np.abs(moved.real).max(axis=2), np.abs(moved.imag).max(axis=2)], axis=1
+        )  # (block, 2, s)
+        s = (j * m + k * n) % q
+        seminorms[block] = (np.take_along_axis(diff_norms, s[:, None, :], axis=2) / lengths).max(axis=2)
+    return norms, seminorms
+
+
+def _line_peak(torus: FuzzyTorus, ell: LengthFunction, support: np.ndarray) -> float:
+    """Largest ||(E_h - E_k) u|| over the normalized coefficient lines u on a
+    support H & ~K or K & ~H of the fixed-coefficient masks, 0.0 if empty.
+
+    The gap between two averaging expectations is attained on coefficient
+    lines, so these are always sampled alongside random draws.  Both masks
+    are closed under negation, so each line l of x = U^m V^n on the support
+    has (E_h - E_k) l = +-l, and its term is ||l|| / L(l) from
+    :func:`_line_norms`, one exponent per pair {(m, n), (-m, -n)}.  A line
+    whose norm is at rounding level (x = +-x^*) is dropped.
+    """
+    q = torus.q
+    idx = np.argwhere(support)
+    keys = np.unique(np.minimum(idx @ [q, 1], ((-idx) % q) @ [q, 1]))
+    norms, seminorms = _line_norms(torus, ell, np.stack(np.divmod(keys, q), axis=1))
+    terms = np.divide(norms, seminorms, out=np.zeros_like(norms), where=norms > 1e-12)
+    return float(np.max(terms, initial=0.0))
 
 
 def _normalized_unit_ball(
@@ -595,7 +661,7 @@ def _normalized_unit_ball(
     traces = np.trace(candidates, axis1=1, axis2=2) / torus.q
     centered = candidates - traces[:, None, None] * np.eye(torus.q)
     # The candidates are self-adjoint; their Hermitian part makes them so
-    # bitwise (it is the identity on the lines and the draws), so every action
+    # bitwise (it is the identity on the draws), so every action
     # difference is bitwise self-adjoint and takes the eigenvalue norm.  Row-
     # major order keeps the flat gathers of ``dual_action`` free of copies.
     centered = np.add(centered, np.swapaxes(centered, 1, 2).conj(), order="C") / 2.0
@@ -603,52 +669,55 @@ def _normalized_unit_ball(
     return np.divide(centered, values, out=np.zeros_like(centered), where=values > 1e-12)
 
 
+def _draws(torus: FuzzyTorus, count: int, seed: int) -> np.ndarray:
+    """The random self-adjoint draws of a sample: they depend only on q,
+    ``count`` and the seed, so tables over varying subgroups share them."""
+    if count < 1:
+        raise ConfigError("need at least one sample")
+    rng = np.random.default_rng(seed)
+    return np.array([random_hermitian(rng, torus.q) for _ in range(count)], dtype=complex)
+
+
 def _sampled_gaps(
     torus: FuzzyTorus,
     ell: LengthFunction,
     e_h: AveragingExpectation,
     e_k: AveragingExpectation,
-    count: int,
-    seed: int,
+    draws: np.ndarray,
+    units: np.ndarray | None = None,
     reach: bool = True,
 ) -> tuple[float, float, float]:
     """The sampled gap and both bridge directions, from one normalized sample.
 
-    The sample is the structured lines on H & ~K and on K & ~H (the fixed-
-    coefficient masks), the draws, and with ``reach`` E_h and E_k of the
-    draws, each normalized to the traceless unit ball.  Every value is a
-    largest ||(E_h - E_k) u||: the gap over all lines and the raw draws; left
-    to right over the H & ~K lines and E_h of the draws, since u - E_k u =
-    (E_h - E_k) u for u fixed by h; right to left over the K & ~H lines and
+    The sample is the coefficient lines on H & ~K and on K & ~H (the fixed-
+    coefficient masks, see :func:`_line_peak`), the draws, and with ``reach``
+    E_h and E_k of the draws, each normalized to the traceless unit ball;
+    ``units``, if given, is the draws already so normalized.  Every value is
+    a largest ||(E_h - E_k) u||: the gap over all lines and the raw draws;
+    left to right over the H & ~K lines and E_h of the draws, since u - E_k u
+    = (E_h - E_k) u for u fixed by h; right to left over the K & ~H lines and
     E_k of the draws.  Each value is exactly 0.0 on an empty support; without
     ``reach`` the directions cover the lines alone.
     """
-    if count < 1:
-        raise ConfigError("need at least one sample")
     supports = (e_h.mask & ~e_k.mask, e_k.mask & ~e_h.mask)
     if not any(s.any() for s in supports):
         return 0.0, 0.0, 0.0
-    lines = [_structured_lines(torus, np.argwhere(s)) for s in supports]
-    rng = np.random.default_rng(seed)
-    draws = np.array([random_hermitian(rng, torus.q) for _ in range(count)], dtype=complex)
+    lines = [_line_peak(torus, ell, s) for s in supports]
+    if units is None:
+        units = _normalized_unit_ball(torus, ell, draws)
     imaged = [reach and s.any() for s in supports]
-    sizes = [len(x) for x in lines] + [count] + [count * t for t in imaged]
-    # The gap's own sample and the images of the draws get one seminorm call
-    # each, so the gap never depends on ``reach``.  Dropping the line parts
-    # and taking the images late keeps the peak memory that of one call.
-    gap_sample = np.concatenate([*lines, draws])
-    del lines
-    units = [_normalized_unit_ball(torus, ell, gap_sample)]
+    # The draws and their images get one seminorm call each, so the gap
+    # never depends on ``reach``.
     if any(imaged):
         images = [e(draws) for e, t in zip((e_h, e_k), imaged) if t]
-        units.append(_normalized_unit_ball(torus, ell, np.concatenate(images)))
-    units = np.concatenate(units)
+        units = np.concatenate([units, _normalized_unit_ball(torus, ell, np.concatenate(images))])
     signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
     coeffs = signed_mask * torus.to_coefficients(units)
     norms = operator_norms(torus.from_coefficients(coeffs))
-    # Peaks over the H & ~K lines, K & ~H lines, draws, E_h draws, E_k draws.
+    # Peaks over the draws, E_h draws, E_k draws.
+    sizes = [len(draws)] + [len(draws) * t for t in imaged]
     peak = [float(np.max(x, initial=0.0)) for x in np.split(norms, np.cumsum(sizes)[:-1])]
-    return max(peak[:3]), max(peak[0], peak[3]), max(peak[1], peak[4])
+    return max(*lines, peak[0]), max(lines[0], peak[1]), max(lines[1], peak[2])
 
 
 def expectation_gap(
@@ -670,7 +739,7 @@ def expectation_gap(
     """
     e_h = AveragingExpectation(torus, h)
     e_k = AveragingExpectation(torus, k)
-    return _sampled_gaps(torus, ell, e_h, e_k, count, seed, reach=False)[0]
+    return _sampled_gaps(torus, ell, e_h, e_k, _draws(torus, count, seed), reach=False)[0]
 
 
 @dataclass(frozen=True)
@@ -716,7 +785,7 @@ def fixed_point_bridge(
     algebras, all three values taken from one sample (see ``_sampled_gaps``)."""
     e_h = AveragingExpectation(torus, h)
     e_k = AveragingExpectation(torus, k)
-    gap, forward, backward = _sampled_gaps(torus, ell, e_h, e_k, count, seed)
+    gap, forward, backward = _sampled_gaps(torus, ell, e_h, e_k, _draws(torus, count, seed))
     return FixedPointBridgeReport(
         q=torus.q,
         p=torus.p,
@@ -748,17 +817,21 @@ def fixed_point_sweep(
         torus = FuzzyTorus(q, 1)
         ell = LengthFunction.max_arc(q)
         limit = TorusSubgroup.cyclic_first_factor(q, q)
+        e_limit = AveragingExpectation(torus, limit)
+        # Every row samples the same draws: normalize them once per order.
+        draws = _draws(torus, count, seed)
+        units = _normalized_unit_ball(torus, ell, draws)
         for m in _divisors(q):
             sub = TorusSubgroup.cyclic_first_factor(q, m)
+            e_sub = AveragingExpectation(torus, sub)
+            gap = _sampled_gaps(torus, ell, e_sub, e_limit, draws, units, reach=False)[0]
             rows.append(
                 {
                     "q": q,
                     "m": m,
                     "haus_ell": subgroup_hausdorff(ell, sub, limit),
-                    "gap_sampled": expectation_gap(
-                        torus, ell, sub, limit, count=count, seed=seed
-                    ),
-                    "dim_fixed": AveragingExpectation(torus, sub).fixed_dimension,
+                    "gap_sampled": gap,
+                    "dim_fixed": e_sub.fixed_dimension,
                 }
             )
     return rows

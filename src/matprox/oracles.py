@@ -5,8 +5,9 @@ uses: the transport distance by enumerating vertices of the unit-Lipschitz
 polytope instead of solving an LP, operator norms by power iteration
 instead of SVD, group averaging by explicit conjugation sums instead of
 coefficient masks, the unit-ball radius by 2n LPs instead of its closed
-form, and subgroup lattices by brute-force closure instead of the divisor
-parametrization.  They are deliberately slow and simple.
+form, subgroup lattices by brute-force closure instead of the divisor
+parametrization, and the fixed-point coefficient lines as matrices instead
+of their closed-form spectra.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -167,3 +168,22 @@ def brute_force_subgroups(q: int) -> list[frozenset[GroupElement]]:
                         frontier.append(nxt)
             found.add(frozenset(closure))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def _structured_lines(torus: FuzzyTorus, support: np.ndarray) -> np.ndarray:
+    """Self-adjoint single-coefficient elements covering a coefficient set,
+    as matrices.
+
+    ``support`` holds (m, n) rows.  Each pair {(m, n), (-m, -n)} mod q gives
+    x + x^* and i (x - x^*) for x = U^m V^n at the lexicographically smaller
+    exponent, pairs in order of first appearance, with vanishing candidates
+    dropped.  The library takes these lines' norms and seminorms in closed
+    form (``fixed_point._line_norms``); this is the materialized check."""
+    q = torus.q
+    idx = np.asarray(support, dtype=int).reshape(-1, 2) % q
+    keys = np.minimum(idx @ [q, 1], ((-idx) % q) @ [q, 1])
+    _, first = np.unique(keys, return_index=True)
+    mono = torus.monomial(*np.divmod(keys[np.sort(first)], q))
+    adj = np.swapaxes(mono, -1, -2).conj()
+    lines = np.stack([mono + adj, 1j * (mono - adj)], axis=1).reshape(-1, q, q)
+    return lines[np.abs(lines).max(axis=(1, 2)) > 1e-12]

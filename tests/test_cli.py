@@ -304,6 +304,36 @@ def test_matrix_dimensions_are_capped_at_64(tmp_path, capsys, argv, field, size)
     assert not out.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,field,cap",
+    [
+        (["approximate", "--n", "2", "--reach-samples", "{}"], "reach_samples", 256),
+        (["leibniz", "--sizes", "2", "--pairs", "{}"], "pairs", 1000),
+        (["fixedpoint", "--q", "4", "--count", "{}"], "count", 256),
+        (["fixedpoint", "--sweep", "4", "--count", "{}"], "count", 256),
+    ],
+)
+@pytest.mark.parametrize("excess", [1, 10**9])
+def test_sample_counts_are_capped(tmp_path, capsys, argv, field, cap, excess):
+    # leibniz --pairs 1000000000 ended in a MemoryError traceback with exit 1.
+    argv = argv[:-1] + [argv[-1].format(cap + excess)]
+    out = tmp_path / "out.json"
+    assert _rejected_field(argv, out, capsys) == field
+    assert not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["approximate", "--n", "2", "--reach-samples", "256"],
+        ["leibniz", "--sizes", "2", "--ratios", "1", "--pairs", "1000"],
+        ["fixedpoint", "--q", "4", "--count", "256"],
+    ],
+)
+def test_sample_count_caps_are_allowed(tmp_path, argv):
+    assert main(argv + ["--output", str(tmp_path / "out.json")]) == 0
+
+
 def test_dimension_64_is_allowed(tmp_path):
     out = tmp_path / "out.json"
     assert main(["converge", "--n-list", "32,64", "--output", str(out)]) == 0
@@ -508,6 +538,24 @@ def test_fixedpoint_normalizes_each_sample_once(tmp_path, monkeypatch):
     assert 0 < sum(sizes) <= lines + 3 * 8
 
 
+def test_fixedpoint_lines_take_no_numeric_seminorm(tmp_path, monkeypatch):
+    # The 143 coefficient lines of a trivial H against the full group take
+    # their seminorms in closed form: only the 8 draws and their 8 images
+    # under E_H (K & ~H is empty) reach the numeric action seminorm, in one
+    # call each.
+    sizes = []
+
+    def recording(torus, ell, stack):
+        sizes.append(len(stack))
+        return seminorms(torus, ell, stack)
+
+    seminorms = fixed_point.action_lip_seminorms
+    monkeypatch.setattr(fixed_point, "action_lip_seminorms", recording)
+    argv = ["fixedpoint", "--q", "12", "--h-generators", "[]", "--count", "8"]
+    assert main(argv + ["--output", str(tmp_path / "fp.json")]) == 0
+    assert sizes == [8, 8]
+
+
 def test_action_seminorm_norms_are_bitwise_self_adjoint(tmp_path, monkeypatch):
     # Every difference stack that the default pair's action seminorms hand to
     # operator_norms is exactly self-adjoint, so it takes the eigenvalue path.
@@ -652,7 +700,7 @@ CHEAP = {
     "fixedpoint": {"q": 4, "count": 4, "h_generators": [[2, 0]], "k_generators": [[1, 0]]},
 }
 # Keys with an upper bound; only they get 10^9, which would size an array.
-BOUNDED = {"n", "n_list", "sizes", "q", "sweep"}
+BOUNDED = {"n", "n_list", "sizes", "q", "sweep", "pairs", "count", "reach_samples"}
 POOL = ["abc", 1.5, True, None, {"a": 1}, -1, 0, 65, 10**9, 5e-324, 1e308, [], [[]], [[1, 2]], ""]
 
 

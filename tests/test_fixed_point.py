@@ -32,7 +32,7 @@ from matprox import (
 )
 from matprox import fixed_point
 from matprox.errors import ActionNotIsometricError, ConfigError
-from matprox.oracles import average_by_conjugation, brute_force_subgroups
+from matprox.oracles import _structured_lines, average_by_conjugation, brute_force_subgroups
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_seminorm_matches_conjugation_path(q, p):
 
 def _structured_stack(torus, rng):
     q = torus.q
-    lines = fixed_point._structured_lines(
+    lines = _structured_lines(
         torus, np.array([(1, 0), (0, 1), (1, 1), (q // 2, 1), (2, q - 1), (q // 3, q // 2)])
     )
     averaged = [
@@ -337,6 +337,76 @@ def test_batch_seminorms_match_singles():
     batched = action_lip_seminorms(torus, ell, stack)
     singles = [action_lip_seminorm(torus, ell, a) for a in stack]
     assert np.allclose(batched, singles, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form coefficient lines against their matrices.
+# ---------------------------------------------------------------------------
+
+
+def _line_representatives(q):
+    # One exponent per pair {(m, n), (-m, -n)}, in the order in which
+    # _structured_lines emits the pairs of a row-major exponent list.
+    exps = np.array([(m, n) for m in range(q) for n in range(q)])[1:]
+    keys = exps @ [q, 1]
+    return exps, exps[keys <= ((-exps) % q) @ [q, 1]]
+
+
+@pytest.mark.parametrize("q,twists", [(6, (1, 5)), (8, (1, 3)), (9, (1, 2)), (10, (1, 3)),
+                                      (12, (1, 5)), (15, (1, 2))])
+def test_closed_form_lines_match_the_materialized_lines(q, twists):
+    # Every nonzero exponent: the closed-form norms, seminorms and gap terms
+    # ||l|| / L(l) against the numeric seminorm and operator norms of the
+    # matrices that the oracle builds, vanishing lines dropped on both sides.
+    ell = LengthFunction.max_arc(q)
+    exps, reps = _line_representatives(q)
+    for p in twists:
+        torus = FuzzyTorus(q, p)
+        norms, seminorms = fixed_point._line_norms(torus, ell, reps)
+        keep = norms.ravel() > 1e-12
+        lines = _structured_lines(torus, exps)
+        assert len(lines) == keep.sum()
+        slow_norms = operator_norms(lines)
+        slow_seminorms = action_lip_seminorms(torus, ell, lines)
+        assert np.allclose(norms.ravel()[keep], slow_norms, rtol=1e-13, atol=0.0)
+        assert np.allclose(seminorms.ravel()[keep], slow_seminorms, rtol=1e-13, atol=0.0)
+        terms = norms.ravel()[keep] / seminorms.ravel()[keep]
+        assert np.allclose(terms, slow_norms / slow_seminorms, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("q,p", [(6, 1), (6, 5), (10, 3), (8, 3), (12, 5)])
+def test_closed_form_drops_the_vanishing_lines(q, p):
+    # U^(q/2) and V^(q/2) are self-adjoint, so i (x - x^*) vanishes; U^(q/2)
+    # V^(q/2) is -x^* for q/2 odd, so x + x^* vanishes, and x^* for q/2 even.
+    torus = FuzzyTorus(q, p)
+    ell = LengthFunction.max_arc(q)
+    h = q // 2
+    dead = [((h, 0), 1), ((0, h), 1), ((h, h), 0 if h % 2 else 1)]
+    norms, seminorms = fixed_point._line_norms(torus, ell, np.array([e for e, _ in dead]))
+    for row, (exponent, column) in enumerate(dead):
+        assert norms[row, column] <= 1e-12 < norms[row, 1 - column]
+        line = _structured_lines(torus, np.array([exponent]))
+        assert len(line) == 1
+        assert operator_norms(line)[0] == pytest.approx(norms[row, 1 - column], rel=1e-13)
+        assert action_lip_seminorms(torus, ell, line)[0] == pytest.approx(
+            seminorms[row, 1 - column], rel=1e-13
+        )
+    # Their only pair as a support: the peak is the surviving line's term.
+    support = np.zeros((q, q), dtype=bool)
+    support[h, h] = True
+    column = 0 if h % 2 else 1
+    assert fixed_point._line_peak(torus, ell, support) == norms[2, 1 - column] / seminorms[2, 1 - column]
+
+
+def test_line_seminorms_are_blocked(monkeypatch):
+    # A block size of 3 monomials changes the blocking, not the values.
+    torus = FuzzyTorus(9, 2)
+    ell = LengthFunction.max_arc(9)
+    _, reps = _line_representatives(9)
+    expected = fixed_point._line_norms(torus, ell, reps)
+    monkeypatch.setattr(fixed_point, "_LINE_BLOCK", 3)
+    for got, want in zip(fixed_point._line_norms(torus, ell, reps), expected):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +641,7 @@ def _directed_bridge_reference(torus, ell, source, target, count, seed):
     # with the draws and lines that fixed_point_bridge samples.
     if np.all(target.mask | ~source.mask):
         return 0.0
-    lines = fixed_point._structured_lines(torus, np.argwhere(source.mask & ~target.mask))
+    lines = _structured_lines(torus, np.argwhere(source.mask & ~target.mask))
     rng = np.random.default_rng(seed)
     draws = np.stack([source(random_hermitian(rng, torus.q)) for _ in range(count)])
     units = fixed_point._normalized_unit_ball(torus, ell, np.concatenate([lines, draws]))
@@ -662,6 +732,26 @@ def test_sweep_rows_cover_orders_and_end_at_zero():
         assert last["gap_sampled"] == 0.0
         assert last["haus_ell"] == 0.0
         assert all(r["dim_fixed"] * r["m"] == q * q for r in qrows)
+
+
+def test_sweep_rows_equal_per_row_gaps_bitwise(monkeypatch):
+    # The draws are normalized once per order and shared by its divisor rows.
+    sizes = []
+
+    def recording(torus, ell, stack):
+        sizes.append(len(stack))
+        return seminorms(torus, ell, stack)
+
+    seminorms = fixed_point.action_lip_seminorms
+    monkeypatch.setattr(fixed_point, "action_lip_seminorms", recording)
+    rows = fixed_point_sweep([6, 12], count=48, seed=0)
+    assert sizes == [48, 48]
+    for row in rows:
+        q = row["q"]
+        limit = TorusSubgroup.cyclic_first_factor(q, q)
+        sub = TorusSubgroup.cyclic_first_factor(q, row["m"])
+        gap = expectation_gap(FuzzyTorus(q, 1), LengthFunction.max_arc(q), sub, limit, count=48, seed=0)
+        assert row["gap_sampled"] == gap
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Write the CLI payloads of a fixed list of configs, for byte comparison.
 
 Usage: ``PYTHONPATH=<tree>/src python tools/golden_payloads.py OUT_DIR``
+or ``python tools/golden_payloads.py --compare OLD_DIR NEW_DIR``
 
 Runs every config below in-process through ``matprox.cli.main``, with OUT_DIR
 as the working directory, so the input files it writes there (a point cloud,
@@ -15,18 +16,25 @@ their payloads agree apart from ``runtime_ms``, so
 
 prints nothing when a change keeps every output.  Exits 1 naming the first
 config that does not exit 0.
+
+``--compare OLD_DIR NEW_DIR`` names what moved instead: one line per field
+that differs, ``<file>: <field> <largest relative move>``, where a field is
+a JSON path (or CSV column) with list indices collapsed to ``[]``, so the
+rows of a sweep make one field.  A non-numeric change reads ``changed``,
+and a file in one directory only reads ``only in OLD_DIR`` or ``only in
+NEW_DIR``.  Exits 0 if nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
-
-from matprox.cli import main
 
 INPUTS = {
     "points.json": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.25], [0.2, 0.8]]},
@@ -64,10 +72,14 @@ CONFIGS = [
     ("fixedpoint_config", ["fixedpoint"], {"q": 8, "p": 3, "h_generators": [], "count": 6}),
     ("fixedpoint_sweep_flags", ["fixedpoint", "--sweep", "4,6", "--count", "6"], None),
     ("fixedpoint_sweep_config", ["fixedpoint", "--seed", "1"], {"sweep": [6, 12], "count": 4}),
+    ("fixedpoint_trivial_h_q32", ["fixedpoint", "--q", "32", "--h-generators", "[]"], None),
+    ("fixedpoint_sweep_12_24", ["fixedpoint", "--sweep", "12,24"], None),
 ]
 
 
 def run(out_dir: Path) -> int:
+    from matprox.cli import main
+
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
     for name, payload in INPUTS.items():
@@ -88,7 +100,64 @@ def run(out_dir: Path) -> int:
     return 0
 
 
+def _load(path: Path):
+    """A payload as JSON, or a CSV as a list of rows with numeric cells parsed."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".csv":
+        return json.loads(text)
+
+    def cell(value: str):
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        return value
+
+    return [{key: cell(value) for key, value in row.items()} for row in csv.DictReader(io.StringIO(text))]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _moves(old, new, field: str, out: dict[str, float]) -> None:
+    """Record in ``out`` the largest relative move of each field that differs;
+    a non-numeric change or a change of shape counts as infinite."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            _moves(old[key], new[key], f"{field}.{key}" if field else key, out)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for a, b in zip(old, new):
+            _moves(a, b, field + "[]", out)
+    elif _is_number(old) and _is_number(new):
+        if old != new:
+            move = abs(new - old) / max(abs(old), abs(new))
+            out[field] = max(out.get(field, 0.0), move)
+    elif old != new:
+        out[field] = math.inf
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    names = sorted({p.name for d in (old_dir, new_dir) for p in d.glob("*") if p.suffix in (".json", ".csv")})
+    differs = False
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not (old.exists() and new.exists()):
+            print(f"{name}: only in {old_dir if old.exists() else new_dir}")
+            differs = True
+            continue
+        moved: dict[str, float] = {}
+        _moves(_load(old), _load(new), "", moved)
+        for field, move in moved.items():
+            print(f"{name}: {field or '(file)'} {'changed' if math.isinf(move) else f'{move:.3e}'}")
+        differs = differs or bool(moved)
+    return 1 if differs else 0
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        sys.exit(compare(Path(sys.argv[2]), Path(sys.argv[3])))
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     sys.exit(run(Path(sys.argv[1])))
