@@ -56,10 +56,10 @@ from .metric_core import (
     Interval,
     PointCloud,
     check_probability,
-    load_space,
     min_separation,
     mk_distance,
     random_cloud_space,
+    space_from_dict,
 )
 
 OUTPUT_DIR_ENV = "MATPROX_OUTPUT_DIR"
@@ -231,7 +231,16 @@ def _space_file(value, field: str) -> FiniteMetricSpace:
     if not value:
         raise ValidationFailure(field, "a space file is required")
     try:
-        return load_space(_read_file(Path(str(value)), field, "space file"))
+        payload = json.loads(_read_file(Path(str(value)), field, "space file"))
+    except json.JSONDecodeError as exc:
+        raise ValidationFailure(field, f"space input is not valid JSON: {exc}") from None
+    # mk solves a transport LP per pair of points over an n(n-1) x n constraint
+    # matrix, so the point count is capped before any n x n array is built.
+    rows = payload.get("points", payload.get("dist")) if isinstance(payload, dict) else None
+    if isinstance(rows, list) and len(rows) > _MAX_DIM:
+        raise ValidationFailure(field, f"space has {len(rows)} points, at most {_MAX_DIM} are allowed")
+    try:
+        return space_from_dict(payload)
     except (MatproxError, TypeError, ValueError) as exc:
         raise ValidationFailure(field, str(exc))
 

@@ -20,15 +20,17 @@ Everything is a finite-group specialization: the acting group is the
 q-torsion subgroup of the 2-torus, Haar integrals are uniform averages, and
 the seminorm maximum runs over the q^2 - 1 nontrivial group elements (only
 those act on the algebra, since a root of unity relation pins the acting
-parameters).  Reported suprema over unit balls are sampled lower bounds
-and are labeled as such.
+parameters).  Values over unit balls are sampled and labeled so: the gap
+is a lower bound, and each reach direction a largest witness value, which
+bounds its own sample's distance to the other fixed algebra from above.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -87,9 +89,8 @@ class FuzzyTorus:
         self.shift = shift
         rows = np.arange(q)[:, None]
         offs = np.arange(q)[None, :]
-        # Index grids: entry (r, c) of _row_grid is r, of _col_grid is c.
+        # Index grid: entry (r, c) of _row_grid is r.
         self._row_grid = np.broadcast_to(rows, (q, q))
-        self._col_grid = np.broadcast_to(offs, (q, q))
         self._gather_cols = (rows + offs) % q
         # Entry (r, c) lies on the diagonal offset (c - r) mod q.
         self._entry_offsets = (offs - rows) % q
@@ -115,9 +116,6 @@ class FuzzyTorus:
             self._twist_powers[(m * self._row_grid) % self.q],
             0.0,
         )
-
-    def group_elements(self) -> list[GroupElement]:
-        return [(j, k) for j in range(self.q) for k in range(self.q)]
 
     def to_coefficients(self, a: np.ndarray) -> np.ndarray:
         """Expand a matrix, or a (..., q, q) stack, over the monomial basis;
@@ -174,9 +172,8 @@ class FuzzyTorus:
         phases with the dual characters.
         """
         j, k = g
-        p_inv = pow(self.p, -1, self.q)
-        s = (p_inv * j) % self.q
-        t = (-p_inv * k) % self.q
+        s = (self._p_inv * j) % self.q
+        t = (-self._p_inv * k) % self.q
         return np.linalg.matrix_power(self.shift, s) @ np.linalg.matrix_power(
             self.clock, t
         )
@@ -229,8 +226,10 @@ class LengthFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
+    @functools.cache
     def max_arc(cls, q: int) -> "LengthFunction":
-        """Largest coordinate angle, with angles wrapped to (-pi, pi]."""
+        """Largest coordinate angle, with angles wrapped to (-pi, pi]; one
+        read-only instance per q, so the q^3 validation runs once per q."""
         idx = np.arange(q)
         arc = 2.0 * np.pi * np.minimum(idx, q - idx) / q
         vals = np.maximum(arc[:, None], arc[None, :])
@@ -247,15 +246,67 @@ class LengthFunction:
 
 @dataclass(frozen=True)
 class TorusSubgroup:
-    """An explicit subgroup of Z_q x Z_q, validated at construction."""
+    """A subgroup H of Z_q x Z_q as its triangular basis (a, 0), (s, b), with
+    a | q, b | q, 0 <= s < a and a | s q / b.  b spans H's projection to the
+    second factor and a its part in the first, so each H has exactly one
+    basis.  ``generators`` is what the caller gave, echoed in reports."""
 
     q: int
-    elements: frozenset[GroupElement]
+    a: int
+    s: int
+    b: int
     generators: tuple[GroupElement, ...] = ()
 
     def __post_init__(self) -> None:
-        q = self.q
-        elems = frozenset((int(j) % q, int(k) % q) for j, k in self.elements)
+        q, a, s, b = self.q, self.a, self.s, self.b
+        if not (0 <= s < a and b > 0 and q % a == q % b == s * (q // b) % a == 0):
+            raise ConfigError(f"({a}, 0), ({s}, {b}) is not a triangular basis in Z_{q}^2")
+
+    @property
+    def order(self) -> int:
+        return (self.q // self.a) * (self.q // self.b)
+
+    def cosets(self) -> np.ndarray:
+        """The q x q table of coset indices: (j, k) + H has the index
+        ((j - s (k // b)) mod a) b + k mod b, and H itself the index 0."""
+        j, k = np.ogrid[: self.q, : self.q]
+        return (j - self.s * (k // self.b)) % self.a * self.b + k % self.b
+
+    def element_array(self) -> np.ndarray:
+        return np.argwhere(self.cosets() == 0)  # rows in lexicographic order
+
+    @property
+    def elements(self) -> frozenset[GroupElement]:
+        return frozenset(map(tuple, self.element_array().tolist()))
+
+    @classmethod
+    def trivial(cls, q: int) -> "TorusSubgroup":
+        return cls(q, q, 0, q, ((0, 0),))
+
+    @classmethod
+    def full(cls, q: int) -> "TorusSubgroup":
+        return cls(q, 1, 0, 1, ((1, 0), (0, 1)))
+
+    @classmethod
+    def from_generators(cls, q: int, *gens: GroupElement) -> "TorusSubgroup":
+        """(a, 0), (s, b) is the Hermite basis of the lattice L = q Z^2 + span(gens).
+        A generator (j, k) folds in by one extended-gcd step: with g = gcd(b, k)
+        = u b + v k, (s, b) and (j, k) span the lattice of (u s + v j, g) and
+        ((k s - b j) / g, 0).  The new a divides s q / g because L holds (0, q)."""
+        norm = tuple((int(j) % q, int(k) % q) for j, k in gens)
+        a, s, b = q, 0, q
+        for j, k in norm:
+            g = math.gcd(b, k)
+            v = pow(k // g, -1, b // g)
+            u = (g - v * k) // b
+            a = math.gcd(a, (k * s - b * j) // g)
+            s, b = (u * s + v * j) % a, g
+        return cls(q, a, s, b, norm)
+
+    @classmethod
+    def from_elements(cls, q: int, elements: Iterable[GroupElement]) -> "TorusSubgroup":
+        """The subgroup with this element set, checked for identity, inverses and closure."""
+        elems = frozenset((int(j) % q, int(k) % q) for j, k in elements)
         if (0, 0) not in elems:
             raise ConfigError("a subgroup must contain the identity")
         arr = np.array(sorted(elems), dtype=int)
@@ -271,45 +322,7 @@ class TorusSubgroup:
             if np.any(escaped):
                 b = tuple(((np.argwhere(escaped)[0] - a) % q).tolist())
                 raise ConfigError(f"subgroup is not closed: {tuple(a)} + {b} escapes")
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(
-            self,
-            "generators",
-            tuple((int(j) % q, int(k) % q) for j, k in self.generators),
-        )
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def element_array(self) -> np.ndarray:
-        return np.asarray(sorted(self.elements), dtype=int)
-
-    @classmethod
-    def trivial(cls, q: int) -> "TorusSubgroup":
-        return cls(q, frozenset({(0, 0)}), ((0, 0),))
-
-    @classmethod
-    def full(cls, q: int) -> "TorusSubgroup":
-        return cls(
-            q,
-            frozenset((j, k) for j in range(q) for k in range(q)),
-            ((1, 0), (0, 1)),
-        )
-
-    @classmethod
-    def from_generators(cls, q: int, *gens: GroupElement) -> "TorusSubgroup":
-        norm = tuple((int(j) % q, int(k) % q) for j, k in gens)
-        elems = {(0, 0)}
-        frontier = [(0, 0)]
-        while frontier:
-            base = frontier.pop()
-            for g in norm:
-                nxt = ((base[0] + g[0]) % q, (base[1] + g[1]) % q)
-                if nxt not in elems:
-                    elems.add(nxt)
-                    frontier.append(nxt)
-        return cls(q, frozenset(elems), norm)
+        return cls.from_generators(q, *arr.tolist())
 
     @classmethod
     def cyclic_first_factor(cls, q: int, m: int) -> "TorusSubgroup":
@@ -324,35 +337,29 @@ def _divisors(x: int) -> list[int]:
 
 
 def enumerate_subgroups(q: int) -> list[TorusSubgroup]:
-    """All subgroups of Z_q x Z_q as explicit element lists.
-
-    Uses the standard triangular-basis parametrization of subgroups of a
-    product of two cyclic groups: divisors a, b of q and a shear s ranging
-    over multiples of a / gcd(a, q/b).  Results are deduplicated and sorted
-    by (order, elements).  Desk scale only (q <= 24).
-    """
+    """All subgroups of Z_q x Z_q, one per triangular basis: divisors a, b of
+    q and a shear s over the multiples of a / gcd(a, q/b) below a.  Sorted by
+    (order, elements).  Desk scale only (q <= 24)."""
     if q < 2:
         raise ConfigError("group order must be at least 2")
     if q > 24:
         raise ConfigError("subgroup enumeration is desk scale only (q <= 24)")
-    seen: dict[frozenset[GroupElement], TorusSubgroup] = {}
-    for a in _divisors(q):
-        for b in _divisors(q):
-            g = math.gcd(a, q // b)
-            for t in range(g):
-                s = t * a // g
-                elems = frozenset(
-                    ((i * a + j * s) % q, (j * b) % q)
-                    for i in range(q // a)
-                    for j in range(q // b)
-                )
-                if elems not in seen:
-                    seen[elems] = TorusSubgroup(
-                        q, elems, ((a % q, 0), (s % q, b % q))
-                    )
-    return sorted(
-        seen.values(), key=lambda h: (h.order, sorted(h.elements))
-    )
+    subgroups = [
+        TorusSubgroup(q, a, s, b, ((a % q, 0), (s, b % q)))
+        for a in _divisors(q)
+        for b in _divisors(q)
+        for s in range(0, a, a // math.gcd(a, q // b))
+    ]
+    return sorted(subgroups, key=lambda h: (h.order, h.element_array().tolist()))
+
+
+def _distances_to(ell: LengthFunction, h: TorusSubgroup, points: np.ndarray) -> np.ndarray:
+    """min over x in H of length(p - x) at each row p of ``points``: the least
+    length on the coset p + H, from one pass over the group by coset index."""
+    cosets = h.cosets()
+    least = np.full(h.a * h.b, np.inf)
+    np.minimum.at(least, cosets.ravel(), ell.values.ravel())
+    return least[cosets[points[:, 0], points[:, 1]]]
 
 
 def subgroup_hausdorff(
@@ -362,11 +369,8 @@ def subgroup_hausdorff(
     d(g, g') = length(g' - g)."""
     if h.q != k.q or h.q != ell.q:
         raise InputShapeError("subgroups and length function must share one ambient group")
-    a = h.element_array()
-    b = k.element_array()
-    diff = (b[None, :, :] - a[:, None, :]) % h.q
-    gaps = ell.values[diff[..., 0], diff[..., 1]]
-    return float(max(np.max(np.min(gaps, axis=1)), np.max(np.min(gaps, axis=0))))
+    return float(max(_distances_to(ell, h, k.element_array()).max(),
+                     _distances_to(ell, k, h.element_array()).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +383,10 @@ class AveragingExpectation:
 
     Averaging the character exp(2 pi i (j m + k n) / q) over a subgroup
     yields one when the character is trivial on it and zero otherwise, so
-    the expectation acts by keeping exactly the basis coefficients whose
-    character annihilates the subgroup.  The mask is computed in exact
-    integer arithmetic; the brute-force average of conjugated copies serves
-    as an independent oracle in the tests.
+    the expectation keeps exactly the coefficients whose character is
+    trivial on the subgroup's basis vectors (a, 0) and (s, b): two exact
+    integer congruences.  The brute-force average of conjugated copies
+    serves as an independent oracle in the tests.
     """
 
     def __init__(self, torus: FuzzyTorus, subgroup: TorusSubgroup) -> None:
@@ -392,15 +396,8 @@ class AveragingExpectation:
             )
         self.torus = torus
         self.subgroup = subgroup
-        elems = subgroup.element_array()
-        mask = np.ones((torus.q, torus.q), dtype=bool)
-        # Blocks of 256 elements keep the pairing array small at q = 64.
-        for block in np.split(elems, range(256, len(elems), 256)):
-            pairing = (
-                block[:, 0, None, None] * torus._row_grid[None, :, :]
-                + block[:, 1, None, None] * torus._col_grid[None, :, :]
-            ) % torus.q
-            mask &= np.all(pairing == 0, axis=0)
+        m, n = np.ogrid[: torus.q, : torus.q]
+        mask = (subgroup.a * m % torus.q == 0) & ((subgroup.s * m + subgroup.b * n) % torus.q == 0)
         mask.setflags(write=False)
         self.mask = mask
 
@@ -555,7 +552,7 @@ def action_kernel_dimension(
     dim = q * q
     gram = np.zeros((dim, dim), dtype=complex)
     eye = np.eye(dim, dtype=complex)
-    for g in torus.group_elements()[1:]:
+    for g in TorusSubgroup.full(q).element_array()[1:]:
         w = torus.action_unitary(g)
         conj = np.kron(w, w.conj())
         gram += 2.0 * eye - conj - conj.conj().T
@@ -750,10 +747,12 @@ class FixedPointBridgeReport:
     The bridge is the ambient algebra with the two canonical injections and
     the unit pivot (height zero).  ``gap_sampled`` is the sampled sup of
     ||E_h(a) - E_k(a)|| over the traceless unit ball, as from
-    :func:`expectation_gap`.  Each direction's value is the worst sampled
-    bridge norm of a unit-ball element of one fixed algebra against its
-    witness, the other expectation applied to it (feasible because the
-    expectations do not increase the seminorm).  Sampled, not certified.
+    :func:`expectation_gap`, a lower bound on that sup.  Each direction's
+    value is the worst sampled bridge norm of a unit-ball element of one
+    fixed algebra against its witness, the other expectation applied to it
+    (feasible because the expectations do not increase the seminorm); each
+    bounds its sample's infimum from above, not the reach.  Sampled, not
+    certified.
     """
 
     q: int

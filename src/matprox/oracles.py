@@ -5,9 +5,10 @@ uses: the transport distance by enumerating vertices of the unit-Lipschitz
 polytope instead of solving an LP, operator norms by power iteration
 instead of SVD, group averaging by explicit conjugation sums instead of
 coefficient masks, the unit-ball radius by 2n LPs instead of its closed
-form, subgroup lattices by brute-force closure instead of the divisor
-parametrization, and the fixed-point coefficient lines as matrices instead
-of their closed-form spectra.  They are deliberately slow and simple.
+form, subgroups by brute-force closure instead of the triangular basis,
+subgroup Hausdorff distances over all pairs of elements instead of cosets,
+and the fixed-point coefficient lines as matrices instead of their
+closed-form spectra.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy.optimize import linprog
 
-from .fixed_point import FuzzyTorus, GroupElement, TorusSubgroup
+from .fixed_point import FuzzyTorus, GroupElement, LengthFunction, TorusSubgroup
 from .metric_core import FiniteMetricSpace, check_probability, lipschitz_constraints
 
 
@@ -146,6 +147,22 @@ def average_by_conjugation(
     return total / subgroup.order
 
 
+def subgroup_closure(q: int, gens) -> frozenset[GroupElement]:
+    """The subgroup of Z_q x Z_q that the generators span, by breadth-first
+    closure under adding each generator."""
+    norm = [(j % q, k % q) for j, k in gens]
+    closure = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        base = frontier.pop()
+        for g in norm:
+            nxt = ((base[0] + g[0]) % q, (base[1] + g[1]) % q)
+            if nxt not in closure:
+                closure.add(nxt)
+                frontier.append(nxt)
+    return frozenset(closure)
+
+
 def brute_force_subgroups(q: int) -> list[frozenset[GroupElement]]:
     """All subgroups of Z_q x Z_q by closing every pair of generators.
 
@@ -154,20 +171,17 @@ def brute_force_subgroups(q: int) -> list[frozenset[GroupElement]]:
     only.
     """
     elements = [(j, k) for j in range(q) for k in range(q)]
-    found: set[frozenset[GroupElement]] = set()
-    for g1 in elements:
-        for g2 in elements:
-            closure = {(0, 0)}
-            frontier = [(0, 0)]
-            while frontier:
-                base = frontier.pop()
-                for g in (g1, g2):
-                    nxt = ((base[0] + g[0]) % q, (base[1] + g[1]) % q)
-                    if nxt not in closure:
-                        closure.add(nxt)
-                        frontier.append(nxt)
-            found.add(frozenset(closure))
+    found = {subgroup_closure(q, (g1, g2)) for g1 in elements for g2 in elements}
     return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
+def hausdorff_by_pairs(ell: LengthFunction, h: TorusSubgroup, k: TorusSubgroup) -> float:
+    """Subgroup Hausdorff distance from the length of the difference of every
+    pair of an element of H and an element of K."""
+    a, b = h.element_array(), k.element_array()
+    diff = (b[None, :, :] - a[:, None, :]) % h.q
+    gaps = ell.values[diff[..., 0], diff[..., 1]]
+    return float(max(np.max(np.min(gaps, axis=1)), np.max(np.min(gaps, axis=0))))
 
 
 def _structured_lines(torus: FuzzyTorus, support: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -472,6 +475,17 @@ def test_mk_rejects_non_numeric_distances_and_nan_weights(tmp_path, capsys):
     assert _rejected_field(argv, tmp_path / "b.json", capsys) == "p"
 
 
+@pytest.mark.parametrize("form", ["points", "dist"])
+def test_mk_spaces_are_capped_at_64_points(tmp_path, capsys, form):
+    # A 400-point cloud ran past 14 minutes and reached 960 MiB.
+    line = np.arange(65.0)
+    payload = {"points": line[:, None].tolist()} if form == "points" else {
+        "dist": np.abs(line[:, None] - line[None, :]).tolist()}
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(payload), encoding="utf-8")
+    assert _rejected_field(["mk", "--space", str(space_file)], tmp_path / "mk.json", capsys) == "space"
+
+
 # ---------------------------------------------------------------------------
 # fixedpoint.
 # ---------------------------------------------------------------------------
@@ -608,6 +622,29 @@ def test_fixedpoint_determinism(tmp_path):
     assert main(args + ["--output", str(out1)]) == 0
     assert main(args + ["--output", str(out2)]) == 0
     assert strip_runtime(read_json(out1)) == strip_runtime(read_json(out2))
+
+
+# Runs the CLI and prints the process's own peak RSS in KiB on its last line.
+_PEAK_RSS_RUNNER = """
+import resource, sys
+from matprox.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("k_generators", ["[[1,0],[0,1]]", "[[2,0],[0,1]]"])
+def test_large_subgroup_pairs_at_q64_stay_under_256_mib(tmp_path, k_generators):
+    # Both peaked at 604 and 357 MiB while subgroups were element sets.
+    argv = ["fixedpoint", "--q", "64", "--h-generators", "[[1,0],[0,1]]",
+            "--k-generators", k_generators, "--output", str(tmp_path / "fp.json")]
+    src = str(Path(fixed_point.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_RUNNER, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 256 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,13 @@ from matprox import (
 )
 from matprox import fixed_point
 from matprox.errors import ActionNotIsometricError, ConfigError
-from matprox.oracles import _structured_lines, average_by_conjugation, brute_force_subgroups
+from matprox.oracles import (
+    _structured_lines,
+    average_by_conjugation,
+    brute_force_subgroups,
+    hausdorff_by_pairs,
+    subgroup_closure,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +226,15 @@ def test_invalid_length_tables_are_rejected():
         LengthFunction(4, spiky)
 
 
+def test_max_arc_is_built_once_per_order_and_user_tables_are_still_checked():
+    # Its q^3 validation took 191 ms per call at q = 64.
+    assert LengthFunction.max_arc(12) is LengthFunction.max_arc(12)
+    spiky = LengthFunction.max_arc(12).values.copy()
+    spiky[6, 6] = 100.0  # (3, 3) + (3, 3) jumps above the sum
+    with pytest.raises(ConfigError, match="subadditive"):
+        LengthFunction(12, spiky)
+
+
 # ---------------------------------------------------------------------------
 # Action seminorm.
 # ---------------------------------------------------------------------------
@@ -233,7 +249,7 @@ def test_seminorm_vanishes_on_the_identity():
 def _seminorm_by_explicit_conjugation(torus, ell, a):
     # Independent slow path: realize every automorphism by conjugation.
     best = 0.0
-    for g in torus.group_elements()[1:]:
+    for g in TorusSubgroup.full(torus.q).element_array()[1:]:
         w = torus.action_unitary(g)
         moved = w @ a @ w.conj().T
         best = max(best, operator_norm(a - moved) / ell(g))
@@ -319,7 +335,7 @@ def test_seminorm_invariant_under_the_action():
     a = random_hermitian(rng, 7)
     a = a / operator_norm(a)
     base = action_lip_seminorm(torus, ell, a)
-    for g in torus.group_elements()[1:]:
+    for g in TorusSubgroup.full(torus.q).element_array()[1:]:
         moved = torus.dual_action(g, a)
         assert abs(action_lip_seminorm(torus, ell, moved, validate=False) - base) <= 1e-12
 
@@ -434,24 +450,74 @@ def test_trivial_and_full_subgroups_present():
 
 def test_subgroup_validation_rejects_non_closed_sets():
     with pytest.raises(ConfigError):
-        TorusSubgroup(4, frozenset({(0, 0), (1, 0)}))
+        TorusSubgroup.from_elements(4, frozenset({(0, 0), (1, 0)}))
     with pytest.raises(ConfigError):
-        TorusSubgroup(4, frozenset({(1, 0), (2, 0), (3, 0)}))
+        TorusSubgroup.from_elements(4, frozenset({(1, 0), (2, 0), (3, 0)}))
 
 
 def test_subgroup_validation_names_each_rejection():
     with pytest.raises(ConfigError, match="must contain the identity"):
-        TorusSubgroup(6, frozenset({(1, 0), (5, 0)}))
+        TorusSubgroup.from_elements(6, frozenset({(1, 0), (5, 0)}))
     with pytest.raises(ConfigError, match=r"lacks the inverse of \(1, 2\)"):
-        TorusSubgroup(6, frozenset({(0, 0), (1, 2)}))
+        TorusSubgroup.from_elements(6, frozenset({(0, 0), (1, 2)}))
     with pytest.raises(ConfigError, match=r"not closed: \(1, 0\) \+ \(1, 0\) escapes"):
-        TorusSubgroup(6, frozenset({(0, 0), (1, 0), (5, 0)}))
+        TorusSubgroup.from_elements(6, frozenset({(0, 0), (1, 0), (5, 0)}))
     assert TorusSubgroup.full(64).order == 64 * 64
 
 
 def test_enumeration_rejects_large_orders():
     with pytest.raises(ConfigError):
         enumerate_subgroups(25)
+
+
+def _assert_triangular_basis(h):
+    q, a, s, b = h.q, h.a, h.s, h.b
+    assert q % a == 0 and q % b == 0 and 0 <= s < a and s * (q // b) % a == 0
+    assert h.order == len(h.elements) == len(h.element_array())
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 6, 8])
+def test_generator_pairs_span_the_bfs_closure(q):
+    elements = [(j, k) for j in range(q) for k in range(q)]
+    for g1, g2 in itertools.product(elements, repeat=2):
+        h = TorusSubgroup.from_generators(q, g1, g2)
+        assert h.elements == subgroup_closure(q, (g1, g2))
+        _assert_triangular_basis(h)
+
+
+def test_random_generator_lists_span_the_bfs_closure():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        q = int(rng.integers(2, 65))
+        gens = [tuple(rng.integers(-3 * q, 3 * q, size=2).tolist()) for _ in range(rng.integers(0, 5))]
+        h = TorusSubgroup.from_generators(q, *gens)
+        assert h.elements == subgroup_closure(q, gens)
+        assert h.generators == tuple((j % q, k % q) for j, k in gens)
+        _assert_triangular_basis(h)
+
+
+def test_enumeration_yields_each_subgroup_once():
+    for q in range(2, 25):
+        subs = enumerate_subgroups(q)
+        assert len({h.elements for h in subs}) == len(subs)
+        for h in subs:
+            _assert_triangular_basis(h)
+
+
+@pytest.mark.parametrize("a,s,b", [(3, 0, 1), (2, 2, 1), (4, 1, 2), (1, 0, 0)])
+def test_subgroups_reject_a_non_triangular_basis(a, s, b):
+    with pytest.raises(ConfigError, match="triangular basis"):
+        TorusSubgroup(4, a, s, b)
+
+
+@pytest.mark.parametrize("q", [6, 8, 12])
+def test_basis_mask_matches_the_pairing_over_every_element(q):
+    torus = FuzzyTorus(q, 1)
+    m, n = np.divmod(np.arange(q * q), q)
+    for h in enumerate_subgroups(q):
+        j, k = h.element_array().T
+        trivial = np.all((np.outer(j, m) + np.outer(k, n)) % q == 0, axis=0)
+        assert np.array_equal(AveragingExpectation(torus, h).mask, trivial.reshape(q, q))
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +550,34 @@ def test_divisor_chain_distances_decrease():
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(np.pi)
     assert values[-1] == 0.0
+
+
+@pytest.mark.parametrize("q", [6, 8])
+def test_hausdorff_equals_the_pairwise_oracle_bitwise(q):
+    arc = LengthFunction.max_arc(q).values
+    lengths = [LengthFunction.max_arc(q), LengthFunction(q, arc[:, :1] + arc[:1, :])]
+    subs = enumerate_subgroups(q)
+    for ell, h, k in itertools.product(lengths, subs, subs):
+        assert subgroup_hausdorff(ell, h, k) == hausdorff_by_pairs(ell, h, k)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_subgroups_take_no_element_pair_arrays():
+    # With element sets, the Hausdorff distance peaked at 256 MiB here and the
+    # mask of the full group at 24 MiB.
+    q = 64
+    torus, ell = FuzzyTorus(q), LengthFunction.max_arc(q)
+    full, half = TorusSubgroup.full(q), TorusSubgroup.from_generators(q, (2, 0), (0, 1))
+    assert _traced_peak(lambda: subgroup_hausdorff(ell, full, half)) < 32 << 20
+    assert _traced_peak(lambda: AveragingExpectation(torus, full)) < 1 << 20
 
 
 # ---------------------------------------------------------------------------

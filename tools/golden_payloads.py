@@ -44,7 +44,8 @@ INPUTS = {
 
 # (name, argv, config file contents or None).  Each subcommand runs with its
 # defaults, with non-default values by flag and by config file, and with its
-# input files; fixedpoint also runs a sweep each way.
+# input files; fixedpoint also runs a sweep each way, and a pair of large
+# subgroups so that haus_ell is compared over many elements.
 CONFIGS = [
     ("approximate_defaults", ["approximate"], None),
     ("approximate_flags", ["approximate", "--generator", "interval(1.5)", "--n", "6",
@@ -74,6 +75,8 @@ CONFIGS = [
     ("fixedpoint_sweep_config", ["fixedpoint", "--seed", "1"], {"sweep": [6, 12], "count": 4}),
     ("fixedpoint_trivial_h_q32", ["fixedpoint", "--q", "32", "--h-generators", "[]"], None),
     ("fixedpoint_sweep_12_24", ["fixedpoint", "--sweep", "12,24"], None),
+    ("fixedpoint_large_pair_q32", ["fixedpoint", "--q", "32", "--h-generators", "[[1,0],[0,1]]",
+                                   "--k-generators", "[[2,0],[0,1]]"], None),
 ]
 
 
