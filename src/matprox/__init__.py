@@ -63,6 +63,7 @@ from .lseminorm import (
     quasi_leibniz_residuals,
     sample_unit_ball,
     unit_ball_radius_bound,
+    unit_leibniz_residuals,
 )
 from .matrix_algebra import (
     DiagonalEmbedding,

@@ -38,8 +38,8 @@ from .fixed_point import (
 from .lseminorm import (
     ApproximationPair,
     l_seminorms,
-    quasi_leibniz_residuals,
     sample_unit_ball,
+    unit_leibniz_residuals,
 )
 from .matrix_algebra import (
     identity,
@@ -145,7 +145,7 @@ def criterion_2() -> CheckResult:
                 )
             a = random_hermitian_stack(rng, per_size, n)
             b = random_hermitian_stack(rng, per_size, n)
-            jres, lres = quasi_leibniz_residuals(pair, a, b)
+            jres, lres = unit_leibniz_residuals(pair, a, b)
             worst = min(worst, float(np.min(jres)), float(np.min(lres)))
         if worst < -LOOSE:
             failures.append(f"ratio {ratio}: residual {worst:.3e} below -1e-9")

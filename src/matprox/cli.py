@@ -47,7 +47,7 @@ from .fixed_point import (
     fixed_point_bridge,
     fixed_point_sweep,
 )
-from .lseminorm import ApproximationPair, quasi_leibniz_residuals
+from .lseminorm import ApproximationPair, unit_leibniz_residuals
 from .matrix_algebra import random_hermitian_stack
 from .metric_core import (
     Circle,
@@ -344,7 +344,7 @@ def _leibniz(v: dict, config: dict) -> _Output:
                 # Deviations ||a - E(a)|| / beta and the Leibniz bounds
                 # D (||a|| L(b) + ||b|| L(a)) overflow at extreme ratios.
                 with np.errstate(over="raise", invalid="raise"):
-                    jres, lres = quasi_leibniz_residuals(pair, a, b)
+                    jres, lres = unit_leibniz_residuals(pair, a, b)
             except FloatingPointError as exc:
                 raise ValidationFailure("ratios", f"ratio {ratio!r} at size {n} overflows the residuals ({exc})") from None
             suite = {
@@ -496,7 +496,7 @@ class _Command:
 # The command table: every config key of every subcommand, once.  Matrix
 # dimensions, net sizes and torus orders stay at the desk scale, and so do
 # the sample counts: at q = 64 with a trivial H, 256 fixedpoint draws take
-# about 35 s and 300 MiB, and 1000 leibniz pairs at size 64 about 9 s and
+# about 35 s and 300 MiB, and 1000 leibniz pairs at size 64 about 4-5 s and
 # 490 MiB (2-vCPU box).
 _MAX_DIM = 64
 _MAX_SAMPLES = 256

@@ -113,19 +113,67 @@ def l_seminorm(
 def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
     """Vectorized :func:`l_seminorm` for a (count, n, n) stack of self-adjoint
     elements.  Skips the per-element self-adjointness validation; callers own
-    the invariant."""
+    the invariant.
+
+    The deviation ||off a|| / beta takes an exact norm only where it can
+    exceed Lip(diag a).  The largest absolute row or column sum R of the
+    off-diagonal part bounds its norm (||x||_2 <= sqrt(||x||_1 ||x||_inf)),
+    so an element with fl(fl(R m) / beta) < Lip(diag a) has its seminorm
+    equal to the Lipschitz term, bit for bit, without an eigen solve.
+
+    The margin m = 1 + 64 n^3 u, u the unit roundoff, makes the screen exact:
+    it ensures fl(R m) >= N, N the norm ``operator_norms`` would compute, and
+    division by beta is monotone, so fl(N / beta) < Lip(diag a) and the max
+    returns the Lipschitz term.  Each modulus |x_ij| is within one ulp (2u)
+    and each sum of n of them within (n - 1) u relative, so the exact sum
+    bound is at most R (1 + 2 (n + 2) u).  ``eigvalsh`` and the SVD return
+    the exact values of a matrix within ||dA||_2 of x; for the n - 2
+    Householder reflections of the reduction ||dA||_F <= c n^2 u ||x||_F with
+    c small (Higham, Accuracy and Stability, Lemma 19.3), so
+    ||dA||_2 <= c n^(5/2) u ||x||_2, and the tridiagonal or bidiagonal stage
+    adds O(n u) ||x||_2.  By Weyl, N <= ||x||_2 (1 + 32 n^3 u) with c up to
+    32 sqrt(n), and 64 n^3 u covers that, the sum bound and the rounding of
+    R m with room to spare for every n >= 2.  An overflow of R m / beta
+    reads +inf and fails the screen, so the bound never raises where the
+    deviation itself does not; when no element passes, the stack goes to
+    ``operator_norms`` unchanged, and when all do, no solve is made.
+    """
     s = np.asarray(stack, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (pair.dim, pair.dim):
         raise InputShapeError(
             f"stack has shape {s.shape}, expected (count, {pair.dim}, {pair.dim})"
         )
-    diags = np.diagonal(s, axis1=1, axis2=2)
+    n = pair.dim
+    lips = lipschitz_seminorms(pair.space, np.diagonal(s, axis1=1, axis2=2).real)
     off = s.copy()
-    idx = np.arange(pair.dim)
+    idx = np.arange(n)
     off[:, idx, idx] = 0.0
-    deviations = operator_norms(off) / pair.beta
-    lips = lipschitz_seminorms(pair.space, diags.real)
+    mags = np.abs(off)
+    sums = np.maximum(mags.sum(axis=1), mags.sum(axis=2)).max(axis=1)
+    del mags
+    margin = 1.0 + 64.0 * n**3 * np.finfo(float).eps / 2.0
+    with np.errstate(over="ignore"):
+        need = ~(sums * margin / pair.beta < lips)
+    deviations = np.zeros(len(s))
+    if need.any():
+        deviations[need] = operator_norms(off if need.all() else off[need]) / pair.beta
     return np.maximum(deviations, lips)
+
+
+def _residuals(
+    pair: ApproximationPair,
+    a: np.ndarray,
+    b: np.ndarray,
+    norm_a: np.ndarray,
+    norm_b: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """D*(||a|| L(b) + ||b|| L(a)) - L(product) for the Jordan and Lie
+    products, given the norms of a and b."""
+    jordan, lie = jordan_lie(a, b)
+    bound = pair.leibniz_constant * (
+        norm_a * l_seminorms(pair, b) + norm_b * l_seminorms(pair, a)
+    )
+    return bound - l_seminorms(pair, jordan), bound - l_seminorms(pair, lie)
 
 
 def quasi_leibniz_residuals(
@@ -139,12 +187,25 @@ def quasi_leibniz_residuals(
     negative values are rounding noise).  Like :func:`l_seminorms`, skips
     the self-adjointness validation.
     """
-    jordan, lie = jordan_lie(a, b)
-    bound = pair.leibniz_constant * (
-        operator_norms(a) * l_seminorms(pair, b)
-        + operator_norms(b) * l_seminorms(pair, a)
-    )
-    return bound - l_seminorms(pair, jordan), bound - l_seminorms(pair, lie)
+    return _residuals(pair, a, b, operator_norms(a), operator_norms(b))
+
+
+def unit_leibniz_residuals(
+    pair: ApproximationPair, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`quasi_leibniz_residuals` for stacks drawn by
+    ``random_hermitian_stack``, whose elements have norm one or are zero.
+
+    Takes ||a|| as 1.0, or 0.0 for an all-zero element, instead of solving
+    for it again.  A drawn element is g / ||g||, whose computed norm is one
+    within a few ulps, so the residuals agree with
+    :func:`quasi_leibniz_residuals` to about 1e-15 relative.
+    """
+    return _residuals(pair, a, b, _unit_norms(a), _unit_norms(b))
+
+
+def _unit_norms(stack: np.ndarray) -> np.ndarray:
+    return np.any(stack, axis=(1, 2)).astype(float)
 
 
 def quasi_leibniz_residual(

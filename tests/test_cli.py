@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matprox import acceptance, fixed_point
+from matprox import acceptance, fixed_point, lseminorm, matrix_algebra
 from matprox.cli import build_parser, main, parse_beta_rule, parse_generator
 from matprox.cli import ValidationFailure
+from matprox.matrix_algebra import operator_norms
 from matprox.metric_core import Circle, FlatTorus, Interval
 
 
@@ -678,6 +679,24 @@ def test_leibniz_emits_raw_residuals(tmp_path):
         assert len(suite["jordan_residuals"]) == 20
 
 
+def test_leibniz_suite_reuses_the_draws_norms_and_screens_deviations(tmp_path, monkeypatch):
+    # The draws' norms are one, so only the seminorms solve, and the
+    # Lipschitz screen leaves out the deviations it decides: 112 calls on
+    # 28,000 matrices before either.
+    sizes = []
+
+    def spy(stack):
+        sizes.append(len(stack))
+        return operator_norms(stack)
+
+    monkeypatch.setattr(matrix_algebra, "operator_norms", spy)
+    monkeypatch.setattr(lseminorm, "operator_norms", spy)
+    out = tmp_path / "out.json"
+    assert main(["leibniz", "--pairs", "250", "--seed", "5", "--output", str(out)]) == 0
+    assert len(sizes) <= 84 and sum(sizes) <= 18_000
+    assert min(sizes) > 0
+
+
 @pytest.mark.parametrize(
     "argv,field",
     [
@@ -697,7 +716,7 @@ def test_unreadable_input_files_name_their_key(tmp_path, capsys, argv, field):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("ratio", ["5e-324", "1e-310", "3e-308", "1e308"])
+@pytest.mark.parametrize("ratio", ["5e-324", "1e-310", "3e-308", "1e308", "3e307"])
 def test_leibniz_ratios_outside_the_float_range_name_the_ratios(tmp_path, capsys, ratio):
     # 5e-324 named "input", which is no key; the others wrote NaN or Infinity
     # residuals after overflow warnings.
@@ -706,7 +725,7 @@ def test_leibniz_ratios_outside_the_float_range_name_the_ratios(tmp_path, capsys
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("ratio", ["1e-300", "1e300"])
+@pytest.mark.parametrize("ratio", ["1e-300", "1e300", "1e-307", "1e307"])
 def test_leibniz_extreme_ratios_inside_the_range_still_run(tmp_path, ratio):
     out = tmp_path / "out.json"
     assert main(["leibniz", "--ratios", ratio, "--pairs", "50", "--output", str(out)]) == 0

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from matprox import (
     ApproximationPair,
@@ -19,6 +22,7 @@ from matprox import (
     sample_unit_ball,
     trace_state,
     unit_ball_radius_bound,
+    unit_leibniz_residuals,
 )
 from matprox import lseminorm
 from matprox.errors import (
@@ -26,7 +30,7 @@ from matprox.errors import (
     CorollaryModeViolation,
     SelfAdjointnessError,
 )
-from matprox.matrix_algebra import random_hermitian_stack
+from matprox.matrix_algebra import jordan_lie, random_hermitian_stack
 from matprox.metric_core import (
     TAU,
     Circle,
@@ -34,6 +38,7 @@ from matprox.metric_core import (
     Interval,
     diameter,
     epsilon_net,
+    lipschitz_seminorms,
     random_cloud_space,
 )
 from matprox.oracles import lip_ball_sup_norm_by_lp
@@ -143,6 +148,104 @@ def test_batch_seminorms_match_single_evaluations():
 
 
 # ---------------------------------------------------------------------------
+# The Lipschitz screen in l_seminorms.
+# ---------------------------------------------------------------------------
+
+
+def _unscreened(pair, stack):
+    """max(||off a|| / beta, Lip(diag a)) with every deviation solved."""
+    off = stack.copy()
+    idx = np.arange(pair.dim)
+    off[:, idx, idx] = 0.0
+    lips = lipschitz_seminorms(pair.space, np.diagonal(stack, axis1=1, axis2=2).real)
+    return np.maximum(operator_norms(off) / pair.beta, lips)
+
+
+def _screened_counts(pair, stack, monkeypatch):
+    """Assert l_seminorms equals the unscreened formula bit for bit; return
+    how many elements it solved and how many it screened out."""
+    seen = []
+
+    def spy(s):
+        assert len(s) > 0
+        seen.append(len(s))
+        return operator_norms(s)
+
+    monkeypatch.setattr(lseminorm, "operator_norms", spy)
+    assert np.array_equal(l_seminorms(pair, stack), _unscreened(pair, stack))
+    assert len(seen) <= 1
+    return sum(seen), len(stack) - sum(seen)
+
+
+def test_screened_seminorms_equal_the_unscreened_formula_bitwise(monkeypatch):
+    rng = np.random.default_rng(27)
+    solved = screened = 0
+    for n in [*range(2, 9), 64]:
+        for ratio in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            pair = cloud_pair(n, seed=300 + n, ratio=ratio)
+            a = random_hermitian_stack(rng, 20, n)
+            b = random_hermitian_stack(rng, 20, n)
+            for stack in (a, b, *jordan_lie(a, b)):
+                done, skipped = _screened_counts(pair, stack, monkeypatch)
+                solved, screened = solved + done, screened + skipped
+    # Both branches fire.
+    assert solved > 0 and screened > 0
+
+
+@pytest.mark.parametrize("n", [2, 5, 64])
+def test_screen_on_diagonal_scalar_and_zero_stacks(n, monkeypatch):
+    pair = cloud_pair(n, seed=400 + n)
+    rng = np.random.default_rng(28)
+    diagonal = np.stack([pair.rho.embed(rng.uniform(-2, 2, size=n)) for _ in range(6)])
+    scalar = np.stack([c * identity(n) for c in (0.0, 1.0, -3.5)])
+    zero = np.zeros((4, n, n), dtype=complex)
+    # Off-diagonal parts vanish: every nonconstant diagonal is screened out,
+    # and the scalars (Lipschitz term 0) are solved, as zeros.
+    assert _screened_counts(pair, diagonal, monkeypatch) == (0, 6)
+    assert _screened_counts(pair, scalar, monkeypatch) == (3, 0)
+    assert _screened_counts(pair, zero, monkeypatch) == (4, 0)
+    assert np.all(l_seminorms(pair, zero) == 0.0)
+
+
+@st.composite
+def _screen_cases(draw):
+    n = draw(st.integers(2, 8))
+    count = draw(st.integers(1, 5))
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    re = draw(arrays(float, (count, n, n), elements=entries))
+    im = draw(arrays(float, (count, n, n), elements=entries))
+    g = (re + 1j * im) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    idx = np.arange(n)
+    g[:, idx, idx] *= draw(st.sampled_from([0.0, 1.0, 1e3]))
+    ratio = 10.0 ** draw(st.integers(-3, 3))
+    return n, np.add(g, np.swapaxes(g, 1, 2).conj()) / 2.0, ratio
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_screen_cases())
+def test_screen_is_exact_on_generated_stacks(case):
+    n, stack, ratio = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _screened_counts(cloud_pair(n, seed=n, ratio=ratio), stack, monkeypatch)
+
+
+def test_screen_overflow_reads_as_not_screened():
+    # Random signs at n = 64: the row sums (63) are about four times the
+    # norm, so at this beta the screen's bound overflows and the deviation
+    # does not.  The CLI runs the seminorms with overflow raising.
+    n = 64
+    rng = np.random.default_rng(29)
+    signs = np.triu(rng.choice([-1.0, 1.0], size=(n, n)), 1)
+    stack = (signs + signs.T).astype(complex)[None]
+    space = FiniteMetricSpace.from_points(np.arange(n, dtype=float)[:, None])
+    pair = ApproximationPair(space, 2e-307)
+    with np.errstate(over="raise"):
+        values = l_seminorms(pair, stack)
+    assert np.isfinite(values[0]) and 63.0 / pair.beta == np.inf
+    assert np.array_equal(values, _unscreened(pair, stack))
+
+
+# ---------------------------------------------------------------------------
 # Quasi-Leibniz residuals.
 # ---------------------------------------------------------------------------
 
@@ -211,6 +314,42 @@ def test_batched_residuals_equal_per_pair_residuals_exactly(n, ratio, monkeypatc
     singles = [quasi_leibniz_residual(pair, x, y) for x, y in zip(a, b)]
     assert jres.tolist() == [j for j, _ in singles]
     assert lres.tolist() == [l for _, l in singles]
+
+
+def test_unit_residuals_agree_with_solved_norms_on_drawn_stacks():
+    rng = np.random.default_rng(30)
+    for n in (2, 5, 8, 64):
+        for ratio in (0.01, 1.0, 3.0, 100.0):
+            pair = cloud_pair(n, seed=500 + n, ratio=ratio)
+            a = random_hermitian_stack(rng, 30, n)
+            b = random_hermitian_stack(rng, 30, n)
+            for unit, solved in zip(unit_leibniz_residuals(pair, a, b), quasi_leibniz_residuals(pair, a, b)):
+                np.testing.assert_allclose(unit, solved, rtol=1e-13, atol=0.0)
+
+
+def test_unit_residuals_of_a_zero_element_are_zero():
+    pair = cloud_pair(4, seed=31)
+    rng = np.random.default_rng(31)
+    a = random_hermitian_stack(rng, 3, 4)
+    b = random_hermitian_stack(rng, 3, 4)
+    a[1] = 0.0
+    b[2] = 0.0
+    jres, lres = unit_leibniz_residuals(pair, a, b)
+    assert jres[1] == lres[1] == jres[2] == lres[2] == 0.0
+    assert jres[0] > 0.0 and lres[0] > 0.0
+
+
+@pytest.mark.parametrize("ratio", [0.01, 1.0, 1e3])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_batched_unit_residuals_equal_per_pair_residuals_exactly(n, ratio):
+    pair = cloud_pair(n, seed=600 + n, ratio=ratio)
+    rng = np.random.default_rng(32)
+    a = random_hermitian_stack(rng, 40, n)
+    b = random_hermitian_stack(rng, 40, n)
+    jres, lres = unit_leibniz_residuals(pair, a, b)
+    singles = [unit_leibniz_residuals(pair, x[None], y[None]) for x, y in zip(a, b)]
+    assert jres.tolist() == [float(j[0]) for j, _ in singles]
+    assert lres.tolist() == [float(l[0]) for _, l in singles]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,9 @@ INPUTS = {
 # (name, argv, config file contents or None).  Each subcommand runs with its
 # defaults, with non-default values by flag and by config file, and with its
 # input files; fixedpoint also runs a sweep each way, and a pair of large
-# subgroups so that haus_ell is compared over many elements.
+# subgroups so that haus_ell is compared over many elements.  The leibniz
+# ratios of leibniz_screen_mix put seminorms on both sides of the Lipschitz
+# screen in ``l_seminorms``.
 CONFIGS = [
     ("approximate_defaults", ["approximate"], None),
     ("approximate_flags", ["approximate", "--generator", "interval(1.5)", "--n", "6",
@@ -63,6 +65,8 @@ CONFIGS = [
     ("leibniz_defaults", ["leibniz"], None),
     ("leibniz_flags", ["leibniz", "--sizes", "2,5", "--ratios", "0.5,2", "--pairs", "30", "--seed", "4"], None),
     ("leibniz_config", ["leibniz"], {"sizes": [3, 4], "ratios": "1.0", "pairs": 10, "include_raw": False}),
+    ("leibniz_screen_mix", ["leibniz", "--sizes", "2,4,8", "--ratios", "0.01,10,1000", "--pairs", "40",
+                            "--seed", "6"], None),
     ("mk_dist", ["mk", "--space", "space_dist.json"], None),
     ("mk_flags", ["mk", "--space", "space_dist.json", "--p", "[0.5, 0.5, 0]", "--q", "[0, 0.25, 0.75]"], None),
     ("mk_config", ["mk"], {"space": "space_points.json", "p": [0.25, 0.25, 0.25, 0.25],
