@@ -128,16 +128,18 @@ def _coordinate_descent_inf(
     Starts from the provably feasible witness and improves one coordinate
     at a time inside the interval allowed by the Lipschitz constraints; the
     one-dimensional sections are convex, so a bounded scalar minimizer is
-    enough.  Descent only tightens the witness value.
+    enough.  Descent only tightens the witness value.  One working matrix
+    m = a - diag(f) is kept: a section writes only the real part of m_ii,
+    and after it m_ii is reset from the accepted f_i, so every evaluation
+    sees the same entries as a freshly built a - diag(g).
     """
     n = pair.dim
     dist = pair.space.dist
     f = start.astype(float).copy()
+    m = a - np.diag(f.astype(complex))
+    m_re, a_re = m.real, a.real
 
-    def objective(values: np.ndarray) -> float:
-        return operator_norm(a - np.diag(values.astype(complex)))
-
-    current = objective(f)
+    current = operator_norm(m)
     used = 0
     while used < steps:
         sweep_start = current
@@ -152,9 +154,8 @@ def _coordinate_descent_inf(
                 continue
 
             def section(t: float) -> float:
-                g = f.copy()
-                g[i] = t
-                return objective(g)
+                m_re[i, i] = a_re[i, i] - t
+                return operator_norm(m)
 
             res = minimize_scalar(
                 section, bounds=(lo, hi), method="bounded",
@@ -164,6 +165,7 @@ def _coordinate_descent_inf(
             if res.fun < current:
                 f[i] = float(res.x)
                 current = float(res.fun)
+            m_re[i, i] = a_re[i, i] - f[i]
         if sweep_start - current < tol:
             break
     return current
@@ -181,15 +183,16 @@ def estimate_reach_lower(
     seed: int = 0,
     descent_steps: int = 200,
 ) -> float:
-    """Sampled, not certified, lower estimate of this bridge's reach.
+    """Sampled, not certified, estimate of this bridge's reach; not a bound.
 
     For each unit-ball sample a, the inner infimum over unit-Lipschitz
-    functions is itself upper-bounded by starting at the witness diag(a)
-    and descending; the maximum over samples is therefore a lower bound of
-    the sup-inf reach of this particular bridge (and says nothing about the
-    distance itself).  Always at most the certified upper bound, up to
-    rounding.  A net wider than the minimiser can handle raises
-    ``ScaleOverflowError``.
+    functions is bounded from above by starting at the witness diag(a) and
+    descending.  The maximum of these values therefore bounds the sup-inf
+    reach of this bridge in neither direction: each term is above its own
+    sample's infimum, and the samples do not exhaust the supremum (nor does
+    it say anything about the distance itself).  Always at most the
+    certified upper bound, up to rounding.  A net wider than the minimiser
+    can handle raises ``ScaleOverflowError``.
     """
     if iters < 1:
         raise ConfigError("need at least one sample")

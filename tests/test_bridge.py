@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+import matprox.bridge
 from matprox import (
     ApproximationPair,
     Circle,
@@ -21,6 +23,8 @@ from matprox import (
     hausdorff_distance,
     identity,
     min_separation,
+    operator_norm,
+    pinch,
     sample_unit_ball,
 )
 from matprox.errors import ConfigError, CorollaryModeViolation, InputShapeError
@@ -125,6 +129,96 @@ def test_reach_lower_estimate_is_pinned(generator, expected):
     assert estimate_reach_lower(pair, iters=1, seed=1) == pytest.approx(
         expected, rel=1e-12, abs=0.0
     )
+
+
+def _reference_descent(pair, a, start, steps=200, tol=1e-9):
+    """The descent as first written: every evaluation rebuilds a - diag(g)
+    and takes np.linalg.norm(., 2) of it."""
+    n = pair.dim
+    dist = pair.space.dist
+    f = start.astype(float).copy()
+
+    def objective(values):
+        return float(np.linalg.norm(a - np.diag(values.astype(complex)), 2))
+
+    current = objective(f)
+    used = 0
+    while used < steps:
+        sweep_start = current
+        for i in range(n):
+            if used >= steps:
+                break
+            others = np.delete(np.arange(n), i)
+            lo = float(np.max(f[others] - dist[i, others]))
+            hi = float(np.min(f[others] + dist[i, others]))
+            if hi - lo <= 0.0:
+                used += 1
+                continue
+
+            def section(t):
+                g = f.copy()
+                g[i] = t
+                return objective(g)
+
+            res = minimize_scalar(
+                section, bounds=(lo, hi), method="bounded",
+                options={"xatol": 1e-10},
+            )
+            used += 1
+            if res.fun < current:
+                f[i] = float(res.x)
+                current = float(res.fun)
+        if sweep_start - current < tol:
+            break
+    return current
+
+
+@pytest.mark.parametrize(
+    "generator,n",
+    [
+        (Circle(TAU), 25),
+        (Circle(TAU), 32),
+        (Interval(1.0), 25),
+        (Interval(1.0), 32),
+        # Torus nets are square grids, so 36 points stand in for 32.
+        (FlatTorus((1.0, 1.0)), 25),
+        (FlatTorus((1.0, 1.0)), 36),
+    ],
+    ids=["circle-25", "circle-32", "interval-25", "interval-32", "torus-25", "torus-36"],
+)
+def test_reach_descent_matches_the_rebuilt_objective_bitwise(generator, n):
+    pair, _ = approximate_compact_space(generator, n, beta_delta_over_n)
+    for seed in (1, 2):
+        (a,) = sample_unit_ball(pair, 1, seed)
+        start = pair.rho.extract(pinch(a)).real
+        expected = _reference_descent(pair, a, start)
+        assert estimate_reach_lower(pair, iters=1, seed=seed) == expected
+
+
+def test_reach_descent_takes_one_norm_per_evaluation(monkeypatch):
+    # A tracer that rebinds bridge.operator_norm and bridge.minimize_scalar
+    # sees every evaluation of the descent: one norm per start, one per call
+    # of a section by the scalar minimiser.
+    counts = {"norms": 0, "evals": 0}
+
+    def counting_norm(m):
+        counts["norms"] += 1
+        return operator_norm(m)
+
+    def counting_minimize(fun, *args, **kwargs):
+        def counted(t):
+            counts["evals"] += 1
+            return fun(t)
+
+        return minimize_scalar(counted, *args, **kwargs)
+
+    monkeypatch.setattr(matprox.bridge, "operator_norm", counting_norm)
+    monkeypatch.setattr(matprox.bridge, "minimize_scalar", counting_minimize)
+    pair, _ = approximate_compact_space(Circle(TAU), 12, beta_delta_over_n)
+    samples = 3
+    estimate_reach_lower(pair, iters=samples, seed=4)
+    assert counts["evals"] > 0
+    assert counts["norms"] == counts["evals"] + samples
 
 
 # ---------------------------------------------------------------------------

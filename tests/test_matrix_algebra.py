@@ -66,6 +66,49 @@ def test_norm_submultiplicative_and_cstar_identity():
         )
 
 
+def _assert_svd_norm(m: np.ndarray) -> None:
+    """operator_norm(m) is np.linalg.norm(m, 2), bit for bit."""
+    value = operator_norm(m)
+    expected = float(np.linalg.norm(m, 2))
+    assert type(value) is float
+    assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
+
+def test_single_norm_matches_numpy_norm_on_fixed_cases():
+    zero = operator_norm(np.zeros((5, 5), dtype=complex))
+    assert zero == 0.0 and not np.signbit(zero)
+    _assert_svd_norm(np.zeros((5, 5), dtype=complex))
+    _assert_svd_norm(-2.5 * identity(4))
+    _assert_svd_norm(np.diag([1.0, -3.0, 2.0]).astype(complex))
+    rng = np.random.default_rng(20)
+    u = rng.normal(size=6) + 1j * rng.normal(size=6)
+    v = rng.normal(size=6) + 1j * rng.normal(size=6)
+    _assert_svd_norm(np.outer(u, v.conj()))
+    _assert_svd_norm(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7)))
+    _assert_svd_norm(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+
+
+@st.composite
+def _square_matrices(draw):
+    n = draw(st.integers(1, 16))
+    entries = st.floats(-1e6, 1e6, allow_subnormal=False)
+    re = draw(arrays(float, (n, n), elements=entries))
+    im = draw(arrays(float, (n, n), elements=entries))
+    return re + 1j * im
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_square_matrices())
+def test_single_norm_matches_numpy_norm(m):
+    _assert_svd_norm(m)
+
+
+def test_single_norm_rejects_non_square_input():
+    for shape in [(2, 3), (4,), (2, 2, 2)]:
+        with pytest.raises(InputShapeError):
+            operator_norm(np.ones(shape, dtype=complex))
+
+
 def test_operator_norms_batches_match_single_calls():
     rng = np.random.default_rng(7)
     stack = rng.normal(size=(10, 4, 4)) + 1j * rng.normal(size=(10, 4, 4))
