@@ -30,7 +30,6 @@ from .errors import (
     InputShapeError,
     MatproxError,
     MetricAxiomError,
-    NotInSubalgebraError,
     ScaleOverflowError,
     ScaleUnderflowError,
     SelfAdjointnessError,
@@ -43,7 +42,6 @@ from .fixed_point import (
     LengthFunction,
     TorusSubgroup,
     action_kernel_dimension,
-    action_lip_seminorm,
     action_lip_seminorms,
     commutative_fixed_point_check,
     cyclic_rotation_group,
@@ -59,7 +57,6 @@ from .lseminorm import (
     kernel_dimension,
     l_seminorm,
     l_seminorms,
-    quasi_leibniz_residual,
     quasi_leibniz_residuals,
     sample_unit_ball,
     unit_ball_radius_bound,
@@ -68,11 +65,6 @@ from .lseminorm import (
 from .matrix_algebra import (
     DiagonalEmbedding,
     identity,
-    is_self_adjoint,
-    jordan_product,
-    lie_product,
-    matrix_from_pairs,
-    matrix_to_pairs,
     operator_norm,
     operator_norms,
     pinch,
@@ -91,7 +83,6 @@ from .metric_core import (
     hausdorff_distance,
     lipschitz_seminorm,
     lipschitz_seminorms,
-    load_space,
     min_separation,
     mk_distance,
     space_from_dict,

@@ -168,7 +168,7 @@ def criterion_3() -> CheckResult:
         bridge = UnitPivotBridge(pair)
         worst = 0.0
         for a in sample_unit_ball(pair, 500, seed=300 + idx):
-            f = pair.rho.extract(pinch(a)).real
+            f = np.diagonal(a).real
             worst = max(worst, bridge.norm(a, f))
         if worst > pair.beta + EXACT:
             failures.append(

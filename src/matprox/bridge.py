@@ -8,9 +8,9 @@ maps (a function embeds to its diagonal matrix; a matrix maps to its
 diagonal part), which directly bounds the quantum-metric distance between
 the two spaces from above.  Only such upper bounds are produced: the
 distance itself is an infimum over all bridges and no algorithm for the
-infimum is implemented.  Sampled lower estimates of the reach of a specific
-bridge are emitted for context and always labeled as sampled, never
-certified.
+infimum is implemented.  A sampled estimate of the reach of a specific
+bridge is emitted for context and always labeled as sampled, never
+certified; it bounds the reach in neither direction.
 
 The pipeline functions assemble the end-to-end bound for a compact space:
 Hausdorff(space, net) + beta, with the net and its Hausdorff value supplied
@@ -34,7 +34,7 @@ from .errors import (
     ScaleUnderflowError,
 )
 from .lseminorm import ApproximationPair, sample_unit_ball
-from .matrix_algebra import operator_norm, pinch
+from .matrix_algebra import operator_norm
 from .metric_core import (
     Generator,
     epsilon_net,
@@ -100,7 +100,7 @@ def certify_reach_upper(
     bridge = UnitPivotBridge(pair)
     worst_forward = 0.0
     for a in sample_unit_ball(pair, samples, seed):
-        f = pair.rho.extract(pinch(a)).real
+        f = np.diagonal(a).real
         worst_forward = max(worst_forward, bridge.norm(a, f))
     slack = DEFAULT_TOLERANCES.algebraic * (1.0 + pair.beta)
     if worst_forward > pair.beta + slack:
@@ -117,18 +117,15 @@ def certify_reach_upper(
 
 
 def _coordinate_descent_inf(
-    pair: ApproximationPair,
-    a: np.ndarray,
-    start: np.ndarray,
-    steps: int = 200,
-    tol: float = 1e-9,
+    pair: ApproximationPair, a: np.ndarray, start: np.ndarray
 ) -> float:
     """Best found value of ||a - diag(f)|| over unit-Lipschitz f.
 
     Starts from the provably feasible witness and improves one coordinate
     at a time inside the interval allowed by the Lipschitz constraints; the
     one-dimensional sections are convex, so a bounded scalar minimizer is
-    enough.  Descent only tightens the witness value.  One working matrix
+    enough.  Descent only tightens the witness value; it stops after 200
+    sections or after a sweep that gains less than 1e-9.  One working matrix
     m = a - diag(f) is kept: a section writes only the real part of m_ii,
     and after it m_ii is reset from the accepted f_i, so every evaluation
     sees the same entries as a freshly built a - diag(g).
@@ -140,6 +137,7 @@ def _coordinate_descent_inf(
     m_re, a_re = m.real, a.real
 
     current = operator_norm(m)
+    steps = 200
     used = 0
     while used < steps:
         sweep_start = current
@@ -166,7 +164,7 @@ def _coordinate_descent_inf(
                 f[i] = float(res.x)
                 current = float(res.fun)
             m_re[i, i] = a_re[i, i] - f[i]
-        if sweep_start - current < tol:
+        if sweep_start - current < 1e-9:
             break
     return current
 
@@ -181,7 +179,6 @@ def estimate_reach_lower(
     pair: ApproximationPair,
     iters: int = 32,
     seed: int = 0,
-    descent_steps: int = 200,
 ) -> float:
     """Sampled, not certified, estimate of this bridge's reach; not a bound.
 
@@ -203,8 +200,7 @@ def estimate_reach_lower(
         )
     best = 0.0
     for a in sample_unit_ball(pair, iters, seed):
-        start = pair.rho.extract(pinch(a)).real
-        best = max(best, _coordinate_descent_inf(pair, a, start, steps=descent_steps))
+        best = max(best, _coordinate_descent_inf(pair, a, np.diagonal(a).real))
     return best
 
 
@@ -300,14 +296,14 @@ def convergence_experiment(
     generator: Generator,
     n_list: Sequence[int],
     beta_rule: Callable[[float, int], float],
-    corollary_mode: bool = True,
 ) -> ConvergenceReport:
-    """Run the approximation pipeline along an increasing list of net sizes."""
+    """Run the approximation pipeline along an increasing list of net sizes,
+    in corollary mode (beta <= delta at every size)."""
     sizes = [int(n) for n in n_list]
     if sizes != sorted(sizes) or len(set(sizes)) != len(sizes):
         raise ConfigError("net sizes must be strictly increasing")
     rows = [
-        approximate_compact_space(generator, n, beta_rule, corollary_mode)[1]
+        approximate_compact_space(generator, n, beta_rule)[1]
         for n in sizes
     ]
     bounds = [r.certified_bound for r in rows]

@@ -312,6 +312,8 @@ def _approximate(v: dict, config: dict) -> _Output:
 def _converge(v: dict, config: dict) -> _Output:
     try:
         report = convergence_experiment(v["generator"], v["n_list"], v["beta_rule"])
+    except CorollaryModeViolation as exc:
+        raise ValidationFailure("beta_rule", str(exc))
     except ScaleUnderflowError as exc:
         raise ValidationFailure("generator", str(exc))
     except MatproxError as exc:

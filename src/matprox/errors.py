@@ -35,10 +35,6 @@ class ScaleOverflowError(ConfigError):
     descent's scalar minimiser overflow."""
 
 
-class NotInSubalgebraError(MatproxError):
-    """A matrix expected to lie in the diagonal subalgebra has off-diagonal mass."""
-
-
 class SelfAdjointnessError(MatproxError):
     """An element expected to be self-adjoint is not."""
 

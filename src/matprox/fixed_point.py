@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .errors import (
 from .matrix_algebra import (
     operator_norms,
     random_hermitian,
-    require_self_adjoint,
 )
 from .metric_core import (
     FiniteMetricSpace,
@@ -304,27 +303,6 @@ class TorusSubgroup:
         return cls(q, a, s, b, norm)
 
     @classmethod
-    def from_elements(cls, q: int, elements: Iterable[GroupElement]) -> "TorusSubgroup":
-        """The subgroup with this element set, checked for identity, inverses and closure."""
-        elems = frozenset((int(j) % q, int(k) % q) for j, k in elements)
-        if (0, 0) not in elems:
-            raise ConfigError("a subgroup must contain the identity")
-        arr = np.array(sorted(elems), dtype=int)
-        mask = np.zeros((q, q), dtype=bool)
-        mask[arr[:, 0], arr[:, 1]] = True
-        lacking = ~mask[-arr[:, 0] % q, -arr[:, 1] % q]
-        if np.any(lacking):
-            a = tuple(arr[np.argmax(lacking)].tolist())
-            raise ConfigError(f"subgroup lacks the inverse of {a}")
-        for a in arr.tolist():
-            # The translate a + elems, as a mask, must stay inside elems.
-            escaped = np.roll(mask, a, axis=(0, 1)) & ~mask
-            if np.any(escaped):
-                b = tuple(((np.argwhere(escaped)[0] - a) % q).tolist())
-                raise ConfigError(f"subgroup is not closed: {tuple(a)} + {b} escapes")
-        return cls.from_generators(q, *arr.tolist())
-
-    @classmethod
     def cyclic_first_factor(cls, q: int, m: int) -> "TorusSubgroup":
         """The copy of Z_m inside the first factor (m must divide q)."""
         if m < 1 or q % m != 0:
@@ -407,15 +385,9 @@ class AveragingExpectation:
 
     @property
     def fixed_dimension(self) -> int:
+        """Monomials spanning the fixed-point subalgebra; times the subgroup
+        order it is q^2 (annihilator duality for the finite torus)."""
         return int(np.sum(self.mask))
-
-    def fixed_basis(self) -> list[GroupElement]:
-        """Monomial exponents spanning the fixed-point subalgebra.
-
-        Always contains (0, 0); the count times the subgroup order equals
-        q^2 (annihilator duality for the finite torus)."""
-        ms, ns = np.nonzero(self.mask)
-        return sorted(zip(ms.tolist(), ns.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +437,8 @@ def _differences(
 def action_lip_seminorms(
     torus: FuzzyTorus, ell: LengthFunction, stack: np.ndarray
 ) -> np.ndarray:
-    """Vectorized action seminorm over a (count, q, q) stack of elements.
+    """Largest displacement ||a - alpha^g(a)|| / length(g) over nontrivial g,
+    for each element a of a (count, q, q) stack.
 
     Exact maximum over the q^2 - 1 nontrivial g, pruned: each element visits
     its g in descending order of the Frobenius bound, in chunks of at most
@@ -517,28 +490,7 @@ def action_lip_seminorms(
         step *= 2
 
 
-def action_lip_seminorm(
-    torus: FuzzyTorus,
-    ell: LengthFunction,
-    a: np.ndarray,
-    *,
-    validate: bool = True,
-) -> float:
-    """Largest displacement ||a - alpha^g(a)|| / length(g) over nontrivial g.
-
-    The maximum runs over the q^2 - 1 nontrivial elements of the acting
-    finite torus group.  Vanishes exactly on the scalars; invariant under
-    the action itself.
-    """
-    mat = np.asarray(a, dtype=complex)
-    if validate:
-        mat = require_self_adjoint(mat)
-    return float(action_lip_seminorms(torus, ell, mat[None])[0])
-
-
-def action_kernel_dimension(
-    torus: FuzzyTorus, tol: float = 1e-8
-) -> int:
+def action_kernel_dimension(torus: FuzzyTorus) -> int:
     """Dimension of the joint fixed space of all nontrivial automorphisms.
 
     Realizes each automorphism as conjugation by a unitary, stacks the
@@ -557,7 +509,7 @@ def action_kernel_dimension(
         conj = np.kron(w, w.conj())
         gram += 2.0 * eye - conj - conj.conj().T
     eigs = np.linalg.eigvalsh(gram)
-    return int(np.sum(eigs <= tol * max(1.0, float(eigs[-1]))))
+    return int(np.sum(eigs <= 1e-8 * max(1.0, float(eigs[-1]))))
 
 
 # ---------------------------------------------------------------------------

@@ -88,26 +88,10 @@ def _check_dim(pair: ApproximationPair, a: np.ndarray) -> np.ndarray:
     return m
 
 
-def l_seminorm(
-    pair: ApproximationPair,
-    a: np.ndarray,
-    *,
-    extend_complex: bool = False,
-    tol: float = DEFAULT_TOLERANCES.algebraic,
-) -> float:
-    """Evaluate the seminorm max(||a - E(a)||/beta, Lip(diagonal part)).
-
-    Only self-adjoint elements are in scope by default; non-self-adjoint
-    input raises.  With ``extend_complex=True`` the same max formula is
-    evaluated on arbitrary elements (the Lipschitz term then uses complex
-    moduli); callers emitting such values are expected to flag them.
-    """
-    m = _check_dim(pair, a)
-    if not extend_complex:
-        return float(l_seminorms(pair, require_self_adjoint(m, tol=tol)[None])[0])
-    diag = np.diag(m)
-    deviation = operator_norm(m - np.diag(diag)) / pair.beta
-    return max(deviation, lipschitz_seminorm(pair.space, diag))
+def l_seminorm(pair: ApproximationPair, a: np.ndarray) -> float:
+    """Evaluate the seminorm max(||a - E(a)||/beta, Lip(diagonal part)) of one
+    self-adjoint element; non-self-adjoint input raises."""
+    return float(l_seminorms(pair, require_self_adjoint(_check_dim(pair, a))[None])[0])
 
 
 def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
@@ -208,27 +192,15 @@ def _unit_norms(stack: np.ndarray) -> np.ndarray:
     return np.any(stack, axis=(1, 2)).astype(float)
 
 
-def quasi_leibniz_residual(
-    pair: ApproximationPair, a: np.ndarray, b: np.ndarray
-) -> tuple[float, float]:
-    """:func:`quasi_leibniz_residuals` for one validated self-adjoint pair."""
-    x = require_self_adjoint(_check_dim(pair, a))
-    y = require_self_adjoint(_check_dim(pair, b))
-    jres, lres = quasi_leibniz_residuals(pair, x[None], y[None])
-    return float(jres[0]), float(lres[0])
-
-
-def kernel_check(
-    pair: ApproximationPair,
-    a: np.ndarray,
-    tol: float = DEFAULT_TOLERANCES.algebraic,
-) -> bool:
+def kernel_check(pair: ApproximationPair, a: np.ndarray) -> bool:
     """Whether a self-adjoint element lies in the kernel of the seminorm.
 
-    Elements with L(a) <= tol are additionally verified to be close to a
-    scalar multiple of the identity (the kernel is exactly the scalars); a
-    violation of that implication would be an internal defect and raises.
+    Elements with L(a) <= tol, the algebraic tolerance, are additionally
+    verified to be close to a scalar multiple of the identity (the kernel is
+    exactly the scalars); a violation of that implication would be an
+    internal defect and raises.
     """
+    tol = DEFAULT_TOLERANCES.algebraic
     m = require_self_adjoint(_check_dim(pair, a))
     value = l_seminorm(pair, m)
     if value > tol:
@@ -242,9 +214,7 @@ def kernel_check(
     return True
 
 
-def kernel_dimension(
-    pair: ApproximationPair, tol: float = DEFAULT_TOLERANCES.spectral
-) -> int:
+def kernel_dimension(pair: ApproximationPair) -> int:
     """Dimension of the kernel of the seminorm inside the self-adjoint space.
 
     L(a) = 0 is the linear system {off-diagonal part of a = 0} together with
@@ -279,7 +249,7 @@ def kernel_dimension(
         columns.append(np.concatenate([*rows, np.asarray(pair_diffs)]))
     constraint = np.stack(columns, axis=1)
     sv = np.linalg.svd(constraint, compute_uv=False)
-    rank = int(np.sum(sv > tol * max(1.0, sv[0])))
+    rank = int(np.sum(sv > DEFAULT_TOLERANCES.spectral * max(1.0, sv[0])))
     return len(basis) - rank
 
 

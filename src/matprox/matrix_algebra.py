@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES
-from .errors import InputShapeError, NotInSubalgebraError, SelfAdjointnessError
+from .errors import InputShapeError, SelfAdjointnessError
 from .metric_core import FiniteMetricSpace
 
 
@@ -71,22 +71,6 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(s, compute_uv=False)[..., 0]
 
 
-def jordan_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(ab + ba) / 2; maps pairs of self-adjoint elements to self-adjoint ones."""
-    x, y = _as_square(a), _as_square(b)
-    if x.shape != y.shape:
-        raise InputShapeError(f"dimension mismatch {x.shape} vs {y.shape}")
-    return (x @ y + y @ x) / 2.0
-
-
-def lie_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(ab - ba) / 2i; maps pairs of self-adjoint elements to self-adjoint ones."""
-    x, y = _as_square(a), _as_square(b)
-    if x.shape != y.shape:
-        raise InputShapeError(f"dimension mismatch {x.shape} vs {y.shape}")
-    return (x @ y - y @ x) / 2.0j
-
-
 def jordan_lie(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Jordan and Lie products of two self-adjoint (..., n, n) stacks paired
     by index, from one matrix product: ba = (ab)^* for self-adjoint a and b.
@@ -103,17 +87,10 @@ def trace_state(a: np.ndarray) -> complex:
     return complex(np.trace(m)) / m.shape[0]
 
 
-def is_self_adjoint(a: np.ndarray, tol: float = DEFAULT_TOLERANCES.algebraic) -> bool:
-    m = _as_square(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def require_self_adjoint(
-    a: np.ndarray, tol: float = DEFAULT_TOLERANCES.algebraic
-) -> np.ndarray:
+def require_self_adjoint(a: np.ndarray) -> np.ndarray:
     m = _as_square(a)
     gap = float(np.max(np.abs(m - m.conj().T)))
-    if gap > tol:
+    if gap > DEFAULT_TOLERANCES.algebraic:
         raise SelfAdjointnessError(f"element is not self-adjoint (deviation {gap:.3e})")
     return m
 
@@ -154,8 +131,7 @@ class DiagonalEmbedding:
     """The unital *-isomorphism from functions on a space onto diagonal matrices.
 
     ``embed`` carries a (real or complex) function vector to the diagonal
-    matrix with those entries; ``extract`` inverts it on the diagonal
-    subalgebra and rejects matrices with off-diagonal mass.
+    matrix with those entries; ``np.diagonal`` reads a diagonal matrix back.
     """
 
     space: FiniteMetricSpace
@@ -171,36 +147,3 @@ class DiagonalEmbedding:
                 f"function has shape {f.shape}, embedding expects ({self.dim},)"
             )
         return np.diag(f.astype(complex))
-
-    def extract(
-        self, a: np.ndarray, tol: float = DEFAULT_TOLERANCES.algebraic
-    ) -> np.ndarray:
-        m = _as_square(a)
-        if m.shape[0] != self.dim:
-            raise InputShapeError(
-                f"matrix dim {m.shape[0]} does not match space size {self.dim}"
-            )
-        off = m - np.diag(np.diag(m))
-        mass = float(np.max(np.abs(off))) if self.dim > 1 else 0.0
-        if mass > tol:
-            raise NotInSubalgebraError(
-                f"matrix has off-diagonal mass {mass:.3e}, not in the diagonal algebra"
-            )
-        return np.diag(m)
-
-
-# ---------------------------------------------------------------------------
-# Wire format: row-major lists of (re, im) pairs.
-# ---------------------------------------------------------------------------
-
-
-def matrix_to_pairs(a: np.ndarray) -> list[list[list[float]]]:
-    m = _as_square(a)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def matrix_from_pairs(rows: list) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise InputShapeError(f"expected (n, n, 2) re/im data, got {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]

@@ -14,7 +14,6 @@ summing to one).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -139,10 +138,9 @@ def check_function(space: FiniteMetricSpace, values: np.ndarray) -> np.ndarray:
     return f
 
 
-def check_probability(
-    space: FiniteMetricSpace, weights: np.ndarray, tol: float = 1e-12
-) -> np.ndarray:
-    """Validate a probability vector: nonnegative, sums to one within tol."""
+def check_probability(space: FiniteMetricSpace, weights: np.ndarray) -> np.ndarray:
+    """Validate a probability vector: nonnegative, sums to one within 1e-12."""
+    tol = 1e-12
     w = np.asarray(weights, dtype=float)
     if w.shape != (space.n_points,):
         raise InputShapeError(
@@ -433,12 +431,3 @@ def space_from_dict(payload: dict) -> FiniteMetricSpace:
     if labels is None:
         labels = tuple(f"p{i}" for i in range(dist.shape[0]))
     return FiniteMetricSpace(tuple(labels), dist)
-
-
-def load_space(text: str) -> FiniteMetricSpace:
-    """Parse the JSON text input format for metric spaces."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"space input is not valid JSON: {exc}") from exc
-    return space_from_dict(payload)

@@ -407,8 +407,9 @@ def test_net_size_errors_name_n(tmp_path, capsys, extra):
 
 
 def test_corollary_mode_violation_names_the_beta_rule(tmp_path, capsys):
-    argv = ["approximate", "--beta-rule", "fixed(10)"]
-    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "beta_rule"
+    for command in ("approximate", "converge"):
+        argv = [command, "--beta-rule", "fixed(10)"]
+        assert _rejected_field(argv, tmp_path / "out.json", capsys) == "beta_rule"
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +470,8 @@ def test_mk_rejects_non_metric_space(tmp_path, capsys):
 def test_mk_rejects_non_numeric_distances_and_nan_weights(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dist": [["a", 1], [1, 0]]}), encoding="utf-8")
+    assert _rejected_field(["mk", "--space", str(bad)], tmp_path / "a.json", capsys) == "space"
+    bad.write_text("{not json", encoding="utf-8")
     assert _rejected_field(["mk", "--space", str(bad)], tmp_path / "a.json", capsys) == "space"
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]]}), encoding="utf-8")

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from matprox import (
     epsilon_net,
     hausdorff_distance,
     lipschitz_seminorm,
-    load_space,
     min_separation,
     mk_distance,
     space_from_dict,
@@ -329,10 +327,8 @@ def test_space_from_dict_with_matrix_and_points():
     assert by_points.n_points == 3
 
 
-def test_load_space_rejects_bad_payloads():
+def test_space_from_dict_rejects_bad_payloads():
     with pytest.raises(ConfigError):
-        load_space("not json")
-    with pytest.raises(ConfigError):
-        load_space(json.dumps({"labels": ["a"]}))
+        space_from_dict({"labels": ["a"]})
     with pytest.raises(MetricAxiomError):
-        load_space(json.dumps({"dist": [[0, 1], [2, 0]]}))
+        space_from_dict({"dist": [[0, 1], [2, 0]]})
