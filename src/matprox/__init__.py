@@ -20,7 +20,6 @@ from .bridge import (
     convergence_experiment,
     estimate_reach_lower,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     ActionNotIsometricError,
     ConfigError,

@@ -1,8 +1,11 @@
 """The acceptance suite: nine certificate-style criteria, each deterministic.
 
 Every criterion pins its tolerances and sample counts here and reports one
-pass/fail line.  The suite doubles as the CLI ``selftest`` subcommand and
-as the final test module; both call :func:`run_all`.
+pass/fail line.  Where the CLI computes a quantity, the criterion checks it
+through the same library routine: the Leibniz suites, the reach
+certificate, the Dirac table and the fixed-point sweep.  The suite doubles
+as the CLI ``selftest`` subcommand and as the final test module; both call
+:func:`run_all`.
 """
 
 from __future__ import annotations
@@ -10,13 +13,12 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
 from . import oracles
 from .bridge import (
-    UnitPivotBridge,
     beta_delta_over_n,
     certify_reach_upper,
     convergence_experiment,
@@ -32,15 +34,9 @@ from .fixed_point import (
     commutative_fixed_point_check,
     cyclic_rotation_group,
     enumerate_subgroups,
-    expectation_gap,
-    subgroup_hausdorff,
+    fixed_point_sweep,
 )
-from .lseminorm import (
-    ApproximationPair,
-    l_seminorms,
-    sample_unit_ball,
-    unit_leibniz_residuals,
-)
+from .lseminorm import ApproximationPair, l_seminorms, leibniz_suites
 from .matrix_algebra import (
     identity,
     jordan_lie,
@@ -54,6 +50,7 @@ from .metric_core import (
     Circle,
     FiniteMetricSpace,
     Interval,
+    dirac_distances,
     epsilon_net,
     lipschitz_seminorms,
     min_separation,
@@ -83,6 +80,30 @@ class CheckResult:
         return msg
 
 
+CRITERIA: list[Callable[[], CheckResult]] = []
+
+
+def _criterion(number: int, name: str, budget_s: float | None = None):
+    """Register a criterion whose body yields one message per failure.
+
+    The registered runner times the body, adds a failure when it reaches its
+    runtime budget, and returns the :class:`CheckResult`."""
+
+    def register(body: Callable[[], Iterator[str]]) -> Callable[[], CheckResult]:
+        def run() -> CheckResult:
+            start = time.perf_counter()
+            failures = list(body())
+            elapsed = time.perf_counter() - start
+            if budget_s is not None and elapsed >= budget_s:
+                failures.append(f"runtime {elapsed:.2f}s exceeds {budget_s:g}s")
+            return CheckResult(number, name, not failures, elapsed, failures)
+
+        CRITERIA.append(run)
+        return run
+
+    return register
+
+
 def _standard_configs(seed: int = 1001, count: int = 20) -> list[ApproximationPair]:
     """The shared random-configuration pool: Euclidean clouds, beta = delta."""
     rng = np.random.default_rng(seed)
@@ -99,9 +120,8 @@ def _standard_configs(seed: int = 1001, count: int = 20) -> list[ApproximationPa
 # ---------------------------------------------------------------------------
 
 
-def criterion_1() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(1, "diagonal recovery of the Lipschitz seminorm", budget_s=10.0)
+def criterion_1() -> Iterator[str]:
     rng = np.random.default_rng(11)
     for idx, pair in enumerate(_standard_configs()):
         fs = rng.uniform(-1.0, 1.0, size=(100, pair.dim))
@@ -112,11 +132,7 @@ def criterion_1() -> CheckResult:
         got = l_seminorms(pair, diag_stack)
         worst = float(np.max(np.abs(got - lips)))
         if worst > EXACT:
-            failures.append(f"config {idx}: |L(diag f) - Lip f| = {worst:.3e}")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 10.0:
-        failures.append(f"runtime {elapsed:.2f}s exceeds 10s")
-    return CheckResult(1, "diagonal recovery of the Lipschitz seminorm", not failures, elapsed, failures)
+            yield f"config {idx}: |L(diag f) - Lip f| = {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -124,35 +140,20 @@ def criterion_1() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_2() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(2, "quasi-Leibniz residuals (constants 2 and 4)", budget_s=60.0)
+def criterion_2() -> Iterator[str]:
     rng = np.random.default_rng(22)
     total_pairs = 10_000
     sizes = list(range(2, 9))
     per_size = -(-total_pairs // len(sizes))
     for ratio, expected_d in ((1.0, 2.0), (3.0, 4.0)):
         worst = np.inf
-        for n in sizes:
-            space = random_cloud_space(rng, n)
-            delta = min_separation(space)
-            pair = ApproximationPair(
-                space, ratio * delta, corollary_mode=ratio <= 1.0
-            )
+        for _, pair, jres, lres in leibniz_suites(rng, sizes, [ratio], per_size):
             if abs(pair.leibniz_constant - expected_d) > EXACT:
-                failures.append(
-                    f"ratio {ratio}: constant {pair.leibniz_constant} != {expected_d}"
-                )
-            a = random_hermitian_stack(rng, per_size, n)
-            b = random_hermitian_stack(rng, per_size, n)
-            jres, lres = unit_leibniz_residuals(pair, a, b)
+                yield f"ratio {ratio}: constant {pair.leibniz_constant} != {expected_d}"
             worst = min(worst, float(np.min(jres)), float(np.min(lres)))
         if worst < -LOOSE:
-            failures.append(f"ratio {ratio}: residual {worst:.3e} below -1e-9")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 60.0:
-        failures.append(f"runtime {elapsed:.2f}s exceeds 60s")
-    return CheckResult(2, "quasi-Leibniz residuals (constants 2 and 4)", not failures, elapsed, failures)
+            yield f"ratio {ratio}: residual {worst:.3e} below -1e-9"
 
 
 # ---------------------------------------------------------------------------
@@ -160,31 +161,24 @@ def criterion_2() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_3() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(3, "reach certificate soundness")
+def criterion_3() -> Iterator[str]:
     configs = _standard_configs()
     for idx, pair in enumerate(configs):
-        bridge = UnitPivotBridge(pair)
-        worst = 0.0
-        for a in sample_unit_ball(pair, 500, seed=300 + idx):
-            f = np.diagonal(a).real
-            worst = max(worst, bridge.norm(a, f))
+        try:
+            worst = certify_reach_upper(pair, 500, 300 + idx).worst_forward
+        except RuntimeError as exc:
+            yield f"config {idx}: {exc}"
+            continue
         if worst > pair.beta + EXACT:
-            failures.append(
-                f"config {idx}: witness bridge norm {worst:.12g} > beta={pair.beta:.12g}"
-            )
+            yield f"config {idx}: witness bridge norm {worst:.12g} > beta={pair.beta:.12g}"
         cert = certify_reach_upper(pair, samples=64, seed=900 + idx)
         if cert.upper_bound != pair.beta:
-            failures.append(f"config {idx}: certificate bound mismatch")
+            yield f"config {idx}: certificate bound mismatch"
     for idx, pair in enumerate(p for p in configs if p.dim <= 6):
         lower = estimate_reach_lower(pair, iters=6, seed=77 + idx)
         if lower > pair.beta + LOOSE:
-            failures.append(
-                f"small config {idx}: sampled lower {lower:.12g} > beta + 1e-9"
-            )
-    elapsed = time.perf_counter() - start
-    return CheckResult(3, "reach certificate soundness", not failures, elapsed, failures)
+            yield f"small config {idx}: sampled lower {lower:.12g} > beta + 1e-9"
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +186,8 @@ def criterion_3() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_4() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(4, "circle convergence pipeline", budget_s=5.0)
+def criterion_4() -> Iterator[str]:
     sizes = [4, 8, 16, 32, 64]
     report = convergence_experiment(Circle(TAU), sizes, beta_delta_over_n)
     # The equispaced n-net of the circle of length 2*pi lies at Hausdorff
@@ -206,21 +199,15 @@ def criterion_4() -> CheckResult:
     for row in report.rows:
         expected = np.pi / row.n + 2.0 * np.pi / row.n**2
         if abs(row.certified_bound - expected) > EXACT:
-            failures.append(
-                f"n={row.n}: bound {row.certified_bound!r} != pi/n + 2pi/n^2"
-            )
+            yield f"n={row.n}: bound {row.certified_bound!r} != pi/n + 2pi/n^2"
     if not report.strictly_decreasing:
-        failures.append("bounds are not strictly decreasing")
+        yield "bounds are not strictly decreasing"
     for r1, r2 in zip(report.rows, report.rows[1:]):
         if not r2.certified_bound <= r1.certified_bound / 2.0:
-            failures.append(
+            yield (
                 f"n={r1.n}->{r2.n}: bound {r2.certified_bound:.6f} is not <= "
                 f"half of {r1.certified_bound:.6f}"
             )
-    elapsed = time.perf_counter() - start
-    if elapsed >= 5.0:
-        failures.append(f"runtime {elapsed:.2f}s exceeds 5s")
-    return CheckResult(4, "circle convergence pipeline", not failures, elapsed, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +215,13 @@ def criterion_4() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_pinching_instance(
-    pair: ApproximationPair, rng: np.random.Generator, failures: list[str], tag: str
-) -> None:
+def _pinching_residuals(pair: ApproximationPair, rng: np.random.Generator) -> dict[str, float]:
     n = pair.dim
     stack = random_hermitian_stack(rng, 1000, n)
     diags = np.diagonal(stack, axis1=1, axis2=2)
-    pinched = np.zeros_like(stack)
-    rows = np.arange(n)
-    pinched[:, rows, rows] = diags
+    pinched = pinch(stack)
     checks = {
-        "idempotence": float(
-            np.max(np.abs(np.diagonal(pinched, axis1=1, axis2=2) - diags))
-        ),
+        "idempotence": float(np.max(np.abs(pinch(pinched) - pinched))),
         "unitality": float(np.max(np.abs(pinch(identity(n)) - identity(n)))),
         "trace preservation": float(
             np.max(np.abs(np.mean(diags, axis=1) - np.trace(stack, axis1=1, axis2=2) / n))
@@ -254,29 +235,21 @@ def _check_pinching_instance(
     }
     f = rng.uniform(-1.0, 1.0, size=n)
     g = rng.uniform(-1.0, 1.0, size=n)
-    sandwich = f[None, :, None] * stack * g[None, None, :]
-    lhs = np.zeros_like(sandwich)
-    lhs[:, rows, rows] = np.diagonal(sandwich, axis1=1, axis2=2)
+    lhs = pinch(f[None, :, None] * stack * g[None, None, :])
     rhs = f[None, :, None] * pinched * g[None, None, :]
     checks["bimodule"] = float(np.max(np.abs(lhs - rhs)))
-    for name, value in checks.items():
-        if value > EXACT:
-            failures.append(f"pinching {tag}: {name} residual {value:.3e}")
+    return checks
 
 
-def _check_averaging_instance(
-    torus: FuzzyTorus,
-    subgroup: TorusSubgroup,
-    rng: np.random.Generator,
-    failures: list[str],
-    tag: str,
-) -> None:
+def _averaging_residuals(
+    torus: FuzzyTorus, subgroup: TorusSubgroup, rng: np.random.Generator
+) -> dict[str, float]:
     ell = LengthFunction.max_arc(torus.q)
     expect = AveragingExpectation(torus, subgroup)
     stack = random_hermitian_stack(rng, 1000, torus.q)
     averaged = expect(stack)
     twice = expect(averaged)
-    checks = {
+    return {
         "idempotence": float(np.max(np.abs(twice - averaged))),
         "unitality": float(np.max(np.abs(expect(identity(torus.q)) - identity(torus.q)))),
         "trace preservation": float(
@@ -291,37 +264,35 @@ def _check_averaging_instance(
         "contractivity": float(
             np.max(operator_norms(averaged) - operator_norms(stack))
         ),
+        "L-contraction": float(
+            np.max(
+                action_lip_seminorms(torus, ell, averaged)
+                - action_lip_seminorms(torus, ell, stack)
+            )
+        ),
     }
-    checks["L-contraction"] = float(
-        np.max(
-            action_lip_seminorms(torus, ell, averaged)
-            - action_lip_seminorms(torus, ell, stack)
-        )
-    )
-    for name, value in checks.items():
-        if value > EXACT:
-            failures.append(f"averaging {tag}: {name} residual {value:.3e}")
 
 
-def criterion_5() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(5, "conditional expectation axiom suite")
+def criterion_5() -> Iterator[str]:
     rng = np.random.default_rng(55)
+    residuals = {}
     for n in (4, 9, 16):
         space = random_cloud_space(rng, n)
         pair = ApproximationPair(space, min_separation(space))
-        _check_pinching_instance(pair, rng, failures, f"n={n}")
+        residuals[f"pinching n={n}"] = _pinching_residuals(pair, rng)
     instances = [
         (FuzzyTorus(6, 1), TorusSubgroup.cyclic_first_factor(6, 3)),
         (FuzzyTorus(8, 3), TorusSubgroup.from_generators(8, (1, 1))),
         (FuzzyTorus(12, 5), TorusSubgroup.full(12)),
     ]
     for torus, subgroup in instances:
-        _check_averaging_instance(
-            torus, subgroup, rng, failures, f"q={torus.q},|H|={subgroup.order}"
-        )
-    elapsed = time.perf_counter() - start
-    return CheckResult(5, "conditional expectation axiom suite", not failures, elapsed, failures)
+        tag = f"averaging q={torus.q},|H|={subgroup.order}"
+        residuals[tag] = _averaging_residuals(torus, subgroup, rng)
+    for tag, checks in residuals.items():
+        for name, value in checks.items():
+            if value > EXACT:
+                yield f"{tag}: {name} residual {value:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +325,25 @@ def _mk_corpus() -> list[FiniteMetricSpace]:
     return spaces
 
 
-def criterion_6() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(6, "transport LP against vertex enumeration")
+def criterion_6() -> Iterator[str]:
     rng = np.random.default_rng(660)
     for space in _mk_corpus():
         n = space.n_points
         vertices = oracles.enumerate_lipschitz_vertices(space)
-        measure_pairs = []
         eye = np.eye(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                measure_pairs.append((eye[i], eye[j]))
-        measure_pairs.append((np.full(n, 1.0 / n), eye[0]))
+        dirac = dirac_distances(space)
+        solved = [(dirac[i, j], eye[i], eye[j]) for i, j in zip(*np.triu_indices(n, k=1))]
+        measure_pairs = [(np.full(n, 1.0 / n), eye[0])]
         for _ in range(2):
             w1 = rng.uniform(0.1, 1.0, size=n)
             w2 = rng.uniform(0.1, 1.0, size=n)
             measure_pairs.append((w1 / w1.sum(), w2 / w2.sum()))
-        for p, q in measure_pairs:
-            lp = mk_distance(space, p, q)
+        solved += [(mk_distance(space, p, q), p, q) for p, q in measure_pairs]
+        for lp, p, q in solved:
             combinatorial = oracles.mk_by_enumeration(space, p, q, vertices)
             if abs(lp - combinatorial) > LOOSE:
-                failures.append(
-                    f"{n}-point space: LP {lp:.12g} vs enumeration {combinatorial:.12g}"
-                )
-    elapsed = time.perf_counter() - start
-    return CheckResult(6, "transport LP against vertex enumeration", not failures, elapsed, failures)
+                yield f"{n}-point space: LP {lp:.12g} vs enumeration {combinatorial:.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +371,8 @@ def _leibniz_min_residual(
     return worst
 
 
-def criterion_7() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(7, "fuzzy torus structure (orders 2..12)")
+def criterion_7() -> Iterator[str]:
     rng = np.random.default_rng(77)
     for q in range(2, 13):
         torus = FuzzyTorus(q, _TWISTS[q])
@@ -423,9 +386,9 @@ def criterion_7() -> CheckResult:
             )
         )
         if weyl_gap > EXACT:
-            failures.append(f"q={q}: commutation defect {weyl_gap:.3e}")
+            yield f"q={q}: commutation defect {weyl_gap:.3e}"
         if action_kernel_dimension(torus) != 1:
-            failures.append(f"q={q}: seminorm kernel is not one-dimensional")
+            yield f"q={q}: seminorm kernel is not one-dimensional"
         nontrivial = np.divmod(np.arange(1, q * q), q)
         for sample_idx in range(4):
             a = random_hermitian_stack(rng, 1, q)
@@ -433,10 +396,10 @@ def criterion_7() -> CheckResult:
             moved = torus.dual_action(nontrivial, np.repeat(a, q * q - 1, axis=0))
             gap = float(np.max(np.abs(action_lip_seminorms(torus, ell, moved) - base)))
             if gap > EXACT:
-                failures.append(f"q={q} sample {sample_idx}: action invariance off by {gap:.3e}")
+                yield f"q={q} sample {sample_idx}: action invariance off by {gap:.3e}"
         residual = _leibniz_min_residual(torus, ell, rng, 1000)
         if residual < -LOOSE:
-            failures.append(f"q={q}: Leibniz residual {residual:.3e} below -1e-9")
+            yield f"q={q}: Leibniz residual {residual:.3e} below -1e-9"
         full = AveragingExpectation(torus, TorusSubgroup.full(q))
         for _ in range(5):
             a = random_hermitian_stack(rng, 1, q)[0]
@@ -444,9 +407,7 @@ def criterion_7() -> CheckResult:
                 np.max(np.abs(full(a) - trace_state(a) * identity(q)))
             )
             if gap > EXACT:
-                failures.append(f"q={q}: full average is not the trace ({gap:.3e})")
-    elapsed = time.perf_counter() - start
-    return CheckResult(7, "fuzzy torus structure (orders 2..12)", not failures, elapsed, failures)
+                yield f"q={q}: full average is not the trace ({gap:.3e})"
 
 
 # ---------------------------------------------------------------------------
@@ -454,42 +415,28 @@ def criterion_7() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_8() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(8, "fixed-point continuity modulus (q=12 chain)", budget_s=60.0)
+def criterion_8() -> Iterator[str]:
     q = 12
+    rows = fixed_point_sweep([q], count=64, seed=88)
+    chain = [row["m"] for row in rows]
+    if chain != [1, 2, 3, 4, 6, 12]:
+        yield f"the sweep runs the chain {chain}, not the divisors of 12"
+    if rows[-1]["gap_sampled"] != 0.0:
+        yield f"gap at the limit subgroup is {rows[-1]['gap_sampled']!r}, not exactly 0"
+    for prev, row in zip(rows, rows[1:]):
+        if row["haus_ell"] > prev["haus_ell"] + EXACT:
+            yield f"Hausdorff values not weakly decreasing at m={row['m']}"
+        if row["gap_sampled"] > prev["gap_sampled"] + EXACT:
+            yield (
+                f"gaps not weakly decreasing at m={row['m']}: "
+                f"{prev['gap_sampled']:.6f} -> {row['gap_sampled']:.6f}"
+            )
     torus = FuzzyTorus(q, 1)
-    ell = LengthFunction.max_arc(q)
-    chain = [1, 2, 3, 4, 6, 12]
-    limit = TorusSubgroup.cyclic_first_factor(q, q)
-    haus_values = []
-    gap_values = []
-    for m in chain:
-        sub = TorusSubgroup.cyclic_first_factor(q, m)
-        haus_values.append(subgroup_hausdorff(ell, sub, limit))
-        gap_values.append(expectation_gap(torus, ell, sub, limit, count=64, seed=88))
-    if gap_values[-1] != 0.0:
-        failures.append(f"gap at the limit subgroup is {gap_values[-1]!r}, not exactly 0")
-    for i in range(len(chain) - 1):
-        if haus_values[i + 1] > haus_values[i] + EXACT:
-            failures.append(
-                f"Hausdorff values not weakly decreasing at m={chain[i + 1]}"
-            )
-        if gap_values[i + 1] > gap_values[i] + EXACT:
-            failures.append(
-                f"gaps not weakly decreasing at m={chain[i + 1]}: "
-                f"{gap_values[i]:.6f} -> {gap_values[i + 1]:.6f}"
-            )
     for sub in enumerate_subgroups(q):
         dim = AveragingExpectation(torus, sub).fixed_dimension
         if dim * sub.order != q * q:
-            failures.append(
-                f"subgroup of order {sub.order}: fixed dimension {dim} fails duality"
-            )
-    elapsed = time.perf_counter() - start
-    if elapsed >= 60.0:
-        failures.append(f"runtime {elapsed:.2f}s exceeds 60s")
-    return CheckResult(8, "fixed-point continuity modulus (q=12 chain)", not failures, elapsed, failures)
+            yield f"subgroup of order {sub.order}: fixed dimension {dim} fails duality"
 
 
 # ---------------------------------------------------------------------------
@@ -497,9 +444,8 @@ def criterion_8() -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_9() -> CheckResult:
-    start = time.perf_counter()
-    failures: list[str] = []
+@_criterion(9, "commutative orbit-averaging cross-check")
+def criterion_9() -> Iterator[str]:
     space = epsilon_net(Circle(TAU), 6)[0]
     group = cyclic_rotation_group(6)
     for order in (1, 2, 3, 6):
@@ -509,33 +455,16 @@ def criterion_9() -> CheckResult:
         )
         expected_dim = 6 // order
         if report.fixed_dimension != expected_dim:
-            failures.append(
-                f"order {order}: fixed dimension {report.fixed_dimension} != {expected_dim}"
-            )
+            yield f"order {order}: fixed dimension {report.fixed_dimension} != {expected_dim}"
         if report.quotient.n_points != expected_dim:
-            failures.append(f"order {order}: quotient has wrong size")
+            yield f"order {order}: quotient has wrong size"
         if report.lip_contraction_violation > EXACT:
-            failures.append(
+            yield (
                 f"order {order}: Lipschitz contraction violated by "
                 f"{report.lip_contraction_violation:.3e}"
             )
         if not report.reach_within_geometry:
-            failures.append(f"order {order}: sampled reach exceeds the orbit bound")
-    elapsed = time.perf_counter() - start
-    return CheckResult(9, "commutative orbit-averaging cross-check", not failures, elapsed, failures)
-
-
-CRITERIA: list[Callable[[], CheckResult]] = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-]
+            yield f"order {order}: sampled reach exceeds the orbit bound"
 
 
 def run_all(stream: TextIO = sys.stdout) -> list[CheckResult]:

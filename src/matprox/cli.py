@@ -47,8 +47,7 @@ from .fixed_point import (
     fixed_point_bridge,
     fixed_point_sweep,
 )
-from .lseminorm import ApproximationPair, unit_leibniz_residuals
-from .matrix_algebra import random_hermitian_stack
+from .lseminorm import leibniz_suites
 from .metric_core import (
     Circle,
     FiniteMetricSpace,
@@ -56,9 +55,8 @@ from .metric_core import (
     Interval,
     PointCloud,
     check_probability,
-    min_separation,
+    dirac_distances,
     mk_distance,
-    random_cloud_space,
     space_from_dict,
 )
 
@@ -327,30 +325,14 @@ def _converge(v: dict, config: dict) -> _Output:
 
 
 def _leibniz(v: dict, config: dict) -> _Output:
-    rng = np.random.default_rng(v["seed"])
     pairs = v["pairs"]
     suites = []
-    for ratio in v["ratios"]:
-        for n in v["sizes"]:
-            space = random_cloud_space(rng, n)
-            delta = min_separation(space)
-            beta = ratio * delta
-            if not beta >= sys.float_info.min:
-                raise ValidationFailure(
-                    "ratios", f"ratio {ratio!r} at size {n} puts beta = {beta!r} below the smallest normal float"
-                )
-            pair = ApproximationPair(space, beta, corollary_mode=ratio <= 1.0)
-            a = random_hermitian_stack(rng, pairs, n)
-            b = random_hermitian_stack(rng, pairs, n)
-            try:
-                # Deviations ||a - E(a)|| / beta and the Leibniz bounds
-                # D (||a|| L(b) + ||b|| L(a)) overflow at extreme ratios.
-                with np.errstate(over="raise", invalid="raise"):
-                    jres, lres = unit_leibniz_residuals(pair, a, b)
-            except FloatingPointError as exc:
-                raise ValidationFailure("ratios", f"ratio {ratio!r} at size {n} overflows the residuals ({exc})") from None
+    try:
+        for ratio, pair, jres, lres in leibniz_suites(
+            np.random.default_rng(v["seed"]), v["sizes"], v["ratios"], pairs
+        ):
             suite = {
-                "n": n,
+                "n": pair.dim,
                 "beta_over_delta": ratio,
                 "D_constant": pair.leibniz_constant,
                 "pairs": pairs,
@@ -361,6 +343,8 @@ def _leibniz(v: dict, config: dict) -> _Output:
                 suite["jordan_residuals"] = jres.tolist()
                 suite["lie_residuals"] = lres.tolist()
             suites.append(suite)
+    except (ScaleUnderflowError, ScaleOverflowError) as exc:
+        raise ValidationFailure("ratios", str(exc)) from None
     return _Output("leibniz", {"suites": suites})
 
 
@@ -383,13 +367,7 @@ def _mk(v: dict, config: dict) -> _Output:
     if (p is None) != (q is None):
         raise ValidationFailure("q", "p and q must be given together")
 
-    n = space.n_points
-    eye = np.eye(n)
-    # The transport LP is bitwise symmetric in its two measures, so each
-    # unordered pair is solved once; Dirac masses at one point are 0 apart.
-    dirac = np.zeros((n, n))
-    for i, j in zip(*np.triu_indices(n, k=1)):
-        dirac[i, j] = dirac[j, i] = mk_distance(space, eye[i], eye[j])
+    dirac = dirac_distances(space)
     residual = float(np.max(np.abs(dirac - space.dist)))
     results: dict[str, Any] = {
         "labels": list(space.labels),
@@ -403,14 +381,19 @@ def _mk(v: dict, config: dict) -> _Output:
 
 def _fixedpoint(v: dict, config: dict) -> _Output:
     q, p, count, seed = v["q"], v["p"], v["count"], v["seed"]
-    if math.gcd(p % q, q) != 1:
-        raise ValidationFailure("p", f"p={p} must be coprime to q={q}")
     if v["sweep"] is not None:
+        # A sweep runs its own chains at twist 1, so a single-pair key it
+        # would ignore is refused rather than echoed as if it had been used.
+        for key in _SINGLE_PAIR:
+            if v[key.name] != key.check(key.default, key.name):
+                raise ValidationFailure(key.name, f"{key.name} does not apply to a sweep; leave it at its default")
         rows = fixed_point_sweep(v["sweep"], count=count, seed=seed)
         csv = "q,m,haus_ell,gap_sampled,dim_fixed\n" + "".join(
             f"{r['q']},{r['m']},{r['haus_ell']!r},{r['gap_sampled']!r},{r['dim_fixed']}\n" for r in rows
         )
         return _Output("fixedpoint_sweep", {"model": SPECIALIZATION_NOTE, "sweep_rows": rows}, csv)
+    if math.gcd(p % q, q) != 1:
+        raise ValidationFailure("p", f"p={p} must be coprime to q={q}")
 
     # q >= 2, p coprime to q and integer generators: none of these can raise.
     h_gens, k_gens = v["h_generators"], v["k_generators"]
@@ -510,6 +493,14 @@ _BETA_RULE = _Key("beta_rule", "delta_over_n", lambda value, field: parse_beta_r
                   "delta_over_n | fixed(v) | fraction_of_delta(r)")
 _WEIGHTS = "JSON array of weights"
 _SUBGROUP = "JSON array of [j,k] pairs"
+# The fixedpoint keys of a single subgroup pair, which a sweep leaves at
+# their defaults.
+_SINGLE_PAIR = (
+    _Key("q", 12, _integer(2, _MAX_DIM), "torus order"),
+    _Key("p", 1, _integer(), "twist, coprime to q"),
+    _Key("h_generators", [[1, 0]], _parse_generators, _SUBGROUP),
+    _Key("k_generators", [[1, 0], [0, 1]], _parse_generators, _SUBGROUP),
+)
 
 COMMANDS = {
     "approximate": _Command("one net: certified bound haus + beta", _approximate, (
@@ -549,10 +540,7 @@ COMMANDS = {
         _Key("sweep", None, _optional(_numbers(int, lambda xs: xs and min(xs) >= 2,
              "sweep needs one or more orders, each at least 2", _MAX_DIM)),
              "comma-separated torus orders for the gap sweep", _as_checked),
-        _Key("q", 12, _integer(2, _MAX_DIM), "torus order"),
-        _Key("p", 1, _integer(), "twist, coprime to q"),
-        _Key("h_generators", [[1, 0]], _parse_generators, _SUBGROUP),
-        _Key("k_generators", [[1, 0], [0, 1]], _parse_generators, _SUBGROUP),
+        *_SINGLE_PAIR,
     )),
 }
 

@@ -16,18 +16,26 @@ samples the unit ball exactly.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
-from .errors import ConfigError, CorollaryModeViolation, InputShapeError
+from .errors import (
+    ConfigError,
+    CorollaryModeViolation,
+    InputShapeError,
+    ScaleOverflowError,
+    ScaleUnderflowError,
+)
 from .matrix_algebra import (
     DiagonalEmbedding,
     jordan_lie,
     operator_norm,
     operator_norms,
     random_hermitian,
+    random_hermitian_stack,
     require_self_adjoint,
     trace_state,
 )
@@ -37,6 +45,7 @@ from .metric_core import (
     lipschitz_seminorm,
     lipschitz_seminorms,
     min_separation,
+    random_cloud_space,
 )
 
 
@@ -192,15 +201,47 @@ def _unit_norms(stack: np.ndarray) -> np.ndarray:
     return np.any(stack, axis=(1, 2)).astype(float)
 
 
+def leibniz_suites(
+    rng: np.random.Generator, sizes: Sequence[int], ratios: Sequence[float], pairs: int
+) -> Iterator[tuple[float, ApproximationPair, np.ndarray, np.ndarray]]:
+    """The residual suites: for each ratio, then each size n, a random n-point
+    cloud with beta = ratio * delta (in corollary mode when ratio <= 1) and
+    ``pairs`` random unit-norm pairs drawn from ``rng``.
+
+    Yields (ratio, pair, Jordan residuals, Lie residuals) per suite, from
+    :func:`unit_leibniz_residuals`.  A beta below the smallest normal float
+    raises ``ScaleUnderflowError``; residuals that overflow, as the
+    deviations ||a - E(a)|| / beta and the bounds D (||a|| L(b) + ||b|| L(a))
+    do at extreme ratios, raise ``ScaleOverflowError``.
+    """
+    for ratio in ratios:
+        for n in sizes:
+            space = random_cloud_space(rng, n)
+            beta = ratio * min_separation(space)
+            if not beta >= sys.float_info.min:
+                raise ScaleUnderflowError(
+                    f"ratio {ratio!r} at size {n} puts beta = {beta!r} below the smallest normal float"
+                )
+            pair = ApproximationPair(space, beta, corollary_mode=ratio <= 1.0)
+            a = random_hermitian_stack(rng, pairs, n)
+            b = random_hermitian_stack(rng, pairs, n)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    jres, lres = unit_leibniz_residuals(pair, a, b)
+            except FloatingPointError as exc:
+                raise ScaleOverflowError(f"ratio {ratio!r} at size {n} overflows the residuals ({exc})") from None
+            yield ratio, pair, jres, lres
+
+
 def kernel_check(pair: ApproximationPair, a: np.ndarray) -> bool:
     """Whether a self-adjoint element lies in the kernel of the seminorm.
 
-    Elements with L(a) <= tol, the algebraic tolerance, are additionally
-    verified to be close to a scalar multiple of the identity (the kernel is
-    exactly the scalars); a violation of that implication would be an
-    internal defect and raises.
+    Elements with L(a) <= 1e-12, a value only rounding leaves on a scalar,
+    are additionally verified to be close to a scalar multiple of the
+    identity (the kernel is exactly the scalars); a violation of that
+    implication would be an internal defect and raises.
     """
-    tol = DEFAULT_TOLERANCES.algebraic
+    tol = 1e-12
     m = require_self_adjoint(_check_dim(pair, a))
     value = l_seminorm(pair, m)
     if value > tol:
@@ -249,7 +290,9 @@ def kernel_dimension(pair: ApproximationPair) -> int:
         columns.append(np.concatenate([*rows, np.asarray(pair_diffs)]))
     constraint = np.stack(columns, axis=1)
     sv = np.linalg.svd(constraint, compute_uv=False)
-    rank = int(np.sum(sv > DEFAULT_TOLERANCES.spectral * max(1.0, sv[0])))
+    # The constraint entries are 0, +-1 and +-1j, so a zero singular value
+    # comes out of the SVD at about 1e-15; 1e-9 separates it from the rest.
+    rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
     return len(basis) - rank
 
 

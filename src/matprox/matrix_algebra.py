@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
 from .errors import InputShapeError, SelfAdjointnessError
 from .metric_core import FiniteMetricSpace
 
@@ -88,22 +87,30 @@ def trace_state(a: np.ndarray) -> complex:
 
 
 def require_self_adjoint(a: np.ndarray) -> np.ndarray:
+    """``a`` as a square complex matrix, if it equals its adjoint entrywise
+    within 1e-12, the rounding an element built as (x + x^*) / 2 may carry."""
     m = _as_square(a)
     gap = float(np.max(np.abs(m - m.conj().T)))
-    if gap > DEFAULT_TOLERANCES.algebraic:
+    if gap > 1e-12:
         raise SelfAdjointnessError(f"element is not self-adjoint (deviation {gap:.3e})")
     return m
 
 
 def pinch(a: np.ndarray) -> np.ndarray:
-    """Zero all off-diagonal entries.
+    """Zero all off-diagonal entries of a matrix or of each matrix in a
+    (..., n, n) stack.
 
     This is the unique trace-preserving conditional expectation onto the
     diagonal subalgebra: it is idempotent, unital, positive, contractive and
     a bimodule map over diagonal matrices.
     """
-    m = _as_square(a)
-    return np.diag(np.diag(m))
+    s = np.asarray(a, dtype=complex)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
+        raise InputShapeError(f"expected a square matrix or a stack of them, got shape {s.shape}")
+    out = np.zeros_like(s)
+    rows = np.arange(s.shape[-1])
+    out[..., rows, rows] = s[..., rows, rows]
+    return out
 
 
 def _gaussian_hermitian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

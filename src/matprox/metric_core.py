@@ -33,6 +33,8 @@ TAU = 2.0 * math.pi
 
 # Relative slack used when validating metric axioms of float inputs.
 _AXIOM_RTOL = 1e-12
+# Sums d[i,j] + d[j,k] per block of the triangle check: 8 MiB of floats.
+_TRIANGLE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -41,9 +43,9 @@ class FiniteMetricSpace:
 
     Construction enforces the metric axioms: zero diagonal, symmetry,
     strictly positive off-diagonal entries, and the triangle inequality
-    (checked in O(n^3), with a small relative tolerance for rounding in
-    distances derived from coordinates).  The stored matrix is exactly
-    symmetric and read-only.
+    (checked in O(n^3) time and O(n^2) memory, with a small relative
+    tolerance for rounding in distances derived from coordinates).  The
+    stored matrix is exactly symmetric and read-only.
     """
 
     labels: tuple[str, ...]
@@ -72,10 +74,15 @@ class FiniteMetricSpace:
             off = dist[~np.eye(n, dtype=bool)]
             if np.min(off) <= 0.0:
                 raise MetricAxiomError("distinct points must have positive distance")
-            # d[i,k] <= d[i,j] + d[j,k] for every j.
+            # d[i,k] <= d[i,j] + d[j,k] for every j, a block of rows i at a
+            # time so that no more than _TRIANGLE_BLOCK sums are held at once.
             if n > 2:
-                via = dist[:, :, None] + dist[None, :, :]
-                worst = float(np.max(dist - via.min(axis=1)))
+                step = max(1, _TRIANGLE_BLOCK // (n * n))
+                worst = -np.inf
+                for lo in range(0, n, step):
+                    rows = dist[lo : lo + step]
+                    via = (rows[:, :, None] + dist[None, :, :]).min(axis=1)
+                    worst = max(worst, float(np.max(rows - via)))
                 if worst > tol:
                     raise MetricAxiomError(
                         f"triangle inequality violated by {worst:.3e}"
@@ -269,6 +276,19 @@ def mk_distance(
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     return float(max(-res.fun, 0.0))
+
+
+def dirac_distances(space: FiniteMetricSpace) -> np.ndarray:
+    """The (n, n) table of :func:`mk_distance` between the Dirac masses at the
+    points, which equals the ground metric when the LP is exact."""
+    n = space.n_points
+    eye = np.eye(n)
+    # The transport LP is bitwise symmetric in its two measures, so each
+    # unordered pair is solved once; Dirac masses at one point are 0 apart.
+    dirac = np.zeros((n, n))
+    for i, j in zip(*np.triu_indices(n, k=1)):
+        dirac[i, j] = dirac[j, i] = mk_distance(space, eye[i], eye[j])
+    return dirac
 
 
 def hausdorff_distance(

@@ -6,7 +6,7 @@ them individually.
 
 import pytest
 
-from matprox import acceptance
+from matprox import acceptance, lseminorm, metric_core
 from matprox.bridge import beta_fixed
 
 
@@ -29,3 +29,43 @@ def test_criterion_4_fails_under_a_fixed_beta(monkeypatch):
     assert not result.passed
     assert any("!= pi/n + 2pi/n^2" in f for f in result.failures)
     assert any("is not <= half of" in f for f in result.failures)
+
+
+# Each criterion below checks the routine the CLI runs, not a copy of it: a
+# fault injected into that routine fails the criterion.
+
+
+def test_criterion_2_checks_the_shipped_leibniz_suites(monkeypatch):
+    # Every suite's worst Jordan residual is moved to -1e-8, past -1e-9.
+    shipped = lseminorm.unit_leibniz_residuals
+
+    def faulty(pair, a, b):
+        jres, lres = shipped(pair, a, b)
+        return jres - jres.min() - 1e-8, lres
+
+    monkeypatch.setattr(lseminorm, "unit_leibniz_residuals", faulty)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert any("below -1e-9" in f for f in result.failures)
+
+
+def test_criterion_6_checks_the_shipped_dirac_table(monkeypatch):
+    shipped = metric_core.mk_distance
+    monkeypatch.setattr(metric_core, "mk_distance", lambda space, p, q: shipped(space, p, q) + 1e-8)
+    result = acceptance.criterion_6()
+    assert not result.passed
+    assert any("vs enumeration" in f for f in result.failures)
+
+
+def test_criterion_8_checks_the_shipped_sweep(monkeypatch):
+    shipped = acceptance.fixed_point_sweep
+
+    def rising(q_list, count, seed):
+        rows = shipped(q_list, count=count, seed=seed)
+        return [{**row, "gap_sampled": float(i)} for i, row in enumerate(rows)]
+
+    monkeypatch.setattr(acceptance, "fixed_point_sweep", rising)
+    result = acceptance.criterion_8()
+    assert not result.passed
+    assert any("gaps not weakly decreasing" in f for f in result.failures)
+    assert any("gap at the limit subgroup" in f for f in result.failures)

@@ -352,6 +352,13 @@ def test_dimension_64_is_allowed(tmp_path):
         (["--p", "2"], "p"),
         (["--h-generators", "x"], "h_generators"),
         (["--k-generators", "[[1]]"], "k_generators"),
+        # Valid values the sweep would ignore: it runs at twist 1 on its own
+        # chains, and once echoed p = 5 while computing at p = 1.
+        (["--q", "13"], "q"),
+        (["--p", "5"], "p"),
+        (["--h-generators", "[[7,7]]"], "h_generators"),
+        (["--k-generators", "[[1,0]]"], "k_generators"),
+        (["--p", "5", "--h-generators", "[]"], "p"),
     ],
 )
 def test_sweep_runs_check_every_key(tmp_path, capsys, extra, field):
@@ -360,6 +367,15 @@ def test_sweep_runs_check_every_key(tmp_path, capsys, extra, field):
     argv = ["fixedpoint", "--sweep", "4,6", "--count", "2"] + extra
     assert _rejected_field(argv, out, capsys) == field
     assert not out.with_suffix(".csv").exists()
+
+
+def test_sweep_accepts_the_single_pair_defaults_written_out(tmp_path):
+    argv = ["fixedpoint", "--sweep", "4", "--count", "2"]
+    defaults = ["--q", "12", "--p", "1", "--h-generators", "[[1,0]]", "--k-generators", "[[1,0],[0,1]]"]
+    plain, spelled = tmp_path / "plain.json", tmp_path / "spelled.json"
+    assert main(argv + ["--output", str(plain)]) == 0
+    assert main(argv + defaults + ["--output", str(spelled)]) == 0
+    assert read_json(plain)["results"] == read_json(spelled)["results"]
 
 
 def test_cloud_generator_runs_on_a_points_file(tmp_path):
@@ -636,6 +652,15 @@ code = main(sys.argv[1:])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 sys.exit(code)
 """
+# The same from /proc/self/status: VmHWM counts from the exec, while
+# ru_maxrss also keeps the peak of the process that spawned it (here pytest).
+_HWM_RUNNER = """
+import re, sys
+from matprox.cli import main
+code = main(sys.argv[1:])
+print(re.search(r"VmHWM:\\s*(\\d+)", open("/proc/self/status").read()).group(1))
+sys.exit(code)
+"""
 
 
 @pytest.mark.parametrize("k_generators", ["[[1,0],[0,1]]", "[[2,0],[0,1]]"])
@@ -643,12 +668,26 @@ def test_large_subgroup_pairs_at_q64_stay_under_256_mib(tmp_path, k_generators):
     # Both peaked at 604 and 357 MiB while subgroups were element sets.
     argv = ["fixedpoint", "--q", "64", "--h-generators", "[[1,0],[0,1]]",
             "--k-generators", k_generators, "--output", str(tmp_path / "fp.json")]
+    assert _peak_rss_kib(_PEAK_RSS_RUNNER, argv) < 256 * 1024
+
+
+def test_a_300_point_cloud_stays_under_128_mib(tmp_path):
+    # The triangle check held every sum d[i,j] + d[j,k] at once: 290 MiB.
+    points = tmp_path / "points.json"
+    cloud = np.random.default_rng(0).normal(size=(300, 2))
+    points.write_text(json.dumps({"points": cloud.tolist()}), encoding="utf-8")
+    argv = ["approximate", "--generator", f"cloud:{points}", "--n", "3", "--reach-samples", "1",
+            "--output", str(tmp_path / "out.json")]
+    assert _peak_rss_kib(_HWM_RUNNER, argv) < 128 * 1024
+
+
+def _peak_rss_kib(runner: str, argv: list[str]) -> int:
     src = str(Path(fixed_point.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_RUNNER, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", runner, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) < 256 * 1024
+    return int(proc.stdout.split()[-1])
 
 
 # ---------------------------------------------------------------------------

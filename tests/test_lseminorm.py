@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,8 @@ from matprox import lseminorm
 from matprox.errors import (
     ConfigError,
     CorollaryModeViolation,
+    ScaleOverflowError,
+    ScaleUnderflowError,
     SelfAdjointnessError,
 )
 from matprox.matrix_algebra import jordan_lie, random_hermitian_stack
@@ -443,3 +447,24 @@ def test_extreme_sample_attains_seminorm_one():
     hollow = 0.5 * np.array([[0, 1], [1, 0]], dtype=complex)
     extreme = pair.rho.embed(f) + hollow
     assert l_seminorm(pair, extreme) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_leibniz_suites_draw_each_ratio_then_each_size_from_one_generator():
+    suites = list(lseminorm.leibniz_suites(np.random.default_rng(5), [2, 4], [1.0, 3.0], 7))
+    assert [(ratio, pair.dim) for ratio, pair, _, _ in suites] == [(1.0, 2), (1.0, 4), (3.0, 2), (3.0, 4)]
+    rng = np.random.default_rng(5)
+    for ratio, pair, jres, lres in suites:
+        space = random_cloud_space(rng, pair.dim)
+        assert np.array_equal(space.dist, pair.space.dist)
+        assert pair.beta == ratio * min_separation(space)
+        assert pair.corollary_mode == (ratio <= 1.0)
+        a = random_hermitian_stack(rng, 7, pair.dim)
+        b = random_hermitian_stack(rng, 7, pair.dim)
+        expected = unit_leibniz_residuals(pair, a, b)
+        assert np.array_equal(jres, expected[0]) and np.array_equal(lres, expected[1])
+
+
+@pytest.mark.parametrize("ratio,error", [(5e-324, ScaleUnderflowError), (1e308, ScaleOverflowError)])
+def test_leibniz_suites_refuse_ratios_outside_the_float_range(ratio, error):
+    with pytest.raises(error, match=re.escape(f"ratio {ratio!r} at size 3")):
+        list(lseminorm.leibniz_suites(np.random.default_rng(0), [3], [ratio], 4))

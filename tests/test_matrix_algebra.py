@@ -287,6 +287,17 @@ def test_pinch_fixes_diagonals_and_kills_offdiagonal():
     assert np.max(np.abs(pinch(hollow))) == 0.0
 
 
+def test_pinch_of_a_stack_pinches_each_matrix():
+    rng = np.random.default_rng(12)
+    stack = random_hermitian_stack(rng, 5, 4)
+    pinched = pinch(stack)
+    assert pinched.shape == stack.shape
+    for a, e in zip(stack, pinched):
+        assert np.array_equal(e, pinch(a))
+    with pytest.raises(InputShapeError):
+        pinch(np.zeros((2, 3, 4)))
+
+
 def test_pinch_axioms_on_random_matrices():
     rng = np.random.default_rng(13)
     for n in range(2, 17):

@@ -1,3 +1,4 @@
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from matprox.errors import (
     InputShapeError,
     MetricAxiomError,
 )
-from matprox.metric_core import lipschitz_constraints
+from matprox.metric_core import dirac_distances, lipschitz_constraints
 
 
 def two_point(d: float = 1.0) -> FiniteMetricSpace:
@@ -54,6 +55,16 @@ def test_rejects_triangle_violation():
     bad = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(MetricAxiomError):
         FiniteMetricSpace(("a", "b", "c"), bad)
+
+
+def test_triangle_check_over_row_blocks_reports_the_worst_excess():
+    # 120 points take two blocks of rows; the violated triangles sit in both.
+    dist = FiniteMetricSpace.from_points(np.random.default_rng(4).normal(size=(120, 2))).dist.copy()
+    dist[0, 1] = dist[1, 0] = dist[0, 1] + 0.5
+    dist[118, 119] = dist[119, 118] = dist[118, 119] + 2.0
+    worst = float(np.max(dist - (dist[:, :, None] + dist[None, :, :]).min(axis=1)))
+    with pytest.raises(MetricAxiomError, match=re.escape(f"triangle inequality violated by {worst:.3e}") + "$"):
+        FiniteMetricSpace(tuple(f"p{i}" for i in range(120)), dist)
 
 
 def test_rejects_label_count_mismatch():
@@ -149,6 +160,16 @@ def test_mk_dirac_pairs_recover_ground_metric():
             for j in range(n):
                 got = mk_distance(space, eye[i], eye[j])
                 assert got == pytest.approx(space.dist[i, j], abs=1e-9)
+
+
+def test_dirac_table_is_the_symmetric_table_of_pairwise_transport_distances():
+    space = FiniteMetricSpace.from_points(np.random.default_rng(3).normal(size=(5, 2)))
+    table = dirac_distances(space)
+    eye = np.eye(5)
+    assert np.array_equal(table, table.T) and not np.any(np.diag(table))
+    for i, j in zip(*np.triu_indices(5, k=1)):
+        assert table[i, j] == mk_distance(space, eye[i], eye[j])
+    assert np.max(np.abs(table - space.dist)) <= 1e-9
 
 
 def test_mk_uniform_vs_dirac_two_points():
