@@ -433,20 +433,55 @@ def _differences(
     return picked - torus.dual_action(np.divmod(slot + 1, torus.q), picked)
 
 
+def _schatten_bounds(diffs: np.ndarray, picked: np.ndarray) -> np.ndarray:
+    """||x^H x||_F^(1/2) >= ||x||_2 for each x = diffs[picked] (the rounding
+    margin is in :func:`action_lip_seminorms`), in blocks of an eighth of
+    ``_NORM_CHUNK_BYTES``, so the products add little memory."""
+    step = max(1, _NORM_CHUNK_BYTES // (128 * diffs.shape[1] ** 2))
+    out = np.empty(len(picked))
+    for start in range(0, len(picked), step):
+        x = diffs[picked[start : start + step]]
+        gram = np.swapaxes(x, 1, 2).conj() @ x
+        out[start : start + step] = np.sum(gram.real**2 + gram.imag**2, axis=(1, 2))
+    return np.sqrt(np.sqrt(out))
+
+
 def action_lip_seminorms(
     torus: FuzzyTorus, ell: LengthFunction, stack: np.ndarray
 ) -> np.ndarray:
     """Largest displacement ||a - alpha^g(a)|| / length(g) over nontrivial g,
     for each element a of a (count, q, q) stack.
 
-    Exact maximum over the q^2 - 1 nontrivial g, pruned: each element visits
-    its g in descending order of the Frobenius bound, in chunks of at most
+    Exact maximum over the q^2 - 1 nontrivial g, folded to one g of each
+    pair {g, -g}: ||a - alpha^(-g)(a)|| = ||alpha^(-g)(alpha^g(a) - a)|| =
+    ||a - alpha^g(a)||, as alpha^(-g) is an isometric automorphism, so each
+    representative g carries the length min(length(g), length(-g)), which
+    takes the larger of the pair's two ratios even for a user table that is
+    symmetric only up to rounding.
+
+    The maximum is pruned: each element visits its representatives in
+    descending order of the Frobenius bound, in chunks of at most
     ``_NORM_CHUNK_BYTES`` of differences, and stops once no remaining bound
     exceeds the best exact value found.  The visits per element double from
     chunk to chunk.  Within a chunk, the Schur test ||x||_2 <= sqrt(max row
     sum * max column sum of |x|) screens the differences first; it is tight
     on the sparse monomial lines, where the Frobenius bound is loose by about
-    sqrt(q / 2).  Only the differences that pass get an exact operator norm.
+    sqrt(q / 2).  The differences that pass meet the Schatten-4 test
+    ||x||_2 <= ||x^H x||_F^(1/2), from ||x||_2^4 = ||x^H x||_2^2 <= the sum
+    of the squared singular values of x^H x.  Only the differences that pass
+    both get an exact operator norm.
+
+    The Schatten-4 margin covers rounding.  With u the unit roundoff, each
+    entry of the batched product P = fl(x^H x) is a complex inner product of
+    length q, off by at most sqrt(2) gamma_(q+2) (|x|^T |x|)_ij, so
+    ||P - x^H x||_F <= sqrt(2) gamma_(q+2) ||x||_F^2, an additive term that
+    ||x||_F^2 <= q ||x||_2^2 (x has rank at most q) turns relative.  The sum
+    S of the q^2 squared moduli of P is within gamma_(q^2+2) of ||P||_F^2.
+    So ||x||_2^2 (1 - sqrt(2) q gamma_(q+2)) <= (S (1 + gamma_(q^2+2)))^(1/2),
+    and ||x||_2 <= S^(1/4) (1 + ((q^2 + 2) / 4 + q (q + 2) / sqrt(2)) u) to
+    first order: below S^(1/4) (1 + (q + 2)^2 u).  The factor
+    1 + 4 (q + 2)^2 u covers that term four times over, which leaves room
+    for the rounding of the two square roots and the division by the length.
     """
     s = np.asarray(stack, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (torus.q, torus.q):
@@ -456,13 +491,19 @@ def action_lip_seminorms(
     if ell.q != torus.q:
         raise InputShapeError("length function and torus orders differ")
     count = s.shape[0]
-    lengths = ell.values.ravel()[1:]  # the nontrivial g, row-major
-    bounds = _frobenius_bounds(torus, s) / lengths
+    q = torus.q
+    j, k = np.divmod(np.arange(1, q * q), q)
+    twin = (-j) % q * q + (-k) % q - 1  # slot of -g for each nontrivial slot of g
+    reps = np.flatnonzero(np.arange(q * q - 1) <= twin)
+    table = ell.values.ravel()[1:]  # the nontrivial g, row-major
+    lengths = np.minimum(table[reps], table[twin[reps]])
+    bounds = _frobenius_bounds(torus, s)[:, reps] / lengths
     order = np.argsort(-bounds, axis=1, kind="stable")
     ranked = np.take_along_axis(bounds, order, axis=1)
-    per_chunk = max(1, _NORM_CHUNK_BYTES // (16 * torus.q * torus.q))
+    per_chunk = max(1, _NORM_CHUNK_BYTES // (16 * q * q))
     # Covers rounding in the sums of q moduli behind the Schur test.
-    schur_slack = 1.0 + 8.0 * (torus.q + 2) * np.finfo(float).eps / 2.0
+    schur_slack = 1.0 + 8.0 * (q + 2) * np.finfo(float).eps / 2.0
+    schatten_slack = 1.0 + 4.0 * (q + 2) ** 2 * np.finfo(float).eps / 2.0
     best = np.zeros(count)
     visited = np.zeros(count, dtype=int)
     step = 1
@@ -478,11 +519,13 @@ def action_lip_seminorms(
             keep = np.sort(np.argsort(rank, kind="stable")[:per_chunk])
             elem, rank = elem[keep], rank[keep]
         slot = order[elem, visited[elem] + rank]
-        diffs = _differences(torus, s, elem, slot)
+        diffs = _differences(torus, s, elem, reps[slot])
         mags = np.abs(diffs)
         schur = np.sqrt(mags.sum(axis=2).max(axis=1) * mags.sum(axis=1).max(axis=1))
-        need = schur_slack * schur / lengths[slot] > best[elem]
-        if need.any():
+        need = np.flatnonzero(schur_slack * schur / lengths[slot] > best[elem])
+        schatten = _schatten_bounds(diffs, need)
+        need = need[schatten_slack * schatten / lengths[slot[need]] > best[elem[need]]]
+        if len(need):
             norms = operator_norms(diffs[need])
             np.maximum.at(best, elem[need], norms / lengths[slot[need]])
         visited += np.bincount(elem, minlength=count)

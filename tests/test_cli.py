@@ -644,16 +644,9 @@ def test_fixedpoint_determinism(tmp_path):
     assert strip_runtime(read_json(out1)) == strip_runtime(read_json(out2))
 
 
-# Runs the CLI and prints the process's own peak RSS in KiB on its last line.
-_PEAK_RSS_RUNNER = """
-import resource, sys
-from matprox.cli import main
-code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-sys.exit(code)
-"""
-# The same from /proc/self/status: VmHWM counts from the exec, while
-# ru_maxrss also keeps the peak of the process that spawned it (here pytest).
+# Runs the CLI and prints the process's own peak RSS in KiB on its last line,
+# from /proc/self/status: VmHWM counts from the exec, while ru_maxrss also
+# keeps the peak of the process that spawned it (here pytest).
 _HWM_RUNNER = """
 import re, sys
 from matprox.cli import main
@@ -668,7 +661,7 @@ def test_large_subgroup_pairs_at_q64_stay_under_256_mib(tmp_path, k_generators):
     # Both peaked at 604 and 357 MiB while subgroups were element sets.
     argv = ["fixedpoint", "--q", "64", "--h-generators", "[[1,0],[0,1]]",
             "--k-generators", k_generators, "--output", str(tmp_path / "fp.json")]
-    assert _peak_rss_kib(_PEAK_RSS_RUNNER, argv) < 256 * 1024
+    assert _peak_rss_kib(argv) < 256 * 1024
 
 
 def test_a_300_point_cloud_stays_under_128_mib(tmp_path):
@@ -678,13 +671,13 @@ def test_a_300_point_cloud_stays_under_128_mib(tmp_path):
     points.write_text(json.dumps({"points": cloud.tolist()}), encoding="utf-8")
     argv = ["approximate", "--generator", f"cloud:{points}", "--n", "3", "--reach-samples", "1",
             "--output", str(tmp_path / "out.json")]
-    assert _peak_rss_kib(_HWM_RUNNER, argv) < 128 * 1024
+    assert _peak_rss_kib(argv) < 128 * 1024
 
 
-def _peak_rss_kib(runner: str, argv: list[str]) -> int:
+def _peak_rss_kib(argv: list[str]) -> int:
     src = str(Path(fixed_point.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", runner, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", _HWM_RUNNER, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1])

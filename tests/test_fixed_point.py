@@ -294,6 +294,62 @@ def test_pruned_seminorm_matches_conjugation_on_structured_inputs(q, p):
         assert value == pytest.approx(slow, rel=1e-12, abs=1e-13)
 
 
+def _twin(q, flat):
+    # Row-major index of -g for the row-major index of g.
+    j, k = np.divmod(flat, q)
+    return (-j) % q * q + (-k) % q
+
+
+def _lopsided_lengths(q):
+    # max_arc scaled to lengths near 1e-3, with the smaller-index g of each
+    # pair {g, -g} longer by 5e-13: inside the constructor's 1e-12 checks,
+    # and a move of about 1e-9 in the ratio of each such g.
+    flat = np.arange(q * q)
+    vals = 1e-3 * LengthFunction.max_arc(q).values + 5e-13 * (flat < _twin(q, flat)).reshape(q, q)
+    return LengthFunction(q, vals)
+
+
+@pytest.mark.parametrize("q,p", [(2, 1), (3, 2), (12, 5), (16, 3)])
+def test_folded_seminorm_matches_conjugation_over_every_g(q, p):
+    # The oracle visits all q^2 - 1 nontrivial g.  At q = 2 every g is its
+    # own inverse; at q = 3 only the identity is.  The lopsided table checks
+    # that each pair is taken at its smaller length.
+    torus = FuzzyTorus(q, p)
+    rng = np.random.default_rng(60)
+    lines = _structured_lines(torus, np.array([(1, 0), (0, 1), (1, 1), (q // 2, q - 1)]))
+    draws = np.stack([random_hermitian(rng, q) for _ in range(4)])
+    stack = np.concatenate([lines, draws, 2.5 * identity(q)[None]])
+    # The lopsided table's lengths are 1e3 times shorter, and so the
+    # scalar's rounding-level seminorm 1e3 times larger.
+    for ell, atol in ((LengthFunction.max_arc(q), 1e-13), (_lopsided_lengths(q), 1e-10)):
+        fast = action_lip_seminorms(torus, ell, stack)
+        for a, value in zip(stack, fast):
+            slow = _seminorm_by_explicit_conjugation(torus, ell, a)
+            assert value == pytest.approx(slow, rel=1e-12, abs=atol)
+
+
+def test_no_element_visits_both_g_and_its_inverse(monkeypatch):
+    q = 12
+    torus = FuzzyTorus(q, 5)
+    rng = np.random.default_rng(61)
+    stack = np.concatenate([
+        np.stack([random_hermitian(rng, q) for _ in range(6)]),
+        _structured_stack(torus, rng),
+    ])
+    differences = fixed_point._differences
+    visits = []
+
+    def recording(torus, stack, elem, slot):
+        visits.extend(zip(elem.tolist(), (slot + 1).tolist()))
+        return differences(torus, stack, elem, slot)
+
+    monkeypatch.setattr(fixed_point, "_differences", recording)
+    action_lip_seminorms(torus, LengthFunction.max_arc(q), stack)
+    seen = set(visits)
+    assert len(visits) == len(seen) > len(stack)
+    assert not [(e, g) for e, g in seen if g != _twin(q, g) and (e, _twin(q, g)) in seen]
+
+
 def test_exact_norm_stacks_stay_within_the_byte_budget(monkeypatch):
     q = 32
     torus = FuzzyTorus(q, 3)
