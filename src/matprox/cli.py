@@ -481,8 +481,8 @@ class _Command:
 # The command table: every config key of every subcommand, once.  Matrix
 # dimensions, net sizes and torus orders stay at the desk scale, and so do
 # the sample counts: at q = 64 with a trivial H, 256 fixedpoint draws take
-# about 35 s and 300 MiB, and 1000 leibniz pairs at size 64 about 4-5 s and
-# 490 MiB (2-vCPU box).
+# about 7-8 s and 242 MiB, and 1000 leibniz pairs at size 64 about 5 s and
+# 331 MiB, in a fresh process (2-vCPU box).
 _MAX_DIM = 64
 _MAX_SAMPLES = 256
 _MAX_PAIRS = 1000

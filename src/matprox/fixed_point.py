@@ -39,10 +39,7 @@ from .errors import (
     ConfigError,
     InputShapeError,
 )
-from .matrix_algebra import (
-    operator_norms,
-    random_hermitian,
-)
+from .matrix_algebra import operator_norms
 from .metric_core import (
     FiniteMetricSpace,
     hausdorff_distance,
@@ -624,23 +621,30 @@ def _line_norms(
     return norms, seminorms
 
 
-def _line_peak(torus: FuzzyTorus, ell: LengthFunction, support: np.ndarray) -> float:
-    """Largest ||(E_h - E_k) u|| over the normalized coefficient lines u on a
-    support H & ~K or K & ~H of the fixed-coefficient masks, 0.0 if empty.
+def _line_peaks(
+    torus: FuzzyTorus, ell: LengthFunction, supports: Sequence[np.ndarray]
+) -> list[float]:
+    """Largest ||(E_h - E_k) u|| over the normalized coefficient lines u on
+    each support H & ~K or K & ~H of the fixed-coefficient masks, 0.0 for an
+    empty support.
 
     The gap between two averaging expectations is attained on coefficient
     lines, so these are always sampled alongside random draws.  Both masks
-    are closed under negation, so each line l of x = U^m V^n on the support
+    are closed under negation, so each line l of x = U^m V^n on a support
     has (E_h - E_k) l = +-l, and its term is ||l|| / L(l) from
-    :func:`_line_norms`, one exponent per pair {(m, n), (-m, -n)}.  A line
-    whose norm is at rounding level (x = +-x^*) is dropped.
+    :func:`_line_norms`, one exponent per pair {(m, n), (-m, -n)}; the lines
+    of all supports go through one call.  A line whose norm is at rounding
+    level (x = +-x^*) is dropped.
     """
     q = torus.q
-    idx = np.argwhere(support)
-    keys = np.unique(np.minimum(idx @ [q, 1], ((-idx) % q) @ [q, 1]))
-    norms, seminorms = _line_norms(torus, ell, np.stack(np.divmod(keys, q), axis=1))
+    keys = []
+    for support in supports:
+        idx = np.argwhere(support)
+        keys.append(np.unique(np.minimum(idx @ [q, 1], ((-idx) % q) @ [q, 1])))
+    norms, seminorms = _line_norms(torus, ell, np.stack(np.divmod(np.concatenate(keys), q), axis=1))
     terms = np.divide(norms, seminorms, out=np.zeros_like(norms), where=norms > 1e-12)
-    return float(np.max(terms, initial=0.0))
+    peaks = np.split(terms, np.cumsum([len(k) for k in keys])[:-1])
+    return [float(np.max(t, initial=0.0)) for t in peaks]
 
 
 def _normalized_unit_ball(
@@ -648,25 +652,42 @@ def _normalized_unit_ball(
 ) -> np.ndarray:
     """Center a (count, q, q) stack and rescale each element to action
     seminorm exactly one; elements with seminorm <= 1e-12 become zero, so
-    the stack keeps its length."""
-    traces = np.trace(candidates, axis1=1, axis2=2) / torus.q
-    centered = candidates - traces[:, None, None] * np.eye(torus.q)
-    # The candidates are self-adjoint; their Hermitian part makes them so
-    # bitwise (it is the identity on the draws), so every action
-    # difference is bitwise self-adjoint and takes the eigenvalue norm.  Row-
-    # major order keeps the flat gathers of ``dual_action`` free of copies.
-    centered = np.add(centered, np.swapaxes(centered, 1, 2).conj(), order="C") / 2.0
-    values = action_lip_seminorms(torus, ell, centered)[:, None, None]
-    return np.divide(centered, values, out=np.zeros_like(centered), where=values > 1e-12)
+    the stack keeps its length.
+
+    The elements go in blocks of ``_NORM_CHUNK_BYTES``, which bounds the
+    seminorm's working arrays; each element's seminorm is its own exact
+    maximum, so the blocks change no value."""
+    q = torus.q
+    out = np.zeros(candidates.shape, dtype=complex)
+    step = max(1, _NORM_CHUNK_BYTES // (16 * q * q))
+    for start in range(0, len(candidates), step):
+        block = candidates[start : start + step]
+        traces = np.trace(block, axis1=1, axis2=2) / q
+        centered = block - traces[:, None, None] * np.eye(q)
+        # The candidates are self-adjoint; their Hermitian part makes them so
+        # bitwise (it is the identity on the draws), so every action
+        # difference is bitwise self-adjoint and takes the eigenvalue norm.
+        # Row-major order keeps the flat gathers of ``dual_action`` free of
+        # copies.
+        centered = np.add(centered, np.swapaxes(centered, 1, 2).conj(), order="C") / 2.0
+        values = action_lip_seminorms(torus, ell, centered)[:, None, None]
+        np.divide(centered, values, out=out[start : start + step], where=values > 1e-12)
+    return out
 
 
 def _draws(torus: FuzzyTorus, count: int, seed: int) -> np.ndarray:
     """The random self-adjoint draws of a sample: they depend only on q,
-    ``count`` and the seed, so tables over varying subgroups share them."""
+    ``count`` and the seed, so tables over varying subgroups share them.
+
+    One normal draw of shape (count, 2, q, q) holds each draw's real and
+    imaginary parts in the stream order of ``random_hermitian`` called once
+    per draw, and the same arithmetic makes them self-adjoint."""
     if count < 1:
         raise ConfigError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    return np.array([random_hermitian(rng, torus.q) for _ in range(count)], dtype=complex)
+    q = torus.q
+    parts = np.random.default_rng(seed).normal(size=(count, 2, q, q))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    return np.add(g, np.swapaxes(g, 1, 2).conj(), order="C") / 2.0
 
 
 def _sampled_gaps(
@@ -681,7 +702,7 @@ def _sampled_gaps(
     """The sampled gap and both bridge directions, from one normalized sample.
 
     The sample is the coefficient lines on H & ~K and on K & ~H (the fixed-
-    coefficient masks, see :func:`_line_peak`), the draws, and with ``reach``
+    coefficient masks, see :func:`_line_peaks`), the draws, and with ``reach``
     E_h and E_k of the draws, each normalized to the traceless unit ball;
     ``units``, if given, is the draws already so normalized.  Every value is
     a largest ||(E_h - E_k) u||: the gap over all lines and the raw draws;
@@ -693,15 +714,17 @@ def _sampled_gaps(
     supports = (e_h.mask & ~e_k.mask, e_k.mask & ~e_h.mask)
     if not any(s.any() for s in supports):
         return 0.0, 0.0, 0.0
-    lines = [_line_peak(torus, ell, s) for s in supports]
-    if units is None:
-        units = _normalized_unit_ball(torus, ell, draws)
+    lines = _line_peaks(torus, ell, supports)
     imaged = [reach and s.any() for s in supports]
-    # The draws and their images get one seminorm call each, so the gap
-    # never depends on ``reach``.
-    if any(imaged):
-        images = [e(draws) for e, t in zip((e_h, e_k), imaged) if t]
+    images = [e(draws) for e, t in zip((e_h, e_k), imaged) if t]
+    # The draws and their images share one normalization pass; each
+    # element's seminorm is its own exact maximum, so the gap never depends
+    # on ``reach``.
+    if units is None:
+        units = _normalized_unit_ball(torus, ell, np.concatenate([draws, *images]))
+    elif images:
         units = np.concatenate([units, _normalized_unit_ball(torus, ell, np.concatenate(images))])
+    del images  # before the norms below; at q = 64 each image of 256 draws is 16 MiB
     signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
     coeffs = signed_mask * torus.to_coefficients(units)
     norms = operator_norms(torus.from_coefficients(coeffs))

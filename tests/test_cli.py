@@ -556,8 +556,8 @@ def test_fixedpoint_sweep_writes_csv(tmp_path):
 
 
 def test_fixedpoint_normalizes_each_sample_once(tmp_path, monkeypatch):
-    # One pass for the gap and both directions: the lines on H ^ K, the draws,
-    # and E_H and E_K of the draws each get one action seminorm.
+    # One pass for the gap and both directions: each draw and each of its
+    # images under E_H and E_K gets one action seminorm.
     sizes = []
 
     def recording(torus, ell, stack):
@@ -576,7 +576,7 @@ def test_fixedpoint_lines_take_no_numeric_seminorm(tmp_path, monkeypatch):
     # The 143 coefficient lines of a trivial H against the full group take
     # their seminorms in closed form: only the 8 draws and their 8 images
     # under E_H (K & ~H is empty) reach the numeric action seminorm, in one
-    # call each.
+    # call together.
     sizes = []
 
     def recording(torus, ell, stack):
@@ -587,7 +587,7 @@ def test_fixedpoint_lines_take_no_numeric_seminorm(tmp_path, monkeypatch):
     monkeypatch.setattr(fixed_point, "action_lip_seminorms", recording)
     argv = ["fixedpoint", "--q", "12", "--h-generators", "[]", "--count", "8"]
     assert main(argv + ["--output", str(tmp_path / "fp.json")]) == 0
-    assert sizes == [8, 8]
+    assert sizes == [16]
 
 
 def test_action_seminorm_norms_are_bitwise_self_adjoint(tmp_path, monkeypatch):
@@ -672,6 +672,13 @@ def test_a_300_point_cloud_stays_under_128_mib(tmp_path):
     argv = ["approximate", "--generator", f"cloud:{points}", "--n", "3", "--reach-samples", "1",
             "--output", str(tmp_path / "out.json")]
     assert _peak_rss_kib(argv) < 128 * 1024
+
+
+def test_leibniz_at_the_caps_stays_under_384_mib(tmp_path):
+    # 1000 pairs at size 64 held every product of the suite at once: 489 MiB.
+    argv = ["leibniz", "--sizes", "64", "--ratios", "1", "--pairs", "1000",
+            "--output", str(tmp_path / "out.json")]
+    assert _peak_rss_kib(argv) < 384 * 1024
 
 
 def _peak_rss_kib(argv: list[str]) -> int:
@@ -795,20 +802,32 @@ BOUNDED = {"n", "n_list", "sizes", "q", "sweep", "pairs", "count", "reach_sample
 POOL = ["abc", 1.5, True, None, {"a": 1}, -1, 0, 65, 10**9, 5e-324, 1e308, [], [[]], [[1, 2]], ""]
 
 
+def _bad_value(draw, key):
+    return draw(st.sampled_from(POOL).filter(lambda x: x != 10**9 or key in BOUNDED))
+
+
+def _by_flag(draw, key):
+    return key not in BOOLEAN_KEYS and draw(st.booleans())
+
+
 @st.composite
 def _fuzzed_runs(draw):
     command = draw(st.sampled_from(sorted(KEYS)))
     key = draw(st.sampled_from(KEYS[command]))
-    value = draw(st.sampled_from(POOL).filter(lambda x: x != 10**9 or key in BOUNDED))
-    by_flag = key not in BOOLEAN_KEYS and draw(st.booleans())
-    return command, key, value, by_flag
+    return command, key, _bad_value(draw, key), _by_flag(draw, key)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
-@given(_fuzzed_runs())
-def test_any_single_bad_value_keeps_the_exit_contract(run):
-    command, key, value, by_flag = run
+@st.composite
+def _fuzzed_multi_runs(draw):
+    command = draw(st.sampled_from(sorted(KEYS)))
+    keys = draw(st.lists(st.sampled_from(KEYS[command]), min_size=2, max_size=3, unique=True))
+    changes = [(key, _bad_value(draw, key), _by_flag(draw, key)) for key in keys]
+    return command, changes, draw(st.booleans())
+
+
+def _run_changed(command, changes, unknown_flag=False):
+    """Run ``command`` on its cheap config with each (key, value, by_flag)
+    change applied; returns the exit code and, on exit 2, the named field."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         space = work / "space.json"
@@ -817,19 +836,45 @@ def test_any_single_bad_value_keeps_the_exit_contract(run):
         if command == "mk":
             config["space"] = str(space)
         argv = [command]
-        if by_flag:
-            argv += ["--" + key.replace("_", "-"), value if isinstance(value, str) else json.dumps(value)]
-        else:
-            config[key] = value
+        for key, value, by_flag in changes:
+            if by_flag:
+                argv += ["--" + key.replace("_", "-"), value if isinstance(value, str) else json.dumps(value)]
+            else:
+                config[key] = value
+        if unknown_flag:
+            argv += ["--no-such-key", "1"]
         (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
         out = work / "out.json"
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv + ["--config", str(work / "config.json"), "--output", str(out)])
         assert code in (0, 2, 3)
-        if code == 2:
-            assert json.loads(err.getvalue())["error"]["field"] in KEYS[command] + ["argv", "config"]
-            assert not out.exists() and not out.with_suffix(".csv").exists()
+        if code != 2:
+            return code, None
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+        return code, json.loads(err.getvalue())["error"]["field"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_runs())
+def test_any_single_bad_value_keeps_the_exit_contract(run):
+    command, key, value, by_flag = run
+    code, field = _run_changed(command, [(key, value, by_flag)])
+    if code == 2:
+        assert field in KEYS[command] + ["argv", "config"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_multi_runs())
+def test_several_bad_values_name_one_of_them(run):
+    # Two or three keys made bad together, by flag or in the config, and
+    # sometimes an unknown flag besides: an exit 2 names one of them.
+    command, changes, unknown_flag = run
+    code, field = _run_changed(command, changes, unknown_flag)
+    if code == 2:
+        assert field in [key for key, _, _ in changes] + ["argv", "config"]
 
 
 # ---------------------------------------------------------------------------

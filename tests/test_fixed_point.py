@@ -372,6 +372,32 @@ def test_exact_norm_stacks_stay_within_the_byte_budget(monkeypatch):
     assert np.allclose(small, expected, rtol=1e-14, atol=0.0)
 
 
+def test_normalization_is_per_element_bitwise(monkeypatch):
+    # The draws and their images share one normalization stack: each element
+    # comes out bitwise as when normalized alone, in one block or in blocks
+    # of three elements.
+    q = 12
+    torus = FuzzyTorus(q, 5)
+    ell = LengthFunction.max_arc(q)
+    draws = fixed_point._draws(torus, 5, 63)
+    image = AveragingExpectation(torus, TorusSubgroup.cyclic_first_factor(q, 3))(draws)
+    stack = np.concatenate([draws, image, _structured_stack(torus, np.random.default_rng(63))])
+    whole = fixed_point._normalized_unit_ball(torus, ell, stack)
+    alone = np.concatenate([fixed_point._normalized_unit_ball(torus, ell, a[None]) for a in stack])
+    monkeypatch.setattr(fixed_point, "_NORM_CHUNK_BYTES", 3 * 16 * q * q)
+    blocked = fixed_point._normalized_unit_ball(torus, ell, stack)
+    assert whole.tobytes() == alone.tobytes() == blocked.tobytes()
+
+
+@pytest.mark.parametrize("q,count,seed", [(2, 1, 0), (5, 3, 7), (12, 8, 0), (12, 48, 5), (31, 4, 123)])
+def test_draws_are_the_per_element_hermitian_stream(q, count, seed):
+    # One normal draw for the whole sample against the loop it replaced.
+    rng = np.random.default_rng(seed)
+    loop = np.array([random_hermitian(rng, q) for _ in range(count)], dtype=complex)
+    draws = fixed_point._draws(FuzzyTorus(q, 1), count, seed)
+    assert draws.tobytes() == loop.tobytes() and draws.flags.c_contiguous
+
+
 def test_seminorm_on_clock_plus_adjoint_is_positive():
     for q in (3, 5, 8):
         torus = FuzzyTorus(q, 1)
@@ -460,10 +486,12 @@ def test_closed_form_drops_the_vanishing_lines(q, p):
             seminorms[row, 1 - column], rel=1e-13
         )
     # Their only pair as a support: the peak is the surviving line's term.
+    # Supports share one closed-form call; an empty one peaks at 0.0.
     support = np.zeros((q, q), dtype=bool)
     support[h, h] = True
     column = 0 if h % 2 else 1
-    assert fixed_point._line_peak(torus, ell, support) == norms[2, 1 - column] / seminorms[2, 1 - column]
+    peak = norms[2, 1 - column] / seminorms[2, 1 - column]
+    assert fixed_point._line_peaks(torus, ell, [support, np.zeros_like(support), support]) == [peak, 0.0, peak]
 
 
 def test_line_seminorms_are_blocked(monkeypatch):

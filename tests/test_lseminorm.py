@@ -449,8 +449,14 @@ def test_extreme_sample_attains_seminorm_one():
     assert l_seminorm(pair, extreme) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_leibniz_suites_draw_each_ratio_then_each_size_from_one_generator():
+def test_leibniz_suites_draw_each_ratio_then_each_size_from_one_generator(monkeypatch):
     suites = list(lseminorm.leibniz_suites(np.random.default_rng(5), [2, 4], [1.0, 3.0], 7))
+    # 128 bytes hold two 2x2 elements and less than one 4x4: the residuals
+    # then go in blocks of two pairs and of one, with the same bits.
+    monkeypatch.setattr(lseminorm, "_PAIR_BLOCK_BYTES", 128)
+    blocked = list(lseminorm.leibniz_suites(np.random.default_rng(5), [2, 4], [1.0, 3.0], 7))
+    for (_, _, jres, lres), (_, _, jblock, lblock) in zip(suites, blocked):
+        assert jres.tobytes() == jblock.tobytes() and lres.tobytes() == lblock.tobytes()
     assert [(ratio, pair.dim) for ratio, pair, _, _ in suites] == [(1.0, 2), (1.0, 4), (3.0, 2), (3.0, 4)]
     rng = np.random.default_rng(5)
     for ratio, pair, jres, lres in suites:
@@ -461,7 +467,7 @@ def test_leibniz_suites_draw_each_ratio_then_each_size_from_one_generator():
         a = random_hermitian_stack(rng, 7, pair.dim)
         b = random_hermitian_stack(rng, 7, pair.dim)
         expected = unit_leibniz_residuals(pair, a, b)
-        assert np.array_equal(jres, expected[0]) and np.array_equal(lres, expected[1])
+        assert jres.tobytes() == expected[0].tobytes() and lres.tobytes() == expected[1].tobytes()
 
 
 @pytest.mark.parametrize("ratio,error", [(5e-324, ScaleUnderflowError), (1e308, ScaleOverflowError)])

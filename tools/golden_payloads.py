@@ -44,8 +44,10 @@ INPUTS = {
 
 # (name, argv, config file contents or None).  Each subcommand runs with its
 # defaults, with non-default values by flag and by config file, and with its
-# input files; fixedpoint also runs a sweep each way, and a pair of large
-# subgroups so that haus_ell is compared over many elements.  The leibniz
+# input files; fixedpoint also runs a sweep each way, a pair of large
+# subgroups so that haus_ell is compared over many elements, and a q = 64
+# sample of 96 draws and 96 images, more elements than one normalization
+# block of ``fixed_point._NORM_CHUNK_BYTES`` holds at that order.  The leibniz
 # ratios of leibniz_screen_mix put seminorms on both sides of the Lipschitz
 # screen in ``l_seminorms``.
 CONFIGS = [
@@ -81,6 +83,7 @@ CONFIGS = [
     ("fixedpoint_sweep_12_24", ["fixedpoint", "--sweep", "12,24"], None),
     ("fixedpoint_large_pair_q32", ["fixedpoint", "--q", "32", "--h-generators", "[[1,0],[0,1]]",
                                    "--k-generators", "[[2,0],[0,1]]"], None),
+    ("fixedpoint_trivial_h_q64", ["fixedpoint", "--q", "64", "--h-generators", "[]", "--count", "96"], None),
 ]
 
 
