@@ -79,8 +79,6 @@ class ReachCertificate:
     upper_bound: float
     worst_forward: float
     worst_backward: float
-    samples: int
-    seed: int
     certified: bool = True
 
 
@@ -111,8 +109,6 @@ def certify_reach_upper(
         upper_bound=pair.beta,
         worst_forward=worst_forward,
         worst_backward=0.0,
-        samples=samples,
-        seed=seed,
     )
 
 

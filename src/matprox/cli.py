@@ -516,7 +516,6 @@ COMMANDS = {
         _BETA_RULE,
         _Key("n_list", [4, 8, 16, 32], _numbers(int, lambda xs: xs and sorted(set(xs)) == xs,
              "net sizes must be strictly increasing", _MAX_DIM), "comma-separated net sizes", _as_checked),
-        _SEED,
     )),
     "leibniz": _Command("residual suite for the product inequality", _leibniz, (
         _Key("sizes", [2, 3, 4, 5, 6, 7, 8], _numbers(int, lambda xs: all(x >= 2 for x in xs),
@@ -528,7 +527,6 @@ COMMANDS = {
         _Key("include_raw", True, _boolean),
     )),
     "mk": _Command("transport distances on a space file", _mk, (
-        _SEED,
         _Key("space", None, _space_file, "JSON file with labels + dist or points", lambda given, _: str(given)),
         # Checked against the space by the handler.
         _Key("p", None, lambda value, field: value, _WEIGHTS),

@@ -39,9 +39,11 @@ from .errors import (
     ConfigError,
     InputShapeError,
 )
+from . import metric_core
 from .matrix_algebra import operator_norms
 from .metric_core import (
     FiniteMetricSpace,
+    blocks,
     hausdorff_distance,
     lipschitz_seminorm,
 )
@@ -391,10 +393,6 @@ class AveragingExpectation:
 # ---------------------------------------------------------------------------
 
 
-# Largest stack of exact differences handed to ``operator_norms`` at once.
-_NORM_CHUNK_BYTES = 8 << 20
-
-
 def _frobenius_bounds(torus: FuzzyTorus, stack: np.ndarray) -> np.ndarray:
     """Upper bounds on ||a - alpha^g(a)|| over nontrivial g, shaped (count, q^2 - 1).
 
@@ -430,16 +428,15 @@ def _differences(
     return picked - torus.dual_action(np.divmod(slot + 1, torus.q), picked)
 
 
-def _schatten_bounds(diffs: np.ndarray, picked: np.ndarray) -> np.ndarray:
-    """||x^H x||_F^(1/2) >= ||x||_2 for each x = diffs[picked] (the rounding
-    margin is in :func:`action_lip_seminorms`), in blocks of an eighth of
-    ``_NORM_CHUNK_BYTES``, so the products add little memory."""
-    step = max(1, _NORM_CHUNK_BYTES // (128 * diffs.shape[1] ** 2))
-    out = np.empty(len(picked))
-    for start in range(0, len(picked), step):
-        x = diffs[picked[start : start + step]]
+def _schatten_bounds(diffs: np.ndarray) -> np.ndarray:
+    """||x^H x||_F^(1/2) >= ||x||_2 for each x in a stack (the rounding margin
+    is in :func:`action_lip_seminorms`), in blocks of an eighth of
+    ``BLOCK_BYTES``, so the products add little memory."""
+    out = np.empty(len(diffs))
+    for block in blocks(len(diffs), 128 * diffs.shape[1] ** 2):
+        x = diffs[block]
         gram = np.swapaxes(x, 1, 2).conj() @ x
-        out[start : start + step] = np.sum(gram.real**2 + gram.imag**2, axis=(1, 2))
+        out[block] = np.sum(gram.real**2 + gram.imag**2, axis=(1, 2))
     return np.sqrt(np.sqrt(out))
 
 
@@ -458,15 +455,12 @@ def action_lip_seminorms(
 
     The maximum is pruned: each element visits its representatives in
     descending order of the Frobenius bound, in chunks of at most
-    ``_NORM_CHUNK_BYTES`` of differences, and stops once no remaining bound
+    ``BLOCK_BYTES`` of differences, and stops once no remaining bound
     exceeds the best exact value found.  The visits per element double from
-    chunk to chunk.  Within a chunk, the Schur test ||x||_2 <= sqrt(max row
-    sum * max column sum of |x|) screens the differences first; it is tight
-    on the sparse monomial lines, where the Frobenius bound is loose by about
-    sqrt(q / 2).  The differences that pass meet the Schatten-4 test
+    chunk to chunk.  Within a chunk, the differences meet the Schatten-4 test
     ||x||_2 <= ||x^H x||_F^(1/2), from ||x||_2^4 = ||x^H x||_2^2 <= the sum
     of the squared singular values of x^H x.  Only the differences that pass
-    both get an exact operator norm.
+    it get an exact operator norm.
 
     The Schatten-4 margin covers rounding.  With u the unit roundoff, each
     entry of the batched product P = fl(x^H x) is a complex inner product of
@@ -497,9 +491,7 @@ def action_lip_seminorms(
     bounds = _frobenius_bounds(torus, s)[:, reps] / lengths
     order = np.argsort(-bounds, axis=1, kind="stable")
     ranked = np.take_along_axis(bounds, order, axis=1)
-    per_chunk = max(1, _NORM_CHUNK_BYTES // (16 * q * q))
-    # Covers rounding in the sums of q moduli behind the Schur test.
-    schur_slack = 1.0 + 8.0 * (q + 2) * np.finfo(float).eps / 2.0
+    per_chunk = max(1, metric_core.BLOCK_BYTES // (16 * q * q))
     schatten_slack = 1.0 + 4.0 * (q + 2) ** 2 * np.finfo(float).eps / 2.0
     best = np.zeros(count)
     visited = np.zeros(count, dtype=int)
@@ -517,11 +509,8 @@ def action_lip_seminorms(
             elem, rank = elem[keep], rank[keep]
         slot = order[elem, visited[elem] + rank]
         diffs = _differences(torus, s, elem, reps[slot])
-        mags = np.abs(diffs)
-        schur = np.sqrt(mags.sum(axis=2).max(axis=1) * mags.sum(axis=1).max(axis=1))
-        need = np.flatnonzero(schur_slack * schur / lengths[slot] > best[elem])
-        schatten = _schatten_bounds(diffs, need)
-        need = need[schatten_slack * schatten / lengths[slot[need]] > best[elem[need]]]
+        schatten = _schatten_bounds(diffs)
+        need = np.flatnonzero(schatten_slack * schatten / lengths[slot] > best[elem])
         if len(need):
             norms = operator_norms(diffs[need])
             np.maximum.at(best, elem[need], norms / lengths[slot[need]])
@@ -556,11 +545,6 @@ def action_kernel_dimension(torus: FuzzyTorus) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Monomials per block of the closed-form line seminorms; the largest array of
-# a block holds 2 q^2 floats per monomial.
-_LINE_BLOCK = 128
-
-
 def _line_norms(
     torus: FuzzyTorus, ell: LengthFunction, exponents: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -590,7 +574,8 @@ def _line_norms(
       gather over the q^2 - 1 group elements per monomial.  The lines'
       own norms are 2 max |Re zeta| and 2 max |Im zeta|.
 
-    Monomials go in blocks of ``_LINE_BLOCK``, so memory stays O(block q^2).
+    Monomials go in blocks of ``BLOCK_BYTES``, at 16 q^2 bytes each: the
+    largest array of a block holds 2 q^2 floats per monomial.
     A line with x = x^* or x = -x^* vanishes; its closed-form norm and
     seminorm are then at rounding level.
     """
@@ -601,8 +586,7 @@ def _line_norms(
     c = 1.0 - torus._roots  # 1 - rho^s for each s
     norms = np.empty((len(idx), 2))
     seminorms = np.empty((len(idx), 2))
-    for start in range(0, len(idx), _LINE_BLOCK):
-        block = slice(start, start + _LINE_BLOCK)
+    for block in blocks(len(idx), 16 * q * q):
         m, n = idx[block, :1], idx[block, 1:]
         cycles = np.gcd(n, q)
         period = q // cycles
@@ -654,14 +638,13 @@ def _normalized_unit_ball(
     seminorm exactly one; elements with seminorm <= 1e-12 become zero, so
     the stack keeps its length.
 
-    The elements go in blocks of ``_NORM_CHUNK_BYTES``, which bounds the
+    The elements go in blocks of ``BLOCK_BYTES``, which bounds the
     seminorm's working arrays; each element's seminorm is its own exact
     maximum, so the blocks change no value."""
     q = torus.q
     out = np.zeros(candidates.shape, dtype=complex)
-    step = max(1, _NORM_CHUNK_BYTES // (16 * q * q))
-    for start in range(0, len(candidates), step):
-        block = candidates[start : start + step]
+    for rows in blocks(len(candidates), 16 * q * q):
+        block = candidates[rows]
         traces = np.trace(block, axis1=1, axis2=2) / q
         centered = block - traces[:, None, None] * np.eye(q)
         # The candidates are self-adjoint; their Hermitian part makes them so
@@ -671,7 +654,7 @@ def _normalized_unit_ball(
         # copies.
         centered = np.add(centered, np.swapaxes(centered, 1, 2).conj(), order="C") / 2.0
         values = action_lip_seminorms(torus, ell, centered)[:, None, None]
-        np.divide(centered, values, out=out[start : start + step], where=values > 1e-12)
+        np.divide(centered, values, out=out[rows], where=values > 1e-12)
     return out
 
 
@@ -921,8 +904,6 @@ class CommutativeFixedPointReport:
     orbit_diameter_bound: float
     haus_to_representatives: float
     reach_within_geometry: bool
-    count: int
-    seed: int
 
 
 def commutative_fixed_point_check(
@@ -988,6 +969,4 @@ def commutative_fixed_point_check(
         haus_to_representatives=haus_reps,
         # An average moves f by at most the orbit diameter, up to rounding.
         reach_within_geometry=reach <= orbit_diam + 1e-12,
-        count=count,
-        seed=seed,
     )

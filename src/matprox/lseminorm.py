@@ -41,6 +41,7 @@ from .matrix_algebra import (
 )
 from .metric_core import (
     FiniteMetricSpace,
+    blocks,
     diameter,
     lipschitz_seminorm,
     lipschitz_seminorms,
@@ -201,12 +202,6 @@ def _unit_norms(stack: np.ndarray) -> np.ndarray:
     return np.any(stack, axis=(1, 2)).astype(float)
 
 
-# Largest block of one element stack, in bytes, whose residuals
-# ``leibniz_suites`` takes at once: the products and their off-diagonal
-# parts are further stacks of the same size.
-_PAIR_BLOCK_BYTES = 8 << 20
-
-
 def leibniz_suites(
     rng: np.random.Generator, sizes: Sequence[int], ratios: Sequence[float], pairs: int
 ) -> Iterator[tuple[float, ApproximationPair, np.ndarray, np.ndarray]]:
@@ -217,12 +212,13 @@ def leibniz_suites(
     Yields (ratio, pair, Jordan residuals, Lie residuals) per suite, from
     :func:`unit_leibniz_residuals`.  Both draws of a suite are taken whole,
     which keeps the random stream, and their residuals in blocks of pairs of
-    ``_PAIR_BLOCK_BYTES`` per stack, which bounds the memory of the
-    products; each pair's residuals are its own, so the blocks change no
-    value.  A beta below the smallest normal float raises
-    ``ScaleUnderflowError``; residuals that overflow, as the deviations
-    ||a - E(a)|| / beta and the bounds D (||a|| L(b) + ||b|| L(a)) do at
-    extreme ratios, raise ``ScaleOverflowError``.
+    ``BLOCK_BYTES`` per stack, which bounds the memory of the products and
+    their off-diagonal parts, further stacks of the same size; each pair's
+    residuals are its own, so the blocks change no value.  A beta below the
+    smallest normal float raises ``ScaleUnderflowError``; residuals that
+    overflow, as the deviations ||a - E(a)|| / beta and the bounds
+    D (||a|| L(b) + ||b|| L(a)) do at extreme ratios, raise
+    ``ScaleOverflowError``.
     """
     for ratio in ratios:
         for n in sizes:
@@ -235,16 +231,15 @@ def leibniz_suites(
             pair = ApproximationPair(space, beta, corollary_mode=ratio <= 1.0)
             a = random_hermitian_stack(rng, pairs, n)
             b = random_hermitian_stack(rng, pairs, n)
-            step = max(1, _PAIR_BLOCK_BYTES // a[0].nbytes)
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    blocks = [
-                        unit_leibniz_residuals(pair, a[i : i + step], b[i : i + step])
-                        for i in range(0, pairs, step)
+                    parts = [
+                        unit_leibniz_residuals(pair, a[block], b[block])
+                        for block in blocks(pairs, a[0].nbytes)
                     ]
             except FloatingPointError as exc:
                 raise ScaleOverflowError(f"ratio {ratio!r} at size {n} overflows the residuals ({exc})") from None
-            jres, lres = (np.concatenate(r) for r in zip(*blocks))
+            jres, lres = (np.concatenate(r) for r in zip(*parts))
             yield ratio, pair, jres, lres
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linprog
@@ -33,8 +33,16 @@ TAU = 2.0 * math.pi
 
 # Relative slack used when validating metric axioms of float inputs.
 _AXIOM_RTOL = 1e-12
-# Sums d[i,j] + d[j,k] per block of the triangle check: 8 MiB of floats.
-_TRIANGLE_BLOCK = 1 << 20
+# Working memory one block of a blocked loop may hold, in bytes.
+BLOCK_BYTES = 8 << 20
+
+
+def blocks(count: int, item_bytes: int) -> Iterator[slice]:
+    """Consecutive slices covering range(count) in order, each of
+    ``BLOCK_BYTES // item_bytes`` items (at least one; the last may be short)."""
+    step = max(1, BLOCK_BYTES // item_bytes)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 @dataclass(frozen=True)
@@ -75,12 +83,11 @@ class FiniteMetricSpace:
             if np.min(off) <= 0.0:
                 raise MetricAxiomError("distinct points must have positive distance")
             # d[i,k] <= d[i,j] + d[j,k] for every j, a block of rows i at a
-            # time so that no more than _TRIANGLE_BLOCK sums are held at once.
+            # time so that no more than BLOCK_BYTES of sums are held at once.
             if n > 2:
-                step = max(1, _TRIANGLE_BLOCK // (n * n))
                 worst = -np.inf
-                for lo in range(0, n, step):
-                    rows = dist[lo : lo + step]
+                for block in blocks(n, 8 * n * n):
+                    rows = dist[block]
                     via = (rows[:, :, None] + dist[None, :, :]).min(axis=1)
                     worst = max(worst, float(np.max(rows - via)))
                 if worst > tol:

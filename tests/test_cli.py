@@ -22,9 +22,9 @@ from matprox.metric_core import Circle, FlatTorus, Interval
 # Every config key of every subcommand; the boolean ones have no flag.
 KEYS = {
     "approximate": ["generator", "n", "beta_rule", "seed", "reach_samples", "corollary_mode"],
-    "converge": ["generator", "beta_rule", "n_list", "seed"],
+    "converge": ["generator", "beta_rule", "n_list"],
     "leibniz": ["sizes", "ratios", "pairs", "seed", "include_raw"],
-    "mk": ["seed", "space", "p", "q"],
+    "mk": ["space", "p", "q"],
     "fixedpoint": ["seed", "count", "sweep", "q", "p", "h_generators", "k_generators"],
 }
 BOOLEAN_KEYS = {"corollary_mode", "include_raw"}
@@ -113,8 +113,6 @@ def test_converge_outputs_are_deterministic(tmp_path):
         "4,8,16,32",
         "--beta-rule",
         "delta_over_n",
-        "--seed",
-        "0",
     ]
     out1 = tmp_path / "run1.json"
     out2 = tmp_path / "run2.json"
@@ -622,6 +620,19 @@ def test_fixedpoint_empty_sweep_names_the_sweep(tmp_path, capsys, sweep):
     out = tmp_path / "sweep.json"
     assert _rejected_field(["fixedpoint", "--sweep", sweep], out, capsys) == "sweep"
     assert not out.with_suffix(".csv").exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "mk"])
+def test_commands_that_draw_nothing_take_no_seed(tmp_path, capsys, command):
+    # converge and mk accepted a seed they never used, and echoed it.
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]]}), encoding="utf-8")
+    base = [command] + (["--space", str(space)] if command == "mk" else ["--n-list", "4,8"])
+    assert _rejected_field(base + ["--seed", "1"], tmp_path / "out.json", capsys) == "argv"
+    argv = base + ["--config", _config_file(tmp_path, {"seed": 1})]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "config"
+    assert main(base + ["--output", str(tmp_path / "out.json")]) == 0
+    assert "seed" not in read_json(tmp_path / "out.json")["resolved_config"]
 
 
 def test_fixedpoint_determinism(tmp_path):

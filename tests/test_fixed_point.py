@@ -28,7 +28,7 @@ from matprox import (
     subgroup_hausdorff,
     trace_state,
 )
-from matprox import fixed_point
+from matprox import fixed_point, metric_core
 from matprox.errors import ActionNotIsometricError, ConfigError
 from matprox.matrix_algebra import jordan_lie
 from matprox.oracles import (
@@ -363,13 +363,61 @@ def test_exact_norm_stacks_stay_within_the_byte_budget(monkeypatch):
 
     monkeypatch.setattr(fixed_point, "operator_norms", recording)
     expected = action_lip_seminorms(torus, ell, stack)
-    assert 0 < max(sizes) <= fixed_point._NORM_CHUNK_BYTES
+    assert 0 < max(sizes) <= metric_core.BLOCK_BYTES
     # A budget of 4 matrices changes the chunking, not the values.
-    monkeypatch.setattr(fixed_point, "_NORM_CHUNK_BYTES", 4 * 16 * q * q)
+    monkeypatch.setattr(metric_core, "BLOCK_BYTES", 4 * 16 * q * q)
     sizes.clear()
     small = action_lip_seminorms(torus, ell, stack)
     assert max(sizes) <= 4 * 16 * q * q
     assert np.allclose(small, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 6, 12, 16])
+def test_schatten_screen_with_its_margin_bounds_every_difference(q):
+    # The one screen before the exact norms: with the margin derived in
+    # action_lip_seminorms, its bound is at least the exact norm of every
+    # difference a - alpha^g(a) that _differences builds, on the inputs
+    # where the Frobenius bound is loosest (lines), on zero differences
+    # (E_H with H full, a scalar, zero) and on random draws.
+    torus = FuzzyTorus(q, 1)
+    rng = np.random.default_rng(67)
+    lines = _structured_lines(
+        torus, np.array([(1, 0), (0, 1), (1, 1), (q // 2, 1), (2, q - 1), (q // 3, q // 2)])
+    )
+    draws = np.stack([random_hermitian(rng, q) for _ in range(4)])
+    images = [
+        AveragingExpectation(torus, sub)(draws)
+        for sub in (TorusSubgroup.full(q), TorusSubgroup.from_generators(q, (1, 0)))
+    ]
+    scalars = [2.5 * identity(q)[None], np.zeros((1, q, q))]
+    stack = np.concatenate([lines, *images, *scalars, draws])
+    slots = q * q - 1
+    elem = np.repeat(np.arange(len(stack)), slots)
+    diffs = fixed_point._differences(torus, stack, elem, np.tile(np.arange(slots), len(stack)))
+    slack = 1.0 + 4.0 * (q + 2) ** 2 * np.finfo(float).eps / 2.0
+    assert np.all(slack * fixed_point._schatten_bounds(diffs) >= operator_norms(diffs))
+
+
+def test_every_built_difference_meets_the_schatten_screen_once(monkeypatch):
+    q = 12
+    torus = FuzzyTorus(q, 5)
+    stack = _structured_stack(torus, np.random.default_rng(68))
+    built, screened = [], []
+    differences, schatten = fixed_point._differences, fixed_point._schatten_bounds
+
+    def building(*args):
+        built.append(differences(*args))
+        return built[-1]
+
+    def screening(diffs):
+        screened.append(diffs)
+        return schatten(diffs)
+
+    monkeypatch.setattr(fixed_point, "_differences", building)
+    monkeypatch.setattr(fixed_point, "_schatten_bounds", screening)
+    action_lip_seminorms(torus, LengthFunction.max_arc(q), stack)
+    assert built and len(screened) == len(built)
+    assert all(a is b for a, b in zip(built, screened))
 
 
 def test_normalization_is_per_element_bitwise(monkeypatch):
@@ -384,7 +432,7 @@ def test_normalization_is_per_element_bitwise(monkeypatch):
     stack = np.concatenate([draws, image, _structured_stack(torus, np.random.default_rng(63))])
     whole = fixed_point._normalized_unit_ball(torus, ell, stack)
     alone = np.concatenate([fixed_point._normalized_unit_ball(torus, ell, a[None]) for a in stack])
-    monkeypatch.setattr(fixed_point, "_NORM_CHUNK_BYTES", 3 * 16 * q * q)
+    monkeypatch.setattr(metric_core, "BLOCK_BYTES", 3 * 16 * q * q)
     blocked = fixed_point._normalized_unit_ball(torus, ell, stack)
     assert whole.tobytes() == alone.tobytes() == blocked.tobytes()
 
@@ -500,7 +548,7 @@ def test_line_seminorms_are_blocked(monkeypatch):
     ell = LengthFunction.max_arc(9)
     _, reps = _line_representatives(9)
     expected = fixed_point._line_norms(torus, ell, reps)
-    monkeypatch.setattr(fixed_point, "_LINE_BLOCK", 3)
+    monkeypatch.setattr(metric_core, "BLOCK_BYTES", 3 * 16 * 9 * 9)
     for got, want in zip(fixed_point._line_norms(torus, ell, reps), expected):
         assert np.array_equal(got, want)
 
@@ -874,7 +922,7 @@ def test_sample_count_below_one_is_rejected(count):
 
 
 def test_seminorm_never_takes_norms_of_an_empty_stack(monkeypatch):
-    # The Schur screen can leave nothing of a chunk; that chunk makes no call.
+    # The Schatten screen can leave nothing of a chunk; that chunk makes no call.
     shapes = []
 
     def recording(diffs):

@@ -57,3 +57,18 @@ def test_a_file_on_one_side_only_is_reported(tmp_path):
     old, new = _write(tmp_path / "old", PAYLOAD), _write(tmp_path / "new", PAYLOAD)
     (new / "extra.json").write_text("{}\n", encoding="utf-8")
     assert _compare(old, new) == (1, [f"extra.json: only in {new}"])
+
+
+def test_keys_on_one_side_are_named_and_shared_keys_still_compared(tmp_path):
+    # A changed key set read "resolved_config changed" and hid the numbers.
+    old_payload = {**PAYLOAD, "resolved_config": {"count": 8, "seed": 0}}
+    new_payload = copy.deepcopy(PAYLOAD)
+    new_payload["resolved_config"] = {"count": 8, "sweep": [4, 6]}
+    new_payload["results"]["rows"][0]["gap_sampled"] = 0.5
+    old, new = _write(tmp_path / "old", old_payload), _write(tmp_path / "new", new_payload)
+    code, lines = _compare(old, new)
+    assert code == 1 and lines == [
+        "sweep.json: results.rows[].gap_sampled 5.000e-01",
+        f"sweep.json: resolved_config.seed only in {old}",
+        f"sweep.json: resolved_config.sweep only in {new}",
+    ]

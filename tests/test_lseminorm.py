@@ -25,7 +25,7 @@ from matprox import (
     unit_ball_radius_bound,
     unit_leibniz_residuals,
 )
-from matprox import lseminorm
+from matprox import lseminorm, metric_core
 from matprox.errors import (
     ConfigError,
     CorollaryModeViolation,
@@ -453,7 +453,7 @@ def test_leibniz_suites_draw_each_ratio_then_each_size_from_one_generator(monkey
     suites = list(lseminorm.leibniz_suites(np.random.default_rng(5), [2, 4], [1.0, 3.0], 7))
     # 128 bytes hold two 2x2 elements and less than one 4x4: the residuals
     # then go in blocks of two pairs and of one, with the same bits.
-    monkeypatch.setattr(lseminorm, "_PAIR_BLOCK_BYTES", 128)
+    monkeypatch.setattr(metric_core, "BLOCK_BYTES", 128)
     blocked = list(lseminorm.leibniz_suites(np.random.default_rng(5), [2, 4], [1.0, 3.0], 7))
     for (_, _, jres, lres), (_, _, jblock, lblock) in zip(suites, blocked):
         assert jres.tobytes() == jblock.tobytes() and lres.tobytes() == lblock.tobytes()

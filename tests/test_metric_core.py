@@ -25,7 +25,7 @@ from matprox.errors import (
     InputShapeError,
     MetricAxiomError,
 )
-from matprox.metric_core import dirac_distances, lipschitz_constraints
+from matprox.metric_core import BLOCK_BYTES, blocks, dirac_distances, lipschitz_constraints
 
 
 def two_point(d: float = 1.0) -> FiniteMetricSpace:
@@ -65,6 +65,18 @@ def test_triangle_check_over_row_blocks_reports_the_worst_excess():
     worst = float(np.max(dist - (dist[:, :, None] + dist[None, :, :]).min(axis=1)))
     with pytest.raises(MetricAxiomError, match=re.escape(f"triangle inequality violated by {worst:.3e}") + "$"):
         FiniteMetricSpace(tuple(f"p{i}" for i in range(120)), dist)
+
+
+def test_blocks_cover_the_count_in_order_within_the_budget():
+    assert list(blocks(0, 8)) == []
+    # An item larger than the budget still gets a slice of its own.
+    assert list(blocks(3, 2 * BLOCK_BYTES)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert list(blocks(6, BLOCK_BYTES // 3)) == [slice(0, 3), slice(3, 6)]
+    for count, item_bytes in ((1, 8), (10, BLOCK_BYTES // 4), (1000, 16 * 64 * 64), (7, BLOCK_BYTES + 1)):
+        slices = list(blocks(count, item_bytes))
+        assert [i for block in slices for i in range(count)[block]] == list(range(count))
+        assert all(block.stop - block.start == max(1, BLOCK_BYTES // item_bytes) for block in slices[:-1])
+        assert 0 < slices[-1].stop - slices[-1].start <= max(1, BLOCK_BYTES // item_bytes)
 
 
 def test_rejects_label_count_mismatch():

@@ -21,8 +21,9 @@ config that does not exit 0.
 that differs, ``<file>: <field> <largest relative move>``, where a field is
 a JSON path (or CSV column) with list indices collapsed to ``[]``, so the
 rows of a sweep make one field.  A non-numeric change reads ``changed``,
-and a file in one directory only reads ``only in OLD_DIR`` or ``only in
-NEW_DIR``.  Exits 0 if nothing differs, 1 otherwise.
+and a file or an object key in one directory only reads ``only in OLD_DIR``
+or ``only in NEW_DIR``, as in ``<file>: <field>.<key> only in OLD_DIR``.
+Exits 0 if nothing differs, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ INPUTS = {
 # input files; fixedpoint also runs a sweep each way, a pair of large
 # subgroups so that haus_ell is compared over many elements, and a q = 64
 # sample of 96 draws and 96 images, more elements than one normalization
-# block of ``fixed_point._NORM_CHUNK_BYTES`` holds at that order.  The leibniz
+# block of ``metric_core.BLOCK_BYTES`` holds at that order.  The leibniz
 # ratios of leibniz_screen_mix put seminorms on both sides of the Lipschitz
 # screen in ``l_seminorms``.
 CONFIGS = [
@@ -61,7 +62,7 @@ CONFIGS = [
                            "--reach-samples", "2"], None),
     ("converge_defaults", ["converge"], None),
     ("converge_flags", ["converge", "--generator", "interval(2)", "--n-list", "3,5,9",
-                        "--beta-rule", "fixed(0.01)", "--seed", "2"], None),
+                        "--beta-rule", "fixed(0.01)"], None),
     ("converge_config", ["converge", "--n-list", "4,16"], {"generator": "torus(1,1)", "n_list": [4, 9]}),
     ("converge_cloud", ["converge", "--generator", "cloud:points.json", "--n-list", "2,4,6"], None),
     ("leibniz_defaults", ["leibniz"], None),
@@ -72,7 +73,7 @@ CONFIGS = [
     ("mk_dist", ["mk", "--space", "space_dist.json"], None),
     ("mk_flags", ["mk", "--space", "space_dist.json", "--p", "[0.5, 0.5, 0]", "--q", "[0, 0.25, 0.75]"], None),
     ("mk_config", ["mk"], {"space": "space_points.json", "p": [0.25, 0.25, 0.25, 0.25],
-                           "q": [1, 0, 0, 0], "seed": 5}),
+                           "q": [1, 0, 0, 0]}),
     ("fixedpoint_defaults", ["fixedpoint"], None),
     ("fixedpoint_flags", ["fixedpoint", "--q", "6", "--p", "5", "--h-generators", "[[3, 0]]",
                           "--k-generators", "[[1, 0]]", "--count", "8", "--seed", "2"], None),
@@ -131,15 +132,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _moves(old, new, field: str, out: dict[str, float]) -> None:
-    """Record in ``out`` the largest relative move of each field that differs;
-    a non-numeric change or a change of shape counts as infinite."""
-    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
-        for key in old:
-            _moves(old[key], new[key], f"{field}.{key}" if field else key, out)
+def _moves(old, new, field: str, out: dict[str, float], sides: dict[str, bool]) -> None:
+    """Record in ``out`` the largest relative move of each field that differs,
+    where a non-numeric change or a change of shape counts as infinite, and
+    in ``sides`` each object key found on one side only, True if on the old."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in [*old, *(k for k in new if k not in old)]:
+            path = f"{field}.{key}" if field else key
+            if key in old and key in new:
+                _moves(old[key], new[key], path, out, sides)
+            else:
+                sides[path] = key in old
     elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         for a, b in zip(old, new):
-            _moves(a, b, field + "[]", out)
+            _moves(a, b, field + "[]", out, sides)
     elif _is_number(old) and _is_number(new):
         if old != new:
             move = abs(new - old) / max(abs(old), abs(new))
@@ -158,10 +164,13 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             differs = True
             continue
         moved: dict[str, float] = {}
-        _moves(_load(old), _load(new), "", moved)
+        sides: dict[str, bool] = {}
+        _moves(_load(old), _load(new), "", moved, sides)
         for field, move in moved.items():
             print(f"{name}: {field or '(file)'} {'changed' if math.isinf(move) else f'{move:.3e}'}")
-        differs = differs or bool(moved)
+        for field, in_old in sides.items():
+            print(f"{name}: {field} only in {old_dir if in_old else new_dir}")
+        differs = differs or bool(moved) or bool(sides)
     return 1 if differs else 0
 
 
