@@ -124,7 +124,9 @@ def _coordinate_descent_inf(
     sections or after a sweep that gains less than 1e-9.  One working matrix
     m = a - diag(f) is kept: a section writes only the real part of m_ii,
     and after it m_ii is reset from the accepted f_i, so every evaluation
-    sees the same entries as a freshly built a - diag(g).
+    sees the same entries as a freshly built a - diag(g).  For a bitwise
+    self-adjoint a that matrix is bitwise self-adjoint too, so each norm
+    takes the eigenvalue path of ``operator_norms``.
     """
     n = pair.dim
     dist = pair.space.dist

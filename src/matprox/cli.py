@@ -211,18 +211,16 @@ def _optional(check: _Check) -> _Check:
 def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
     if raw is None:
         return []
-    if isinstance(raw, str):
-        try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError:
-            raise ValidationFailure(field, f"{field} must be a JSON array of [j, k] pairs")
     try:
-        pairs = [(j, k) for j, k in raw]
-        if all(type(x) is int for pair in pairs for x in pair):
-            return pairs
+        raw = json.loads(raw) if isinstance(raw, str) else raw
+        # A JSON object would iterate as its keys, so only an array passes.
+        if isinstance(raw, list):
+            pairs = [(j, k) for j, k in raw]
+            if all(type(x) is int for pair in pairs for x in pair):
+                return pairs
     except (TypeError, ValueError):
         pass
-    raise ValidationFailure(field, f"{field} must be pairs of integers")
+    raise ValidationFailure(field, f"{field} must be a JSON array of [j, k] integer pairs, got {raw!r}")
 
 
 def _space_file(value, field: str) -> FiniteMetricSpace:
@@ -518,10 +516,10 @@ COMMANDS = {
              "net sizes must be strictly increasing", _MAX_DIM), "comma-separated net sizes", _as_checked),
     )),
     "leibniz": _Command("residual suite for the product inequality", _leibniz, (
-        _Key("sizes", [2, 3, 4, 5, 6, 7, 8], _numbers(int, lambda xs: all(x >= 2 for x in xs),
-             "matrix sizes must be at least 2", _MAX_DIM), "comma-separated matrix sizes", _as_checked),
-        _Key("ratios", [1.0, 3.0], _numbers(float, lambda xs: all(r > 0.0 for r in xs),
-             "beta/delta ratios must be positive"), "comma-separated beta/delta ratios", _as_checked),
+        _Key("sizes", [2, 3, 4, 5, 6, 7, 8], _numbers(int, lambda xs: xs and min(xs) >= 2,
+             "sizes needs one or more entries, each at least 2", _MAX_DIM), "comma-separated matrix sizes", _as_checked),
+        _Key("ratios", [1.0, 3.0], _numbers(float, lambda xs: xs and min(xs) > 0.0,
+             "ratios needs one or more entries, each positive"), "comma-separated beta/delta ratios", _as_checked),
         _Key("pairs", 500, _integer(1, _MAX_PAIRS), "random element pairs per suite"),
         _SEED,
         _Key("include_raw", True, _boolean),

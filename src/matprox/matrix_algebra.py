@@ -30,17 +30,8 @@ def _as_square(a: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value (dims <= 64; exactness over speed)."""
-    # Stays on the SVD even for self-adjoint input: the coordinate descent in
-    # ``bridge.estimate_reach_lower`` follows the exact path its objective
-    # values take, and a 1e-15 change there moves the sampled reach by up to
-    # 2e-6 relative (``test_reach_lower_estimate_is_pinned``).  This is the
-    # gesdd call ``np.linalg.norm(m, 2)`` makes; LAPACK sorts the values in
-    # descending order, so ``[0]`` is the value its ``amax`` picks.
-    m = _as_square(a)
-    if not np.any(m):
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    """Largest singular value of one square matrix, by :func:`operator_norms`."""
+    return float(operator_norms(_as_square(a)))
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:

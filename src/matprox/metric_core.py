@@ -162,7 +162,9 @@ def check_probability(space: FiniteMetricSpace, weights: np.ndarray) -> np.ndarr
         )
     if not np.all(np.isfinite(w)) or np.min(w) < -tol:
         raise ValueError("measure weights must be finite and nonnegative")
-    if abs(float(np.sum(w)) - 1.0) > tol:
+    # No weight of a probability vector exceeds one, and checking that first
+    # keeps the sum from overflowing.
+    if np.max(w) > 1.0 + tol or abs(float(np.sum(w)) - 1.0) > tol:
         raise ValueError("measure weights must sum to one")
     return np.clip(w, 0.0, None)
 

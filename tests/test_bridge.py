@@ -113,17 +113,17 @@ def test_two_point_reach_interval_is_reported_not_asserted():
 @pytest.mark.parametrize(
     "generator,expected",
     [
-        (Circle(TAU), 0.00439131496424872),
-        (Interval(1.0), 0.0006988993465755378),
-        (FlatTorus((1.0, 1.0)), 0.0034944972990339127),
+        (Circle(TAU), 0.004391314908010322),
+        (Interval(1.0), 0.0006988993439762562),
+        (FlatTorus((1.0, 1.0)), 0.0034944972802837147),
     ],
     ids=["circle", "interval", "torus"],
 )
 def test_reach_lower_estimate_is_pinned(generator, expected):
-    # The coordinate descent follows the exact path of its objective values.
-    # With operator_norm taken from eigvalsh (about 1e-15 away from the SVD)
-    # these three estimates moved by 3.7e-9 to 1.3e-8 relative, so the values
-    # pin the single-matrix norm to the SVD.
+    # The coordinate descent follows the exact path of its objective values,
+    # so these values pin the single-matrix norm to the eigvalsh path of
+    # operator_norms.  When that norm moved from the SVD to eigvalsh (about
+    # 1e-15 apart) they moved by 3.7e-9 to 1.3e-8 relative.
     pair, _ = approximate_compact_space(generator, 25, beta_delta_over_n)
     assert estimate_reach_lower(pair, iters=1, seed=1) == pytest.approx(
         expected, rel=1e-12, abs=0.0
@@ -132,13 +132,13 @@ def test_reach_lower_estimate_is_pinned(generator, expected):
 
 def _reference_descent(pair, a, start, steps=200, tol=1e-9):
     """The descent as first written: every evaluation rebuilds a - diag(g)
-    and takes np.linalg.norm(., 2) of it."""
+    and takes operator_norm of it."""
     n = pair.dim
     dist = pair.space.dist
     f = start.astype(float).copy()
 
     def objective(values):
-        return float(np.linalg.norm(a - np.diag(values.astype(complex)), 2))
+        return operator_norm(a - np.diag(values.astype(complex)))
 
     current = objective(f)
     used = 0
@@ -217,6 +217,24 @@ def test_reach_descent_takes_one_norm_per_evaluation(monkeypatch):
     estimate_reach_lower(pair, iters=samples, seed=4)
     assert counts["evals"] > 0
     assert counts["norms"] == counts["evals"] + samples
+
+
+@pytest.mark.parametrize(
+    "generator,n",
+    [(Circle(TAU), 12), (Interval(1.0), 32), (FlatTorus((1.0, 1.0)), 36)],
+    ids=["circle-12", "interval-32", "torus-36"],
+)
+def test_reach_norms_take_no_svd(generator, n, monkeypatch):
+    # Every matrix whose norm the reach descent and the witness check take is
+    # bitwise self-adjoint, so operator_norm takes eigvalsh on each.  A matrix
+    # that stopped being so would fall back to the SVD and fail here.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a reach norm took the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    pair, _ = approximate_compact_space(generator, n, beta_delta_over_n)
+    assert 0.0 < estimate_reach_lower(pair, iters=2, seed=3) <= pair.beta + 1e-9
+    assert certify_reach_upper(pair, samples=8, seed=3).upper_bound == pair.beta
 
 
 # ---------------------------------------------------------------------------

@@ -357,6 +357,7 @@ def test_dimension_64_is_allowed(tmp_path):
         (["--h-generators", "[[7,7]]"], "h_generators"),
         (["--k-generators", "[[1,0]]"], "k_generators"),
         (["--p", "5", "--h-generators", "[]"], "p"),
+        (["--h-generators", "{}"], "h_generators"),
     ],
 )
 def test_sweep_runs_check_every_key(tmp_path, capsys, extra, field):
@@ -491,6 +492,27 @@ def test_mk_rejects_non_numeric_distances_and_nan_weights(tmp_path, capsys):
     good.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]]}), encoding="utf-8")
     argv = ["mk", "--space", str(good), "--p", "[NaN, 0.5, 0.5]", "--q", "[1, 0, 0]"]
     assert _rejected_field(argv, tmp_path / "b.json", capsys) == "p"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mk_rejects_huge_weights_before_summing_them(tmp_path, capsys):
+    # The weights' sum overflowed, and numpy's warning came before the error.
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 1]]}), encoding="utf-8")
+    argv = ["mk", "--space", str(good), "--p", "[1e308, 1e308, 0]", "--q", "[0, 0, 1]"]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "p"
+
+
+@pytest.mark.parametrize("key", ["h_generators", "k_generators"])
+@pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
+def test_generators_must_be_a_json_array(tmp_path, capsys, key, by_flag):
+    # An empty JSON object was read as an empty list of generators, so the
+    # run went ahead on the trivial subgroup.
+    if by_flag:
+        argv = ["fixedpoint", "--" + key.replace("_", "-"), "{}"]
+    else:
+        argv = ["fixedpoint", "--config", _config_file(tmp_path, {key: {}})]
+    assert _rejected_field(argv + ["--q", "4", "--count", "2"], tmp_path / "out.json", capsys) == key
 
 
 @pytest.mark.parametrize("form", ["points", "dist"])
@@ -785,6 +807,17 @@ def test_leibniz_extreme_ratios_inside_the_range_still_run(tmp_path, ratio):
     for suite in read_json(out)["results"]["suites"]:
         residuals = suite["jordan_residuals"] + suite["lie_residuals"]
         assert np.all(np.isfinite(residuals))
+
+
+@pytest.mark.parametrize("key", ["sizes", "ratios"])
+@pytest.mark.parametrize("value", ["", ",", []], ids=["empty", "comma", "config"])
+def test_leibniz_empty_lists_name_the_field(tmp_path, capsys, key, value):
+    # An empty list ran to exit 0 with "suites": [].
+    if isinstance(value, str):
+        argv = ["leibniz", "--" + key, value]
+    else:
+        argv = ["leibniz", "--config", _config_file(tmp_path, {key: value})]
+    assert _rejected_field(argv + ["--pairs", "2"], tmp_path / "out.json", capsys) == key
 
 
 @pytest.mark.parametrize(
