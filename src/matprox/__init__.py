@@ -11,7 +11,6 @@ from .bridge import (
     ConvergenceReport,
     ConvergenceRow,
     ReachCertificate,
-    UnitPivotBridge,
     approximate_compact_space,
     beta_delta_over_n,
     beta_fixed,
@@ -31,7 +30,6 @@ from .errors import (
     MetricAxiomError,
     ScaleOverflowError,
     ScaleUnderflowError,
-    SelfAdjointnessError,
 )
 from .fixed_point import (
     AveragingExpectation,
@@ -40,7 +38,6 @@ from .fixed_point import (
     FuzzyTorus,
     LengthFunction,
     TorusSubgroup,
-    action_kernel_dimension,
     action_lip_seminorms,
     commutative_fixed_point_check,
     cyclic_rotation_group,
@@ -52,17 +49,11 @@ from .fixed_point import (
 )
 from .lseminorm import (
     ApproximationPair,
-    kernel_check,
-    kernel_dimension,
-    l_seminorm,
     l_seminorms,
-    quasi_leibniz_residuals,
     sample_unit_ball,
-    unit_ball_radius_bound,
     unit_leibniz_residuals,
 )
 from .matrix_algebra import (
-    DiagonalEmbedding,
     identity,
     operator_norm,
     operator_norms,

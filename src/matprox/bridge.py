@@ -28,7 +28,6 @@ from scipy.optimize import minimize_scalar
 
 from .errors import (
     ConfigError,
-    InputShapeError,
     ScaleOverflowError,
     ScaleUnderflowError,
 )
@@ -39,30 +38,6 @@ from .metric_core import (
     epsilon_net,
     min_separation,
 )
-
-
-@dataclass(frozen=True)
-class UnitPivotBridge:
-    """The bridge from a pair's matrix algebra to the functions on its space.
-
-    The ambient algebra is the matrix algebra itself, embedded by the
-    identity; functions embed as diagonal matrices.  With the unit pivot the
-    height vanishes by construction; the bridge norm of a matrix and a
-    function is the operator-norm gap of their embeddings.
-    """
-
-    pair: ApproximationPair
-
-    @property
-    def height(self) -> float:
-        return 0.0
-
-    def norm(self, a: np.ndarray, f: np.ndarray) -> float:
-        m = np.asarray(a, dtype=complex)
-        dim = self.pair.dim
-        if m.shape != (dim, dim):
-            raise InputShapeError(f"matrix has shape {m.shape}, ambient dim {dim}")
-        return operator_norm(m - self.pair.rho.embed(f))
 
 
 @dataclass(frozen=True)
@@ -87,18 +62,19 @@ def certify_reach_upper(
 ) -> ReachCertificate:
     """Certificate that the reach of the pair's bridge is at most beta.
 
-    The certificate is proof-backed: for a unit-ball matrix a the diagonal
-    part diag(a) has Lipschitz seminorm at most L(a) <= 1 and
+    The bridge norm of a matrix a and a function f is ||a - diag(f)||, with
+    f embedded as a diagonal matrix.  The certificate is proof-backed: for a
+    unit-ball matrix a the diagonal part diag(a) has Lipschitz seminorm at
+    most L(a) <= 1 and
     ||a - diag(a)|| <= beta L(a) <= beta, while a unit-Lipschitz function
     embeds with bridge norm exactly zero.  The witnesses are re-evaluated on
     deterministic unit-ball samples and the worst observed values recorded;
     a witness violation would falsify the certificate and raises.
     """
-    bridge = UnitPivotBridge(pair)
     worst_forward = 0.0
     for a in sample_unit_ball(pair, samples, seed):
         f = np.diagonal(a).real
-        worst_forward = max(worst_forward, bridge.norm(a, f))
+        worst_forward = max(worst_forward, operator_norm(a - np.diag(f.astype(complex))))
     # A witness norm exactly at beta may round above it.
     slack = 1e-12 * (1.0 + pair.beta)
     if worst_forward > pair.beta + slack:

@@ -56,6 +56,7 @@ from .metric_core import (
     PointCloud,
     check_probability,
     dirac_distances,
+    json_number_array,
     mk_distance,
     space_from_dict,
 )
@@ -104,7 +105,7 @@ def parse_generator(spec: str):
         path = Path(text[len("cloud:") :])
         try:
             payload = json.loads(_read_file(path, "generator", "point file"))
-            pts = np.asarray(payload["points"], dtype=float)
+            pts = json_number_array(payload["points"], "points")
             labels = tuple(payload["labels"]) if "labels" in payload else None
             FiniteMetricSpace.from_points(pts, labels)
         except (KeyError, TypeError, ValueError, MatproxError) as exc:
@@ -354,7 +355,7 @@ def _mk(v: dict, config: dict) -> _Output:
             return None
         try:
             weights = json.loads(raw) if isinstance(raw, str) else raw
-            return check_probability(space, np.asarray(weights, dtype=float))
+            return check_probability(space, json_number_array(weights, field))
         except (TypeError, ValueError, MatproxError) as exc:
             raise ValidationFailure(
                 field, f"{field} must be a JSON array of {space.n_points} probability weights: {exc}"

@@ -35,10 +35,6 @@ class ScaleOverflowError(ConfigError):
     descent's scalar minimiser overflow."""
 
 
-class SelfAdjointnessError(MatproxError):
-    """An element expected to be self-adjoint is not."""
-
-
 class CorollaryModeViolation(MatproxError):
     """A tolerance beta exceeds the minimum separation while the pair is
     flagged for the beta/delta <= 1 regime (the one with Leibniz constant 2)."""

@@ -20,9 +20,10 @@ Everything is a finite-group specialization: the acting group is the
 q-torsion subgroup of the 2-torus, Haar integrals are uniform averages, and
 the seminorm maximum runs over the q^2 - 1 nontrivial group elements (only
 those act on the algebra, since a root of unity relation pins the acting
-parameters).  Values over unit balls are sampled and labeled so: the gap
-is a lower bound, and each reach direction a largest witness value, which
-bounds its own sample's distance to the other fixed algebra from above.
+parameters).  The fuzzy-torus values over unit balls are sampled and
+labeled so: the gap is a lower bound, and each reach direction a largest
+witness value, which bounds its own sample's distance to the other fixed
+algebra from above.  The commutative reach is exact, in closed form.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .matrix_algebra import operator_norms
 from .metric_core import (
     FiniteMetricSpace,
     blocks,
-    hausdorff_distance,
-    lipschitz_seminorm,
 )
 
 GroupElement = tuple[int, int]
@@ -518,28 +517,6 @@ def action_lip_seminorms(
         step *= 2
 
 
-def action_kernel_dimension(torus: FuzzyTorus) -> int:
-    """Dimension of the joint fixed space of all nontrivial automorphisms.
-
-    Realizes each automorphism as conjugation by a unitary, stacks the
-    superoperators (identity minus conjugation) into a Gram matrix and
-    counts its numerically zero eigenvalues.  Equals one exactly when the
-    twist is invertible: only the identity coefficient survives every
-    character.  Each conjugation C is unitary, so its Gram term
-    (I - C)^H (I - C) is 2I - C - C^H.
-    """
-    q = torus.q
-    dim = q * q
-    gram = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(dim, dtype=complex)
-    for g in TorusSubgroup.full(q).element_array()[1:]:
-        w = torus.action_unitary(g)
-        conj = np.kron(w, w.conj())
-        gram += 2.0 * eye - conj - conj.conj().T
-    eigs = np.linalg.eigvalsh(gram)
-    return int(np.sum(eigs <= 1e-8 * max(1.0, float(eigs[-1]))))
-
-
 # ---------------------------------------------------------------------------
 # Expectation gaps and bridge-style reports.
 # ---------------------------------------------------------------------------
@@ -612,9 +589,9 @@ def _line_peaks(
     each support H & ~K or K & ~H of the fixed-coefficient masks, 0.0 for an
     empty support.
 
-    The gap between two averaging expectations is attained on coefficient
-    lines, so these are always sampled alongside random draws.  Both masks
-    are closed under negation, so each line l of x = U^m V^n on a support
+    The lines are a cheap, exact floor, sampled alongside the random draws;
+    the gap need not be attained on them.  Both masks are closed under
+    negation, so each line l of x = U^m V^n on a support
     has (E_h - E_k) l = +-l, and its term is ||l|| / L(l) from
     :func:`_line_norms`, one exponent per pair {(m, n), (-m, -n)}; the lines
     of all supports go through one call.  A line whose norm is at rounding
@@ -865,17 +842,6 @@ def _orbits(perms: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
     return sorted({tuple(sorted({sigma[x] for sigma in perms})) for x in range(n)})
 
 
-def orbit_average(
-    orbits: Sequence[Sequence[int]], values: np.ndarray
-) -> np.ndarray:
-    """Replace a function by its mean on each orbit."""
-    out = np.array(values, dtype=float)
-    for orbit in orbits:
-        idx = list(orbit)
-        out[idx] = float(np.mean(out[idx]))
-    return out
-
-
 def _quotient_space(
     space: FiniteMetricSpace, orbits: Sequence[tuple[int, ...]]
 ) -> FiniteMetricSpace:
@@ -899,29 +865,32 @@ class CommutativeFixedPointReport:
     orbits: tuple[tuple[int, ...], ...]
     fixed_dimension: int
     quotient: FiniteMetricSpace
-    lip_contraction_violation: float
-    sampled_reach: float
-    orbit_diameter_bound: float
-    haus_to_representatives: float
-    reach_within_geometry: bool
+    reach: float
+    reach_point: int
 
 
 def commutative_fixed_point_check(
     space: FiniteMetricSpace,
     group: Sequence[Sequence[int]],
     subgroup: Sequence[Sequence[int]],
-    count: int = 256,
-    seed: int = 0,
 ) -> CommutativeFixedPointReport:
-    """Orbit-averaging expectation on functions, with geometry comparison.
+    """Orbit-averaging expectation on functions, with its exact reach.
 
-    The fixed algebra of a subgroup of isometric permutations is the
+    The fixed algebra of a subgroup G of isometric permutations is the
     functions constant on its orbits, i.e. the functions on the quotient
     space (min-pairwise orbit distances closed under shortest paths).  The
-    check verifies the Lipschitz contraction of the averaging expectation
-    on sampled functions and compares the sampled bridge reach (worst sup
-    gap between a unit-Lipschitz function and its average) against the
-    geometric displacement bound, the largest orbit diameter.
+    expectation E averages over G: E f(x) = mean_{s in G} f(s x), which is
+    the uniform mean of f over the orbit O(x), since each point of O(x) is
+    s x for the same number of s.
+
+    ``reach`` is the largest sup gap ||f - E f|| over the 1-Lipschitz f,
+    exactly max_x mean_{y in O(x)} d(x, y), attained at ``reach_point``.
+    Proof: |f(x) - E f(x)| = |mean_s (f(x) - f(s x))| <= mean_s d(x, s x)
+    = mean_{y in O(x)} d(x, y); and f = d(x, .) is 1-Lipschitz with
+    f(x) = 0 and E f(x) = mean_{y in O(x)} d(x, y), so it attains the bound.
+    In floats each mean of |O(x)| distances is within about |O(x)| ulps of
+    its exact value.  The sampled counterpart is
+    ``oracles.sampled_orbit_reach``.
     """
     group_norm = _check_permutation_group(space, group)
     sub_norm = _check_permutation_group(space, subgroup)
@@ -930,43 +899,14 @@ def commutative_fixed_point_check(
         if sigma not in members:
             raise ConfigError("subgroup contains a permutation outside the group")
     orbits = tuple(_orbits(sub_norm, space.n_points))
-    quotient = _quotient_space(space, orbits)
-
-    rng = np.random.default_rng(seed)
-    n = space.n_points
-    samples = []
-    for i in range(n):
-        samples.append(np.array(space.dist[i], dtype=float))
-    for _ in range(count):
-        f = rng.uniform(-1.0, 1.0, size=n)
-        lip = lipschitz_seminorm(space, f)
-        if lip > 0.0:
-            f = f * (rng.uniform(0.0, 1.0) / lip)
-        samples.append(f)
-
-    worst_violation = -np.inf
-    reach = 0.0
-    for f in samples:
-        averaged = orbit_average(orbits, f)
-        lip = lipschitz_seminorm(space, f)
-        worst_violation = max(worst_violation, lipschitz_seminorm(space, averaged) - lip)
-        if lip <= 1.0 + 1e-12:
-            reach = max(reach, float(np.max(np.abs(f - averaged))))
-
-    orbit_diam = 0.0
+    means = np.empty(space.n_points)
     for orbit in orbits:
-        block = space.dist[np.ix_(orbit, orbit)]
-        orbit_diam = max(orbit_diam, float(np.max(block)))
-    reps = [orbit[0] for orbit in orbits]
-    haus_reps = hausdorff_distance(space, range(n), reps)
+        means[list(orbit)] = space.dist[np.ix_(orbit, orbit)].mean(axis=1)
+    point = int(np.argmax(means))
     return CommutativeFixedPointReport(
         orbits=orbits,
         fixed_dimension=len(orbits),
-        quotient=quotient,
-        lip_contraction_violation=float(worst_violation),
-        sampled_reach=reach,
-        orbit_diameter_bound=orbit_diam,
-        haus_to_representatives=haus_reps,
-        # An average moves f by at most the orbit diameter, up to rounding.
-        reach_within_geometry=reach <= orbit_diam + 1e-12,
+        quotient=_quotient_space(space, orbits),
+        reach=float(means[point]),
+        reach_point=point,
     )

@@ -10,8 +10,8 @@ where Lip is the Lipschitz seminorm of Y.  Its kernel is the scalar
 multiples of the identity, its unit ball is norm-bounded after centering,
 and it satisfies a Leibniz-type inequality for the Jordan and Lie products
 with constant D = max(2, 1 + beta/delta), delta being the minimum
-separation of Y.  This module certifies those properties numerically and
-samples the unit ball exactly.
+separation of Y.  This module evaluates the seminorm on stacks, takes the
+Leibniz residuals of drawn pairs and samples the unit ball exactly.
 """
 
 from __future__ import annotations
@@ -30,19 +30,15 @@ from .errors import (
     ScaleUnderflowError,
 )
 from .matrix_algebra import (
-    DiagonalEmbedding,
     jordan_lie,
     operator_norm,
     operator_norms,
     random_hermitian,
     random_hermitian_stack,
-    require_self_adjoint,
-    trace_state,
 )
 from .metric_core import (
     FiniteMetricSpace,
     blocks,
-    diameter,
     lipschitz_seminorm,
     lipschitz_seminorms,
     min_separation,
@@ -65,7 +61,6 @@ class ApproximationPair:
     space: FiniteMetricSpace
     beta: float
     corollary_mode: bool = True
-    rho: DiagonalEmbedding = field(init=False)
     delta: float = field(init=False)
     leibniz_constant: float = field(init=False)
 
@@ -78,7 +73,6 @@ class ApproximationPair:
                 f"beta={self.beta:.6g} exceeds the minimum separation "
                 f"{delta:.6g}; construct with corollary_mode=False to allow it"
             )
-        object.__setattr__(self, "rho", DiagonalEmbedding(self.space))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(
             self, "leibniz_constant", max(2.0, 1.0 + self.beta / delta)
@@ -89,25 +83,11 @@ class ApproximationPair:
         return self.space.n_points
 
 
-def _check_dim(pair: ApproximationPair, a: np.ndarray) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.shape != (pair.dim, pair.dim):
-        raise InputShapeError(
-            f"element has shape {m.shape}, pair expects ({pair.dim}, {pair.dim})"
-        )
-    return m
-
-
-def l_seminorm(pair: ApproximationPair, a: np.ndarray) -> float:
-    """Evaluate the seminorm max(||a - E(a)||/beta, Lip(diagonal part)) of one
-    self-adjoint element; non-self-adjoint input raises."""
-    return float(l_seminorms(pair, require_self_adjoint(_check_dim(pair, a))[None])[0])
-
-
 def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`l_seminorm` for a (count, n, n) stack of self-adjoint
-    elements.  Skips the per-element self-adjointness validation; callers own
-    the invariant.
+    """The seminorm max(||a - E(a)|| / beta, Lip(diagonal part of a)) of each
+    element of a (count, n, n) stack of self-adjoint elements; one element is
+    ``l_seminorms(pair, a[None])[0]``.  Self-adjointness is not validated;
+    callers own the invariant.
 
     The deviation ||off a|| / beta takes an exact norm only where it can
     exceed Lip(diag a).  The largest absolute row or column sum R of the
@@ -154,48 +134,25 @@ def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
     return np.maximum(deviations, lips)
 
 
-def _residuals(
-    pair: ApproximationPair,
-    a: np.ndarray,
-    b: np.ndarray,
-    norm_a: np.ndarray,
-    norm_b: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """D*(||a|| L(b) + ||b|| L(a)) - L(product) for the Jordan and Lie
-    products, given the norms of a and b."""
-    jordan, lie = jordan_lie(a, b)
-    bound = pair.leibniz_constant * (
-        norm_a * l_seminorms(pair, b) + norm_b * l_seminorms(pair, a)
-    )
-    return bound - l_seminorms(pair, jordan), bound - l_seminorms(pair, lie)
-
-
-def quasi_leibniz_residuals(
-    pair: ApproximationPair, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Slack of the Leibniz-type inequality for the Jordan and Lie products,
-    over two (count, n, n) stacks of self-adjoint elements paired by index.
-
-    Returns D*(||a|| L(b) + ||b|| L(a)) - L(product) for each product; the
-    inequality holds exactly when both residuals are nonnegative (small
-    negative values are rounding noise).  Like :func:`l_seminorms`, skips
-    the self-adjointness validation.
-    """
-    return _residuals(pair, a, b, operator_norms(a), operator_norms(b))
-
-
 def unit_leibniz_residuals(
     pair: ApproximationPair, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`quasi_leibniz_residuals` for stacks drawn by
-    ``random_hermitian_stack``, whose elements have norm one or are zero.
+    """Slack D*(||a|| L(b) + ||b|| L(a)) - L(product) of the Leibniz-type
+    inequality for the Jordan and Lie products, over two (count, n, n) stacks
+    drawn by ``random_hermitian_stack`` and paired by index.
 
-    Takes ||a|| as 1.0, or 0.0 for an all-zero element, instead of solving
-    for it again.  A drawn element is g / ||g||, whose computed norm is one
-    within a few ulps, so the residuals agree with
-    :func:`quasi_leibniz_residuals` to about 1e-15 relative.
+    The inequality holds exactly when both residuals are nonnegative (small
+    negative values are rounding noise).  A drawn element is g / ||g||, with
+    norm one or zero, so ||a|| is taken as 1.0, or 0.0 for an all-zero
+    element, instead of solving for it again; its computed norm is one
+    within a few ulps, so the residuals agree with solved norms to about
+    1e-15 relative.
     """
-    return _residuals(pair, a, b, _unit_norms(a), _unit_norms(b))
+    jordan, lie = jordan_lie(a, b)
+    bound = pair.leibniz_constant * (
+        _unit_norms(a) * l_seminorms(pair, b) + _unit_norms(b) * l_seminorms(pair, a)
+    )
+    return bound - l_seminorms(pair, jordan), bound - l_seminorms(pair, lie)
 
 
 def _unit_norms(stack: np.ndarray) -> np.ndarray:
@@ -241,86 +198,6 @@ def leibniz_suites(
                 raise ScaleOverflowError(f"ratio {ratio!r} at size {n} overflows the residuals ({exc})") from None
             jres, lres = (np.concatenate(r) for r in zip(*parts))
             yield ratio, pair, jres, lres
-
-
-def kernel_check(pair: ApproximationPair, a: np.ndarray) -> bool:
-    """Whether a self-adjoint element lies in the kernel of the seminorm.
-
-    Elements with L(a) <= 1e-12, a value only rounding leaves on a scalar,
-    are additionally verified to be close to a scalar multiple of the
-    identity (the kernel is exactly the scalars); a violation of that
-    implication would be an internal defect and raises.
-    """
-    tol = 1e-12
-    m = require_self_adjoint(_check_dim(pair, a))
-    value = l_seminorm(pair, m)
-    if value > tol:
-        return False
-    scalar_gap = operator_norm(m - trace_state(m) * np.eye(pair.dim))
-    allowed = tol * (pair.beta + diameter(pair.space) + 1.0)
-    if scalar_gap > allowed:
-        raise RuntimeError(
-            f"kernel defect: L(a)={value:.3e} but ||a - tau(a) 1||={scalar_gap:.3e}"
-        )
-    return True
-
-
-def kernel_dimension(pair: ApproximationPair) -> int:
-    """Dimension of the kernel of the seminorm inside the self-adjoint space.
-
-    L(a) = 0 is the linear system {off-diagonal part of a = 0} together with
-    {f(x) = f(y) for every pair}, f being the diagonal.  The dimension is the
-    nullity of the stacked constraint matrix over a real basis of the
-    self-adjoint matrices, computed by SVD.  It equals 1 for every valid
-    pair (the scalars).
-    """
-    n = pair.dim
-    basis: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0j
-            e[j, i] = -1.0j
-            basis.append(e)
-    columns = []
-    for b in basis:
-        off = b - np.diag(np.diag(b))
-        rows = [off.real.ravel(), off.imag.ravel()]
-        f = np.diag(b).real
-        pair_diffs = [
-            f[i] - f[j] for i in range(n) for j in range(i + 1, n)
-        ]
-        columns.append(np.concatenate([*rows, np.asarray(pair_diffs)]))
-    constraint = np.stack(columns, axis=1)
-    sv = np.linalg.svd(constraint, compute_uv=False)
-    # The constraint entries are 0, +-1 and +-1j, so a zero singular value
-    # comes out of the SVD at about 1e-15; 1e-9 separates it from the rest.
-    rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
-    return len(basis) - rank
-
-
-def unit_ball_radius_bound(pair: ApproximationPair) -> float:
-    """Norm bound beta + B for the centered unit ball of the seminorm.
-
-    B = max_i sum_j w_j d(i, j), with w the trace state pulled back to the
-    space (uniform weights on a full matrix algebra), is the largest sup
-    norm of a function f with Lipschitz seminorm at most one and
-    sum_j w_j f_j = 0.  Proof: for such f, f_i = sum_j w_j (f_i - f_j) <=
-    sum_j w_j d(i, j), and likewise for -f_i; the function
-    f = c - d(i, .) with c = sum_j w_j d(i, j) is 1-Lipschitz, has zero
-    mean and takes the value c at i.  Every self-adjoint a with L(a) <= 1
-    and tau(a) = 0 then satisfies ||a|| <= ||a - E(a)|| + ||E(a)|| <= beta + B,
-    since E(a) is the diagonal of such an f.
-    """
-    weights = np.full(pair.dim, 1.0 / pair.dim)
-    return pair.beta + float(np.max(pair.space.dist @ weights))
 
 
 def sample_unit_ball(

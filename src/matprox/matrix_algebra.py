@@ -3,19 +3,15 @@
 Matrix elements are plain complex ``numpy`` arrays.  This module supplies
 the C*-algebraic plumbing used everywhere else: operator norms (by
 eigenvalues for stacks that are exactly self-adjoint, by SVD otherwise),
-Jordan and Lie products, the normalized trace, diagonal embeddings of
-functions on a finite metric space, and the trace-preserving conditional
-expectation onto the diagonal (pinching).
+Jordan and Lie products, the normalized trace, and the trace-preserving
+conditional expectation onto the diagonal (pinching).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InputShapeError, SelfAdjointnessError
-from .metric_core import FiniteMetricSpace
+from .errors import InputShapeError
 
 
 def identity(n: int) -> np.ndarray:
@@ -77,16 +73,6 @@ def trace_state(a: np.ndarray) -> complex:
     return complex(np.trace(m)) / m.shape[0]
 
 
-def require_self_adjoint(a: np.ndarray) -> np.ndarray:
-    """``a`` as a square complex matrix, if it equals its adjoint entrywise
-    within 1e-12, the rounding an element built as (x + x^*) / 2 may carry."""
-    m = _as_square(a)
-    gap = float(np.max(np.abs(m - m.conj().T)))
-    if gap > 1e-12:
-        raise SelfAdjointnessError(f"element is not self-adjoint (deviation {gap:.3e})")
-    return m
-
-
 def pinch(a: np.ndarray) -> np.ndarray:
     """Zero all off-diagonal entries of a matrix or of each matrix in a
     (..., n, n) stack.
@@ -123,25 +109,3 @@ def random_hermitian_stack(rng: np.random.Generator, count: int, n: int) -> np.n
     norms[norms == 0.0] = 1.0
     return stack / norms[:, None, None]
 
-
-@dataclass(frozen=True)
-class DiagonalEmbedding:
-    """The unital *-isomorphism from functions on a space onto diagonal matrices.
-
-    ``embed`` carries a (real or complex) function vector to the diagonal
-    matrix with those entries; ``np.diagonal`` reads a diagonal matrix back.
-    """
-
-    space: FiniteMetricSpace
-
-    @property
-    def dim(self) -> int:
-        return self.space.n_points
-
-    def embed(self, values: np.ndarray) -> np.ndarray:
-        f = np.asarray(values)
-        if f.shape != (self.dim,):
-            raise InputShapeError(
-                f"function has shape {f.shape}, embedding expects ({self.dim},)"
-            )
-        return np.diag(f.astype(complex))

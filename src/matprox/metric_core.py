@@ -439,12 +439,27 @@ def epsilon_net(generator: Generator, n: int) -> tuple[FiniteMetricSpace, float]
 # ---------------------------------------------------------------------------
 
 
+def json_number_array(value, what: str) -> np.ndarray:
+    """A parsed JSON value as a float array, if every entry of its nested
+    lists is a JSON number; a string or a bool is not one, so nothing is
+    coerced, and any other entry raises ``ConfigError`` naming ``what``."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(reversed(item))
+        elif type(item) not in (int, float):
+            raise ConfigError(f"{what} entries must be numbers, got {item!r}")
+    return np.asarray(value, dtype=float)
+
+
 def space_from_dict(payload: dict) -> FiniteMetricSpace:
     """Build a space from the text input format.
 
-    The payload is a JSON object with optional ``labels`` and exactly one of
-    ``dist`` (full distance matrix) or ``points`` (Euclidean coordinates).
-    Matrices failing the metric axioms are rejected at construction.
+    The payload is a parsed JSON object with optional ``labels`` and exactly
+    one of ``dist`` (full distance matrix) or ``points`` (Euclidean
+    coordinates), whose entries must be JSON numbers.  Matrices failing the
+    metric axioms are rejected at construction.
     """
     if not isinstance(payload, dict):
         raise ConfigError("space payload must be a JSON object")
@@ -454,9 +469,8 @@ def space_from_dict(payload: dict) -> FiniteMetricSpace:
         raise ConfigError("space payload needs exactly one of 'dist' or 'points'")
     labels = payload.get("labels")
     if has_points:
-        pts = np.asarray(payload["points"], dtype=float)
-        return FiniteMetricSpace.from_points(pts, labels)
-    dist = np.asarray(payload["dist"], dtype=float)
+        return FiniteMetricSpace.from_points(json_number_array(payload["points"], "points"), labels)
+    dist = json_number_array(payload["dist"], "dist")
     if labels is None:
         labels = tuple(f"p{i}" for i in range(dist.shape[0]))
     return FiniteMetricSpace(tuple(labels), dist)

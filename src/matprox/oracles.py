@@ -1,14 +1,17 @@
 """Independent oracles used to cross-check the main computation paths.
 
 Each oracle recomputes a quantity by a different method than the library
-uses: the transport distance by enumerating vertices of the unit-Lipschitz
-polytope instead of solving an LP, operator norms by power iteration
-instead of SVD, group averaging by explicit conjugation sums instead of
-coefficient masks, the unit-ball radius by 2n LPs instead of its closed
-form, subgroups by brute-force closure instead of the triangular basis,
-subgroup Hausdorff distances over all pairs of elements instead of cosets,
-and the fixed-point coefficient lines as matrices instead of their
-closed-form spectra.  They are deliberately slow and simple.
+uses, or checks a constant the theory fixes: the transport distance by
+enumerating vertices of the unit-Lipschitz polytope instead of solving an
+LP, operator norms by power iteration instead of SVD, group averaging by
+explicit conjugation sums instead of coefficient masks, the unit-ball
+radius by 2n LPs instead of its closed form, subgroups by brute-force
+closure instead of the triangular basis, subgroup Hausdorff distances over
+all pairs of elements instead of cosets, the fixed-point coefficient lines
+as matrices instead of their closed-form spectra, the commutative reach by
+sampled functions instead of its closed form, and the kernels of both
+seminorms (the scalars, dimension one) by a nullity.  They are
+deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -19,7 +22,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fixed_point import FuzzyTorus, GroupElement, LengthFunction, TorusSubgroup
-from .metric_core import FiniteMetricSpace, check_probability, lipschitz_constraints
+from .lseminorm import ApproximationPair
+from .metric_core import (
+    FiniteMetricSpace,
+    check_probability,
+    lipschitz_constraints,
+    lipschitz_seminorm,
+)
 
 
 def enumerate_lipschitz_vertices(space: FiniteMetricSpace) -> np.ndarray:
@@ -201,3 +210,98 @@ def _structured_lines(torus: FuzzyTorus, support: np.ndarray) -> np.ndarray:
     adj = np.swapaxes(mono, -1, -2).conj()
     lines = np.stack([mono + adj, 1j * (mono - adj)], axis=1).reshape(-1, q, q)
     return lines[np.abs(lines).max(axis=(1, 2)) > 1e-12]
+
+
+def kernel_dimension(pair: ApproximationPair) -> int:
+    """Dimension of the kernel of the pair's seminorm inside the self-adjoint
+    matrices; it is 1 for every valid pair (the scalars).
+
+    L(a) = 0 is the linear system {off-diagonal part of a = 0} together with
+    {f(x) = f(y) for every pair}, f being the diagonal.  The dimension is the
+    nullity of the stacked constraint matrix over a real basis of the
+    self-adjoint matrices, computed by SVD.
+    """
+    n = pair.dim
+    basis: list[np.ndarray] = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i, j in combinations(range(n), 2):
+        for entry in (1.0, 1.0j):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j], e[j, i] = entry, np.conj(entry)
+            basis.append(e)
+    columns = []
+    for b in basis:
+        off = b - np.diag(np.diag(b))
+        f = np.diag(b).real
+        pair_diffs = [f[i] - f[j] for i, j in combinations(range(n), 2)]
+        columns.append(np.concatenate([off.real.ravel(), off.imag.ravel(), pair_diffs]))
+    sv = np.linalg.svd(np.stack(columns, axis=1), compute_uv=False)
+    # The constraint entries are 0, +-1 and +-1j, so a zero singular value
+    # comes out of the SVD at about 1e-15; 1e-9 separates it from the rest.
+    return len(basis) - int(np.sum(sv > 1e-9 * max(1.0, sv[0])))
+
+
+def action_kernel_dimension(torus: FuzzyTorus) -> int:
+    """Dimension of the joint fixed space of all nontrivial automorphisms.
+
+    Realizes each automorphism as conjugation by a unitary, stacks the
+    superoperators (identity minus conjugation) into a Gram matrix and
+    counts its numerically zero eigenvalues.  Equals one exactly when the
+    twist is invertible: only the identity coefficient survives every
+    character.  Each conjugation C is unitary, so its Gram term
+    (I - C)^H (I - C) is 2I - C - C^H.
+    """
+    q = torus.q
+    dim = q * q
+    gram = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(dim, dtype=complex)
+    for g in TorusSubgroup.full(q).element_array()[1:]:
+        w = torus.action_unitary(g)
+        conj = np.kron(w, w.conj())
+        gram += 2.0 * eye - conj - conj.conj().T
+    eigs = np.linalg.eigvalsh(gram)
+    return int(np.sum(eigs <= 1e-8 * max(1.0, float(eigs[-1]))))
+
+
+def orbit_average(orbits, values: np.ndarray) -> np.ndarray:
+    """Replace a function by its mean on each orbit."""
+    out = np.array(values, dtype=float)
+    for orbit in orbits:
+        idx = list(orbit)
+        out[idx] = float(np.mean(out[idx]))
+    return out
+
+
+def sampled_orbit_reach(
+    space: FiniteMetricSpace, orbits, count: int, seed: int
+) -> tuple[float, float]:
+    """The commutative reach and the Lipschitz contraction of orbit
+    averaging, over sampled functions: every d(i, .) and ``count`` random
+    functions rescaled to Lipschitz seminorm at most one.
+
+    Returns the largest sup gap |f - E f| over the samples with Lip(f) <= 1,
+    a floor for ``commutative_fixed_point_check``'s exact reach, and the
+    largest Lip(E f) - Lip(f), which is at most rounding because each f o s
+    has the Lipschitz constant of f.
+    """
+    rng = np.random.default_rng(seed)
+    n = space.n_points
+    samples = [np.array(space.dist[i], dtype=float) for i in range(n)]
+    for _ in range(count):
+        f = rng.uniform(-1.0, 1.0, size=n)
+        lip = lipschitz_seminorm(space, f)
+        if lip > 0.0:
+            f = f * (rng.uniform(0.0, 1.0) / lip)
+        samples.append(f)
+    worst_violation = -np.inf
+    reach = 0.0
+    for f in samples:
+        averaged = orbit_average(orbits, f)
+        lip = lipschitz_seminorm(space, f)
+        worst_violation = max(worst_violation, lipschitz_seminorm(space, averaged) - lip)
+        if lip <= 1.0 + 1e-12:
+            reach = max(reach, float(np.max(np.abs(f - averaged))))
+    return reach, float(worst_violation)

@@ -494,6 +494,52 @@ def test_mk_rejects_non_numeric_distances_and_nan_weights(tmp_path, capsys):
     assert _rejected_field(argv, tmp_path / "b.json", capsys) == "p"
 
 
+@pytest.mark.parametrize(
+    "p,q,field",
+    [
+        ("[true,false,false]", "[false,true,false]", "p"),
+        ('["1","0","0"]', "[0,1,0]", "p"),
+        ("[1,0,0]", "[0,true,0]", "q"),
+        ("[1,0,0]", '[0,1.0,"0"]', "q"),
+    ],
+    ids=["bools", "strings", "one-bool", "one-string"],
+)
+def test_mk_weights_must_be_json_numbers(tmp_path, capsys, p, q, field):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"points": [[0, 0], [1, 0], [0, 2]]}), encoding="utf-8")
+    argv = ["mk", "--space", str(good), "--p", p, "--q", q]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == field
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"points": [["0", "0"], [True, False], [0, 2]]},
+        {"points": [[0, 0], [1, 0], [0, True]]},
+        {"dist": [[0, 1], [True, 0]]},
+        {"dist": [[0, "1"], [1, 0]]},
+        {"dist": [[0, None], [1, 0]]},
+    ],
+    ids=["points-strings-and-bools", "points-bool", "dist-bool", "dist-string", "dist-null"],
+)
+def test_mk_space_entries_must_be_json_numbers(tmp_path, capsys, payload):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(payload), encoding="utf-8")
+    assert _rejected_field(["mk", "--space", str(space)], tmp_path / "out.json", capsys) == "space"
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[["0", "0"], [1, 0], [0, 2]], [[0, 0], [True, False], [0, 2]], [[0, 0], [1, 0], [0, None]]],
+    ids=["strings", "bools", "null"],
+)
+def test_cloud_points_must_be_json_numbers(tmp_path, capsys, points):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": points}), encoding="utf-8")
+    argv = ["approximate", "--generator", f"cloud:{path}", "--n", "2"]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == "generator"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mk_rejects_huge_weights_before_summing_them(tmp_path, capsys):
     # The weights' sum overflowed, and numpy's warning came before the error.
@@ -721,6 +767,16 @@ def _peak_rss_kib(argv: list[str]) -> int:
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return int(proc.stdout.split()[-1])
+
+
+def test_the_cli_imports_neither_the_oracles_nor_the_criteria():
+    # Both import SciPy's linprog; ``selftest`` loads the criteria when it runs.
+    src = str(Path(fixed_point.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, matprox.cli; print(sorted(m for m in ('matprox.oracles', 'matprox.acceptance') if m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ from matprox import (
     Circle,
     FiniteMetricSpace,
     FuzzyTorus,
+    Interval,
     LengthFunction,
     TAU,
     TorusSubgroup,
-    action_kernel_dimension,
     action_lip_seminorms,
     commutative_fixed_point_check,
     cyclic_rotation_group,
@@ -31,11 +31,15 @@ from matprox import (
 from matprox import fixed_point, metric_core
 from matprox.errors import ActionNotIsometricError, ConfigError
 from matprox.matrix_algebra import jordan_lie
+from matprox.acceptance import EXACT
 from matprox.oracles import (
     _structured_lines,
+    action_kernel_dimension,
     average_by_conjugation,
     brute_force_subgroups,
     hausdorff_by_pairs,
+    orbit_average,
+    sampled_orbit_reach,
     subgroup_closure,
 )
 
@@ -983,32 +987,66 @@ def six_circle():
 def test_trivial_subgroup_keeps_everything():
     space = six_circle()
     group = cyclic_rotation_group(6)
-    report = commutative_fixed_point_check(space, group, [group[0]], count=50, seed=0)
+    report = commutative_fixed_point_check(space, group, [group[0]])
     assert report.fixed_dimension == 6
-    assert report.sampled_reach == 0.0
-    assert report.orbit_diameter_bound == 0.0
+    assert report.reach == 0.0
+    assert sampled_orbit_reach(space, report.orbits, count=50, seed=0)[0] == 0.0
 
 
 def test_rotation_by_three_gives_three_orbits():
     space = six_circle()
     group = cyclic_rotation_group(6)
-    report = commutative_fixed_point_check(
-        space, group, [group[0], group[3]], count=200, seed=1
-    )
+    report = commutative_fixed_point_check(space, group, [group[0], group[3]])
     assert report.orbits == ((0, 3), (1, 4), (2, 5))
     assert report.fixed_dimension == 3
     assert report.quotient.n_points == 3
-    assert report.lip_contraction_violation <= 1e-12
-    assert report.reach_within_geometry
+    sampled, violation = sampled_orbit_reach(space, report.orbits, count=200, seed=1)
+    assert violation <= 1e-12
+    assert sampled <= report.reach + 1e-12
+    # An average moves a function by at most the orbit diameter.
+    assert report.reach <= max(space.dist[np.ix_(o, o)].max() for o in report.orbits)
 
 
 def test_lip_contraction_on_many_random_functions():
     space = six_circle()
     group = cyclic_rotation_group(6)
-    report = commutative_fixed_point_check(
-        space, group, [group[0], group[2], group[4]], count=1000, seed=2
-    )
-    assert report.lip_contraction_violation <= 1e-12
+    report = commutative_fixed_point_check(space, group, [group[0], group[2], group[4]])
+    assert sampled_orbit_reach(space, report.orbits, count=1000, seed=2)[1] <= 1e-12
+
+
+def _symmetry_cases():
+    """Every subgroup of the rotations of the circle net for n = 2..12, the
+    reflection i -> -i mod n of that net, and the interval net's reflection."""
+    for n in range(2, 13):
+        circle = epsilon_net(Circle(TAU), n)[0]
+        rotations = cyclic_rotation_group(n)
+        for order in (d for d in range(1, n + 1) if n % d == 0):
+            subgroup = [rotations[(n // order) * t] for t in range(order)]
+            yield pytest.param(circle, rotations, subgroup, id=f"circle{n}-rot{order}")
+        reflection = [tuple(range(n)), tuple((-i) % n for i in range(n))]
+        yield pytest.param(circle, reflection, reflection, id=f"circle{n}-refl")
+        flip = [tuple(range(n)), tuple(range(n - 1, -1, -1))]
+        yield pytest.param(epsilon_net(Interval(1.0), n)[0], flip, flip, id=f"interval{n}-refl")
+
+
+@pytest.mark.parametrize("space,group,subgroup", _symmetry_cases())
+def test_commutative_reach_is_the_closed_form(space, group, subgroup):
+    report = commutative_fixed_point_check(space, group, subgroup)
+    sampled, violation = sampled_orbit_reach(space, report.orbits, count=200, seed=0)
+    assert sampled <= report.reach + EXACT and violation <= EXACT
+    # f = d(x, .) at the maximising x attains the reach: f(x) = 0.
+    x = report.reach_point
+    assert abs(orbit_average(report.orbits, space.dist[x])[x] - report.reach) <= np.spacing(report.reach)
+
+
+def test_commutative_reach_on_the_six_point_circle():
+    space = six_circle()
+    group = cyclic_rotation_group(6)
+    reaches = [
+        commutative_fixed_point_check(space, group, [group[(6 // order) * t] for t in range(order)]).reach
+        for order in (1, 2, 3, 6)
+    ]
+    assert reaches == [0.0, np.pi / 2, 1.3962634015954636, np.pi / 2]
 
 
 def test_non_isometric_permutation_is_rejected():
@@ -1029,9 +1067,7 @@ def test_subgroup_must_live_inside_the_group():
 def test_quotient_metric_is_validated_and_positive():
     space = six_circle()
     group = cyclic_rotation_group(6)
-    report = commutative_fixed_point_check(
-        space, group, [group[0], group[3]], count=10, seed=3
-    )
+    report = commutative_fixed_point_check(space, group, [group[0], group[3]])
     q = report.quotient
     assert q.dist[0, 1] > 0.0
     assert np.allclose(q.dist, q.dist.T)

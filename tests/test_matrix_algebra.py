@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from matprox import (
-    DiagonalEmbedding,
-    FiniteMetricSpace,
     identity,
     operator_norm,
     operator_norms,
@@ -21,11 +19,6 @@ from matprox.oracles import power_iteration_norm
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def euclidean_space(n: int, seed: int = 0) -> FiniteMetricSpace:
-    rng = np.random.default_rng(seed)
-    return FiniteMetricSpace.from_points(rng.normal(size=(n, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,34 +244,6 @@ def test_trace_state_is_tracial_and_positive():
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         assert abs(trace_state(a @ b) - trace_state(b @ a)) <= 1e-12
         assert trace_state(a.conj().T @ a).real >= 0.0
-
-
-# ---------------------------------------------------------------------------
-# Diagonal embedding.
-# ---------------------------------------------------------------------------
-
-
-def test_embed_constant_one_is_identity():
-    rho = DiagonalEmbedding(euclidean_space(4))
-    assert np.array_equal(rho.embed(np.ones(4)), identity(4))
-
-
-def test_embed_extract_round_trip_exact():
-    rho = DiagonalEmbedding(euclidean_space(5))
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        f = rng.uniform(-2, 2, size=5)
-        assert np.array_equal(np.diagonal(rho.embed(f)).real, f)
-
-
-def test_embedding_is_multiplicative_unital_adjoint_preserving():
-    rho = DiagonalEmbedding(euclidean_space(6))
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        f = rng.uniform(-1, 1, size=6) + 1j * rng.uniform(-1, 1, size=6)
-        g = rng.uniform(-1, 1, size=6) + 1j * rng.uniform(-1, 1, size=6)
-        assert np.max(np.abs(rho.embed(f) @ rho.embed(g) - rho.embed(f * g))) <= 1e-12
-        assert np.max(np.abs(rho.embed(f).conj().T - rho.embed(f.conj()))) == 0.0
 
 
 # ---------------------------------------------------------------------------
