@@ -32,7 +32,7 @@ from .errors import (
     ScaleUnderflowError,
 )
 from .lseminorm import ApproximationPair, sample_unit_ball
-from .matrix_algebra import operator_norm
+from .matrix_algebra import _bitwise_self_adjoint, _eigenvalue_norms, operator_norm
 from .metric_core import (
     Generator,
     epsilon_net,
@@ -97,13 +97,29 @@ def _coordinate_descent_inf(
     at a time inside the interval allowed by the Lipschitz constraints; the
     one-dimensional sections are convex, so a bounded scalar minimizer is
     enough.  Descent only tightens the witness value; it stops after 200
-    sections or after a sweep that gains less than 1e-9.  One working matrix
-    m = a - diag(f) is kept: a section writes only the real part of m_ii,
-    and after it m_ii is reset from the accepted f_i, so every evaluation
-    sees the same entries as a freshly built a - diag(g).  For a bitwise
-    self-adjoint a that matrix is bitwise self-adjoint too, so each norm
-    takes the eigenvalue path of ``operator_norms``.
+    sections or after a sweep that gains less than 1e-9.
+
+    One working matrix m = a - diag(f) is kept: a section writes only the
+    real part of m_ii, and after it m_ii is reset from the accepted f_i, so
+    every evaluation sees the same entries as a freshly built a - diag(g).
+    Its off-diagonal entries and the imaginary parts of its diagonal are
+    those of a, so m is bitwise self-adjoint exactly when a is.  a is tested
+    once, and each evaluation takes the eigenvalue norm of
+    ``operator_norms`` without the test; an a that fails it raises.
+
+    A section is skipped, though still counted against the 200, when no
+    section has been accepted since it last ran.  This changes no result.
+    A section's minimiser run depends only on f with f_i removed (through
+    the bounds and the other diagonal entries), on dist and on a, and the
+    bounded minimiser is deterministic; f without f_i moves only when
+    another section is accepted.  current never rises, and right after
+    section i runs it is at most the value its run returned: equal if the
+    run was accepted, and no larger if it was rejected.  So a rerun of a
+    stale section returns the same res.fun >= current, is rejected, and
+    leaves f, m and current, hence the stop rule, as they were.
     """
+    if not _bitwise_self_adjoint(a):
+        raise ValueError("the reach descent needs a bitwise self-adjoint matrix")
     n = pair.dim
     dist = pair.space.dist
     f = start.astype(float).copy()
@@ -113,30 +129,37 @@ def _coordinate_descent_inf(
     current = operator_norm(m)
     steps = 200
     used = 0
+    # accepted counts accepted sections; seen[i] is its value right after
+    # section i last ran.
+    accepted = 0
+    seen = [-1] * n
     while used < steps:
         sweep_start = current
         for i in range(n):
             if used >= steps:
                 break
+            used += 1
+            if seen[i] == accepted:
+                continue
             others = np.delete(np.arange(n), i)
             lo = float(np.max(f[others] - dist[i, others]))
             hi = float(np.min(f[others] + dist[i, others]))
             if hi - lo <= 0.0:
-                used += 1
                 continue
 
             def section(t: float) -> float:
                 m_re[i, i] = a_re[i, i] - t
-                return operator_norm(m)
+                return float(_eigenvalue_norms(m))
 
             res = minimize_scalar(
                 section, bounds=(lo, hi), method="bounded",
                 options={"xatol": 1e-10},
             )
-            used += 1
             if res.fun < current:
                 f[i] = float(res.x)
                 current = float(res.fun)
+                accepted += 1
+            seen[i] = accepted
             m_re[i, i] = a_re[i, i] - f[i]
         if sweep_start - current < 1e-9:
             break

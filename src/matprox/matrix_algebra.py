@@ -45,16 +45,27 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     s = np.asarray(stack, dtype=complex)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise InputShapeError(f"expected a stack of square matrices, got {s.shape}")
+    if _bitwise_self_adjoint(s):
+        return _eigenvalue_norms(s)
+    return np.linalg.svd(s, compute_uv=False)[..., 0]
+
+
+def _bitwise_self_adjoint(s: np.ndarray) -> bool:
+    """Whether a (..., n, n) stack equals its conjugate transpose bit for bit
+    (a signed zero equals its negation)."""
     # The first rows against the first columns reject most stacks that are
     # not self-adjoint (the (E_H - E_K) u images of the fixed-point gaps)
     # before the full comparison.
-    if np.array_equal(s[..., 0, :], s[..., :, 0].conj()) and np.array_equal(
+    return np.array_equal(s[..., 0, :], s[..., :, 0].conj()) and np.array_equal(
         s, np.swapaxes(s, -1, -2).conj()
-    ):
-        w = np.linalg.eigvalsh(s)
-        # abs keeps the norm of a zero matrix +0.0 whatever sign LAPACK gives.
-        return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
-    return np.linalg.svd(s, compute_uv=False)[..., 0]
+    )
+
+
+def _eigenvalue_norms(s: np.ndarray) -> np.ndarray:
+    """max(|lambda_min|, |lambda_max|) of each matrix of a self-adjoint stack."""
+    w = np.linalg.eigvalsh(s)
+    # abs keeps the norm of a zero matrix +0.0 whatever sign LAPACK gives.
+    return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 
 
 def jordan_lie(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

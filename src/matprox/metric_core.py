@@ -137,8 +137,11 @@ class FiniteMetricSpace:
         n = pts.shape[0]
         if labels is None:
             labels = tuple(f"p{i}" for i in range(n))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        # Coordinates near the float limit overflow to inf here, and
+        # __post_init__ rejects the non-finite distances that result.
+        with np.errstate(over="ignore"):
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
         return cls(tuple(labels), dist)
 
 

@@ -120,9 +120,10 @@ def test_reach_lower_estimate_is_pinned(generator, expected):
     )
 
 
-def _reference_descent(pair, a, start, steps=200, tol=1e-9):
+def _reference_descent(pair, a, start, steps=200, tol=1e-9, solves=None):
     """The descent as first written: every evaluation rebuilds a - diag(g)
-    and takes operator_norm of it."""
+    and takes operator_norm of it, and every section with room to move runs
+    the minimiser.  ``solves``, a list, gains one entry per run."""
     n = pair.dim
     dist = pair.space.dist
     f = start.astype(float).copy()
@@ -153,6 +154,8 @@ def _reference_descent(pair, a, start, steps=200, tol=1e-9):
                 section, bounds=(lo, hi), method="bounded",
                 options={"xatol": 1e-10},
             )
+            if solves is not None:
+                solves.append(i)
             used += 1
             if res.fun < current:
                 f[i] = float(res.x)
@@ -183,15 +186,43 @@ def test_reach_descent_matches_the_rebuilt_objective_bitwise(generator, n):
         assert estimate_reach_lower(pair, iters=1, seed=seed) == expected
 
 
+@pytest.mark.parametrize(
+    "generator,n,seed",
+    [(FlatTorus((1.0, 1.0)), 36, 1610351860), (Circle(TAU), 32, 681998894)],
+    ids=["torus-36", "circle-32"],
+)
+def test_reach_descent_skips_stale_sections_bitwise(generator, n, seed, monkeypatch):
+    # Benchmark-sized jobs in which some sections are rerun with no section
+    # accepted since their last run.  The descent skips them, so it runs the
+    # minimiser fewer times than the reference, and ends on the same bits.
+    pair, _ = approximate_compact_space(generator, n, beta_delta_over_n)
+    (a,) = sample_unit_ball(pair, 1, seed)
+    reference_solves = []
+    expected = _reference_descent(pair, a, np.diagonal(a).real, solves=reference_solves)
+    solves = []
+
+    def counting_minimize(fun, *args, **kwargs):
+        solves.append(1)
+        return minimize_scalar(fun, *args, **kwargs)
+
+    monkeypatch.setattr(matprox.bridge, "minimize_scalar", counting_minimize)
+    assert estimate_reach_lower(pair, iters=1, seed=seed) == expected
+    assert 0 < len(solves) < len(reference_solves)
+
+
 def test_reach_descent_takes_one_norm_per_evaluation(monkeypatch):
     # A tracer that rebinds bridge.operator_norm and bridge.minimize_scalar
-    # sees every evaluation of the descent: one norm per start, one per call
-    # of a section by the scalar minimiser.
-    counts = {"norms": 0, "evals": 0}
+    # sees one operator_norm per sample, at the start of its descent; each
+    # call of a section by the scalar minimiser takes one eigenvalue norm.
+    counts = {"norms": 0, "eigenvalue_norms": 0, "evals": 0}
 
     def counting_norm(m):
         counts["norms"] += 1
         return operator_norm(m)
+
+    def counting_eigenvalue_norms(m):
+        counts["eigenvalue_norms"] += 1
+        return eigenvalue_norms(m)
 
     def counting_minimize(fun, *args, **kwargs):
         def counted(t):
@@ -200,13 +231,44 @@ def test_reach_descent_takes_one_norm_per_evaluation(monkeypatch):
 
         return minimize_scalar(counted, *args, **kwargs)
 
+    eigenvalue_norms = matprox.bridge._eigenvalue_norms
     monkeypatch.setattr(matprox.bridge, "operator_norm", counting_norm)
+    monkeypatch.setattr(matprox.bridge, "_eigenvalue_norms", counting_eigenvalue_norms)
     monkeypatch.setattr(matprox.bridge, "minimize_scalar", counting_minimize)
     pair, _ = approximate_compact_space(Circle(TAU), 12, beta_delta_over_n)
     samples = 3
     estimate_reach_lower(pair, iters=samples, seed=4)
     assert counts["evals"] > 0
-    assert counts["norms"] == counts["evals"] + samples
+    assert counts["eigenvalue_norms"] == counts["evals"]
+    assert counts["norms"] == samples
+
+
+def test_reach_descent_rejects_a_matrix_one_ulp_from_self_adjoint():
+    # The descent tests self-adjointness once, on its sample, and takes every
+    # later norm by eigenvalues; a sample that fails the test raises rather
+    # than being read as its Hermitian part.
+    pair, _ = approximate_compact_space(Circle(TAU), 8, beta_delta_over_n)
+    (a,) = sample_unit_ball(pair, 1, 0)
+    a[0, 1] = np.nextafter(a[0, 1].real, np.inf) + 1j * a[0, 1].imag
+    with pytest.raises(ValueError, match="self-adjoint"):
+        matprox.bridge._coordinate_descent_inf(pair, a, np.diagonal(a).real)
+
+
+@pytest.mark.parametrize(
+    "generator,n",
+    [
+        (Circle(TAU), 12),
+        (Interval(1.0), 10),
+        (FlatTorus((1.0, 1.0)), 16),
+        (PointCloud(np.random.default_rng(7).normal(size=(9, 3))), 9),
+    ],
+    ids=["circle", "interval", "torus", "cloud"],
+)
+def test_unit_ball_samples_are_bitwise_self_adjoint(generator, n):
+    # The reach descent's guard holds on every sample the CLI can draw.
+    pair, _ = approximate_compact_space(generator, n, beta_delta_over_n)
+    for a in sample_unit_ball(pair, 16, 5):
+        assert np.array_equal(a, a.conj().T)
 
 
 @pytest.mark.parametrize(

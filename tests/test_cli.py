@@ -549,6 +549,20 @@ def test_mk_rejects_huge_weights_before_summing_them(tmp_path, capsys):
     assert _rejected_field(argv, tmp_path / "out.json", capsys) == "p"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["mk", "approximate"])
+def test_points_near_the_float_limit_name_their_field_without_warnings(tmp_path, capsys, command):
+    # Their squared differences overflow to inf; numpy printed two overflow
+    # warnings to stderr before the JSON error.
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[1e308, 0], [-1e308, 0], [0, 2]]}), encoding="utf-8")
+    if command == "mk":
+        argv, field = ["mk", "--space", str(path)], "space"
+    else:
+        argv, field = ["approximate", "--generator", f"cloud:{path}", "--n", "3"], "generator"
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == field
+
+
 @pytest.mark.parametrize("key", ["h_generators", "k_generators"])
 @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
 def test_generators_must_be_a_json_array(tmp_path, capsys, key, by_flag):

@@ -46,10 +46,12 @@ INPUTS = {
 # (name, argv, config file contents or None).  Each subcommand runs with its
 # defaults, with non-default values by flag and by config file, and with its
 # input files.  approximate also runs a reach descent on a 32-point circle
-# net, the size of the benchmark's reach jobs.  fixedpoint also runs a sweep
-# each way, a pair of large subgroups so that haus_ell is compared over many
-# elements, and a q = 64 sample of 96 draws and 96 images, more elements than
-# one normalization block of ``metric_core.BLOCK_BYTES`` holds at that order.
+# net, the size of the benchmark's reach jobs, and one on a 36-point torus net
+# whose descent skips 30 stale sections (no section accepted since they last
+# ran).  fixedpoint also runs a sweep each way, a pair of large subgroups so
+# that haus_ell is compared over many elements, and a q = 64 sample of 96
+# draws and 96 images, more elements than one normalization block of
+# ``metric_core.BLOCK_BYTES`` holds at that order.
 # The leibniz ratios of leibniz_screen_mix put seminorms on both sides of the
 # Lipschitz screen in ``l_seminorms``.
 CONFIGS = [
@@ -62,6 +64,8 @@ CONFIGS = [
     ("approximate_cloud", ["approximate", "--generator", "cloud:points.json", "--n", "5",
                            "--reach-samples", "2"], None),
     ("approximate_circle_n32", ["approximate", "--n", "32", "--reach-samples", "1"], None),
+    ("approximate_torus_n36_stale", ["approximate", "--generator", "torus(1,1)", "--n", "36",
+                                     "--reach-samples", "1", "--seed", "1610351860"], None),
     ("converge_defaults", ["converge"], None),
     ("converge_flags", ["converge", "--generator", "interval(2)", "--n-list", "3,5,9",
                         "--beta-rule", "fixed(0.01)"], None),
