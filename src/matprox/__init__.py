@@ -15,7 +15,7 @@ from .bridge import (
     beta_delta_over_n,
     beta_fixed,
     beta_fraction_of_delta,
-    certify_reach_upper,
+    certify_reach,
     convergence_experiment,
     estimate_reach_lower,
 )
@@ -68,10 +68,8 @@ from .metric_core import (
     Interval,
     PointCloud,
     TAU,
-    diameter,
     epsilon_net,
     hausdorff_distance,
-    lipschitz_seminorm,
     lipschitz_seminorms,
     min_separation,
     mk_distance,

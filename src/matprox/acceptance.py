@@ -20,7 +20,7 @@ import numpy as np
 from . import oracles
 from .bridge import (
     beta_delta_over_n,
-    certify_reach_upper,
+    certify_reach,
     convergence_experiment,
     estimate_reach_lower,
 )
@@ -164,16 +164,16 @@ def criterion_2() -> Iterator[str]:
 def criterion_3() -> Iterator[str]:
     configs = _standard_configs()
     for idx, pair in enumerate(configs):
-        try:
-            worst = certify_reach_upper(pair, 500, 300 + idx).worst_forward
-        except RuntimeError as exc:
-            yield f"config {idx}: {exc}"
-            continue
-        if worst > pair.beta + EXACT:
-            yield f"config {idx}: witness bridge norm {worst:.12g} > beta={pair.beta:.12g}"
-        cert = certify_reach_upper(pair, samples=64, seed=900 + idx)
-        if cert.upper_bound != pair.beta:
-            yield f"config {idx}: certificate bound mismatch"
+        for samples, seed in ((500, 300 + idx), (64, 900 + idx)):
+            worst = oracles.sampled_reach_witness(pair, samples, seed)
+            if worst > pair.beta + EXACT:
+                yield f"config {idx}: witness bridge norm {worst:.12g} > beta={pair.beta:.12g}"
+        cert = certify_reach(pair)
+        i, j = cert.witness
+        w = np.zeros((pair.dim, pair.dim), dtype=complex)
+        w[i, j] = w[j, i] = pair.beta
+        if cert.reach != pair.beta or i == j or l_seminorms(pair, w[None])[0] != 1.0:
+            yield f"config {idx}: certificate {cert} does not match beta={pair.beta!r}"
     for idx, pair in enumerate(p for p in configs if p.dim <= 6):
         lower = estimate_reach_lower(pair, iters=6, seed=77 + idx)
         if lower > pair.beta + LOOSE:

@@ -3,14 +3,13 @@
 A bridge here is an ambient matrix algebra with two unital embeddings and
 the identity as pivot, so its height is zero structurally and its length
 equals its reach.  For the pair (matrix algebra over a diagonal copy of a
-finite space), the reach is certified to be at most beta by the two witness
+finite space), the reach is certified to be exactly beta: the two witness
 maps (a function embeds to its diagonal matrix; a matrix maps to its
-diagonal part), which directly bounds the quantum-metric distance between
-the two spaces from above.  Only such upper bounds are produced: the
-distance itself is an infimum over all bridges and no algorithm for the
-infimum is implemented.  A sampled estimate of the reach of a specific
-bridge is emitted for context and always labeled as sampled, never
-certified; it bounds the reach in neither direction.
+diagonal part) bound it from above, and one off-diagonal matrix entry from
+below.  That bounds the quantum-metric distance between the two spaces from
+above; the distance itself is an infimum over all bridges and no algorithm
+for the infimum is implemented.  A sampled estimate of the reach is emitted
+for context and always labeled as sampled, never certified.
 
 The pipeline functions assemble the end-to-end bound for a compact space:
 Hausdorff(space, net) + beta, with the net and its Hausdorff value supplied
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -40,52 +39,34 @@ from .metric_core import (
 )
 
 
-@dataclass(frozen=True)
-class ReachCertificate:
-    """An upper bound on the reach of a bridge plus the witnessing data.
+class ReachCertificate(NamedTuple):
+    """The reach of the pair's bridge and a matrix entry that attains it."""
 
-    The forward witness maps a matrix to its diagonal part as a function;
-    the backward witness maps a function to its diagonal matrix.
-    ``worst_forward`` is the largest bridge norm over the checked samples of
-    the matrix side against its witness; ``worst_backward`` covers the
-    function side, whose witness embeds exactly and therefore scores zero.
+    reach: float
+    witness: tuple[int, int]
+
+
+def certify_reach(pair: ApproximationPair) -> ReachCertificate:
+    """The reach of the pair's unit-pivot bridge, which is exactly beta.
+
+    The bridge norm of a matrix a and a function f is ||a - diag(f)||.  The
+    bridge has height zero, so its length is its reach: the larger of
+    sup_{L(a) <= 1} inf_{Lip f <= 1} ||a - diag(f)|| over self-adjoint a and
+    sup_{Lip f <= 1} inf_{L(a) <= 1} ||a - diag(f)||.
+
+    At most beta: for a with L(a) <= 1 take f = diag a, which is real with
+    Lip f <= L(a) <= 1, and ||a - diag a|| = ||a - E(a)|| <= beta L(a) <= beta.
+    For f with Lip f <= 1, a = diag f has L(a) = Lip f <= 1 and bridge norm 0.
+
+    At least beta: for i != j, W = beta (E_ij + E_ji) is self-adjoint with zero
+    diagonal, so L(W) = ||W|| / beta = 1.  Every f leaves the entry (i, j) of
+    W - diag f at beta, and no entry of a matrix exceeds its operator norm,
+    so ||W - diag f|| >= beta.
+
+    Both bounds are exact, so no float enters the certificate.  Returns beta
+    and the witness pair (i, j) = (0, 1); a pair has at least two points.
     """
-
-    upper_bound: float
-    worst_forward: float
-    worst_backward: float
-    certified: bool = True
-
-
-def certify_reach_upper(
-    pair: ApproximationPair, samples: int = 256, seed: int = 0
-) -> ReachCertificate:
-    """Certificate that the reach of the pair's bridge is at most beta.
-
-    The bridge norm of a matrix a and a function f is ||a - diag(f)||, with
-    f embedded as a diagonal matrix.  The certificate is proof-backed: for a
-    unit-ball matrix a the diagonal part diag(a) has Lipschitz seminorm at
-    most L(a) <= 1 and
-    ||a - diag(a)|| <= beta L(a) <= beta, while a unit-Lipschitz function
-    embeds with bridge norm exactly zero.  The witnesses are re-evaluated on
-    deterministic unit-ball samples and the worst observed values recorded;
-    a witness violation would falsify the certificate and raises.
-    """
-    worst_forward = 0.0
-    for a in sample_unit_ball(pair, samples, seed):
-        f = np.diagonal(a).real
-        worst_forward = max(worst_forward, operator_norm(a - np.diag(f.astype(complex))))
-    # A witness norm exactly at beta may round above it.
-    slack = 1e-12 * (1.0 + pair.beta)
-    if worst_forward > pair.beta + slack:
-        raise RuntimeError(
-            f"witness violated its certificate: {worst_forward} > beta={pair.beta}"
-        )
-    return ReachCertificate(
-        upper_bound=pair.beta,
-        worst_forward=worst_forward,
-        worst_backward=0.0,
-    )
+    return ReachCertificate(pair.beta, (0, 1))
 
 
 def _coordinate_descent_inf(
@@ -181,12 +162,11 @@ def estimate_reach_lower(
 
     For each unit-ball sample a, the inner infimum over unit-Lipschitz
     functions is bounded from above by starting at the witness diag(a) and
-    descending.  The maximum of these values therefore bounds the sup-inf
-    reach of this bridge in neither direction: each term is above its own
-    sample's infimum, and the samples do not exhaust the supremum (nor does
-    it say anything about the distance itself).  Always at most the
-    certified upper bound, up to rounding.  A net wider than the minimiser
-    can handle raises ``ScaleOverflowError``.
+    descending, so each term lies between its own sample's infimum and beta.
+    Their maximum is therefore at most the reach, which
+    :func:`certify_reach` proves equal to beta, up to rounding; it says
+    nothing more about the reach, nor about the distance itself.  A net
+    wider than the minimiser can handle raises ``ScaleOverflowError``.
     """
     if iters < 1:
         raise ConfigError("need at least one sample")

@@ -107,12 +107,11 @@ def parse_generator(spec: str):
             payload = json.loads(_read_file(path, "generator", "point file"))
             pts = json_number_array(payload["points"], "points")
             labels = tuple(payload["labels"]) if "labels" in payload else None
-            FiniteMetricSpace.from_points(pts, labels)
+            return PointCloud(FiniteMetricSpace.from_points(pts, labels))
         except (KeyError, TypeError, ValueError, MatproxError) as exc:
             raise ValidationFailure(
                 "generator", f"point file {path} needs a 'points' array of distinct points ({exc!r})"
             ) from None
-        return PointCloud(pts, labels)
     for name, builder in (
         ("circle", lambda args: Circle(args[0])),
         ("interval", lambda args: Interval(args[0])),

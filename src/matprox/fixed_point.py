@@ -472,6 +472,15 @@ def action_lip_seminorms(
     first order: below S^(1/4) (1 + (q + 2)^2 u).  The factor
     1 + 4 (q + 2)^2 u covers that term four times over, which leaves room
     for the rounding of the two square roots and the division by the length.
+
+    Both margins assume that no square or fourth power underflows or
+    overflows, which fails far from unit scale.  So each element is first
+    multiplied by the power of two that puts its largest entry modulus in
+    [1/2, 1), and its maximum by the inverse power (``np.ldexp``, so even
+    a subnormal element scales exactly).  Both products are exact unless a
+    scaled entry or the result is subnormal, so an element at unit scale
+    keeps its bits, and the margins hold for every element whose largest
+    entry modulus is a finite nonzero float.
     """
     s = np.asarray(stack, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (torus.q, torus.q):
@@ -480,6 +489,8 @@ def action_lip_seminorms(
         )
     if ell.q != torus.q:
         raise InputShapeError("length function and torus orders differ")
+    _, scale = np.frexp(np.abs(s).max(axis=(1, 2), initial=0.0))
+    s = np.ldexp(np.ascontiguousarray(s).view(float), -scale[:, None, None]).view(complex)
     count = s.shape[0]
     q = torus.q
     j, k = np.divmod(np.arange(1, q * q), q)
@@ -500,7 +511,7 @@ def action_lip_seminorms(
         quota = np.clip(live - visited, 0, step)
         total = int(quota.sum())
         if total == 0:
-            return best
+            return np.ldexp(best, scale)
         elem = np.repeat(np.arange(count), quota)
         rank = np.arange(total) - np.repeat(np.cumsum(quota) - quota, quota)
         if total > per_chunk:
@@ -686,8 +697,17 @@ def _sampled_gaps(
         units = np.concatenate([units, _normalized_unit_ball(torus, ell, np.concatenate(images))])
     del images  # before the norms below; at q = 64 each image of 256 draws is 16 MiB
     signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
-    coeffs = signed_mask * torus.to_coefficients(units)
-    norms = operator_norms(torus.from_coefficients(coeffs))
+    diffs = torus.from_coefficients(signed_mask * torus.to_coefficients(units))
+    # The images are self-adjoint only up to rounding after the coefficient
+    # round trip.  Their Hermitian part, formed in place, is bitwise
+    # self-adjoint and takes eigvalsh, which gives a stack and its negation
+    # the same norms bit for bit (the SVD does not), so swapping H and K
+    # swaps the two directions exactly.
+    herm = np.conjugate(np.swapaxes(diffs, 1, 2), order="C")
+    herm += diffs
+    herm /= 2.0
+    del diffs
+    norms = operator_norms(herm)
     # Peaks over the draws, E_h draws, E_k draws.
     sizes = [len(draws)] + [len(draws) * t for t in imaged]
     peak = [float(np.max(x, initial=0.0)) for x in np.split(norms, np.cumsum(sizes)[:-1])]

@@ -39,7 +39,6 @@ from .matrix_algebra import (
 from .metric_core import (
     FiniteMetricSpace,
     blocks,
-    lipschitz_seminorm,
     lipschitz_seminorms,
     min_separation,
     random_cloud_space,
@@ -218,7 +217,7 @@ def sample_unit_ball(
     samples = []
     for _ in range(count):
         f = rng.uniform(-1.0, 1.0, size=n)
-        lip = lipschitz_seminorm(pair.space, f)
+        lip = lipschitz_seminorms(pair.space, f[None])[0]
         target_lip = rng.uniform(0.0, 1.0)
         if lip > 0.0:
             f = f * (target_lip / lip)

@@ -39,8 +39,9 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     stacks of this package are built so bitwise: ``jordan_lie`` takes ba as
     (ab)^*, and the fuzzy torus's conjugate-symmetric character table makes
     each action difference a - alpha^g(a) of a bitwise self-adjoint a bitwise
-    self-adjoint.  Every other stack, including one that is self-adjoint only
-    up to rounding, takes the SVD.
+    self-adjoint, and the fixed-point gaps take the Hermitian part of their
+    (E_H - E_K) u images.  Every other stack, including one that is
+    self-adjoint only up to rounding, takes the SVD.
     """
     s = np.asarray(stack, dtype=complex)
     if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
@@ -53,12 +54,7 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
 def _bitwise_self_adjoint(s: np.ndarray) -> bool:
     """Whether a (..., n, n) stack equals its conjugate transpose bit for bit
     (a signed zero equals its negation)."""
-    # The first rows against the first columns reject most stacks that are
-    # not self-adjoint (the (E_H - E_K) u images of the fixed-point gaps)
-    # before the full comparison.
-    return np.array_equal(s[..., 0, :], s[..., :, 0].conj()) and np.array_equal(
-        s, np.swapaxes(s, -1, -2).conj()
-    )
+    return np.array_equal(s, np.swapaxes(s, -1, -2).conj())
 
 
 def _eigenvalue_norms(s: np.ndarray) -> np.ndarray:

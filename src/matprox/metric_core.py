@@ -102,23 +102,14 @@ class FiniteMetricSpace:
     def n_points(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown point label {label!r}") from None
-
-    def resolve(self, keys: Iterable[Union[int, str]]) -> np.ndarray:
-        """Resolve a mix of integer indices and labels to an index array."""
+    def resolve(self, keys: Iterable[int]) -> np.ndarray:
+        """Point indices as an index array, each checked to be in range."""
         out = []
         for k in keys:
-            if isinstance(k, str):
-                out.append(self.index(k))
-            else:
-                i = int(k)
-                if not 0 <= i < self.n_points:
-                    raise KeyError(f"point index {i} out of range")
-                out.append(i)
+            i = int(k)
+            if not 0 <= i < self.n_points:
+                raise KeyError(f"point index {i} out of range")
+            out.append(i)
         return np.asarray(out, dtype=int)
 
     def restrict(self, indices: Sequence[int]) -> "FiniteMetricSpace":
@@ -143,16 +134,6 @@ class FiniteMetricSpace:
             diff = pts[:, None, :] - pts[None, :, :]
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
         return cls(tuple(labels), dist)
-
-
-def check_function(space: FiniteMetricSpace, values: np.ndarray) -> np.ndarray:
-    """Validate a function vector against a space; returns a float/complex array."""
-    f = np.asarray(values)
-    if f.shape != (space.n_points,):
-        raise InputShapeError(
-            f"function has {f.shape} values, space has {space.n_points} points"
-        )
-    return f
 
 
 def check_probability(space: FiniteMetricSpace, weights: np.ndarray) -> np.ndarray:
@@ -184,11 +165,6 @@ def min_separation(space: FiniteMetricSpace) -> float:
     return float(np.min(off))
 
 
-def diameter(space: FiniteMetricSpace) -> float:
-    """Largest pairwise distance; zero for a single point."""
-    return float(np.max(space.dist))
-
-
 def random_cloud_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
     """Gaussian points in R^3, redrawn until no two lie within 1e-3."""
     while True:
@@ -197,19 +173,15 @@ def random_cloud_space(rng: np.random.Generator, n: int) -> FiniteMetricSpace:
             return space
 
 
-def lipschitz_seminorm(space: FiniteMetricSpace, values: np.ndarray) -> float:
-    """Largest ratio |f(x) - f(y)| / d(x, y) over pairs of distinct points.
+def lipschitz_seminorms(space: FiniteMetricSpace, batch: np.ndarray) -> np.ndarray:
+    """Largest ratio |f(x) - f(y)| / d(x, y) over pairs of distinct points,
+    for each function f of a (count, n) batch; one function is
+    ``lipschitz_seminorms(space, f[None])[0]``.
 
     Finite spaces make the supremum a maximum, so the value is always
     finite.  A single-point space returns 0 by convention.  Complex-valued
     functions are accepted; differences are measured in modulus.
     """
-    f = check_function(space, values)
-    return float(lipschitz_seminorms(space, f[None])[0])
-
-
-def lipschitz_seminorms(space: FiniteMetricSpace, batch: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`lipschitz_seminorm` over a (count, n) batch."""
     fs = np.asarray(batch)
     if fs.ndim != 2 or fs.shape[1] != space.n_points:
         raise InputShapeError("batch must have shape (count, n_points)")
@@ -304,11 +276,9 @@ def dirac_distances(space: FiniteMetricSpace) -> np.ndarray:
 
 
 def hausdorff_distance(
-    space: FiniteMetricSpace,
-    subset_a: Iterable[Union[int, str]],
-    subset_b: Iterable[Union[int, str]],
+    space: FiniteMetricSpace, subset_a: Iterable[int], subset_b: Iterable[int]
 ) -> float:
-    """Hausdorff distance between two nonempty subsets of the point set."""
+    """Hausdorff distance between two nonempty sets of point indices."""
     ia = space.resolve(list(subset_a))
     ib = space.resolve(list(subset_b))
     if ia.size == 0 or ib.size == 0:
@@ -347,10 +317,11 @@ class FlatTorus:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """An explicit finite point list in Euclidean space (already compact)."""
+    """An explicit finite metric space, already compact; its nets are
+    subsets of its points.  Build one from Euclidean coordinates with
+    ``PointCloud(FiniteMetricSpace.from_points(points))``."""
 
-    points: np.ndarray
-    labels: tuple[str, ...] | None = None
+    space: FiniteMetricSpace
 
 
 Generator = Union[Circle, Interval, FlatTorus, PointCloud]
@@ -401,7 +372,7 @@ def _torus_net(
 
 
 def _cloud_net(cloud: PointCloud, n: int) -> tuple[FiniteMetricSpace, float]:
-    full = FiniteMetricSpace.from_points(cloud.points, cloud.labels)
+    full = cloud.space
     total = full.n_points
     if n > total:
         raise ConfigError(f"requested {n} net points from a {total}-point cloud")

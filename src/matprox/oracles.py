@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity by a different method than the library
 uses, or checks a constant the theory fixes: the transport distance by
 enumerating vertices of the unit-Lipschitz polytope instead of solving an
-LP, operator norms by power iteration instead of SVD, group averaging by
+LP, the reach certificate's witness by unit-ball samples instead of its
+proof, operator norms by power iteration instead of SVD, group averaging by
 explicit conjugation sums instead of coefficient masks, the unit-ball
 radius by 2n LPs instead of its closed form, subgroups by brute-force
 closure instead of the triangular basis, subgroup Hausdorff distances over
@@ -22,12 +23,13 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .fixed_point import FuzzyTorus, GroupElement, LengthFunction, TorusSubgroup
-from .lseminorm import ApproximationPair
+from .lseminorm import ApproximationPair, sample_unit_ball
+from .matrix_algebra import operator_norm
 from .metric_core import (
     FiniteMetricSpace,
     check_probability,
     lipschitz_constraints,
-    lipschitz_seminorm,
+    lipschitz_seminorms,
 )
 
 
@@ -126,6 +128,16 @@ def lip_ball_sup_norm_by_lp(space: FiniteMetricSpace, weights: np.ndarray) -> fl
                 raise RuntimeError(f"norm-bound LP failed: {res.message}")
             best = max(best, -float(res.fun))
     return best
+
+
+def sampled_reach_witness(pair: ApproximationPair, samples: int, seed: int) -> float:
+    """The largest witness bridge norm ||a - diag(a)|| over ``samples``
+    unit-ball samples; ``bridge.certify_reach`` proves it at most beta."""
+    worst = 0.0
+    for a in sample_unit_ball(pair, samples, seed):
+        f = np.diagonal(a).real
+        worst = max(worst, operator_norm(a - np.diag(f.astype(complex))))
+    return worst
 
 
 def power_iteration_norm(a: np.ndarray, iters: int = 500, seed: int = 7) -> float:
@@ -292,7 +304,7 @@ def sampled_orbit_reach(
     samples = [np.array(space.dist[i], dtype=float) for i in range(n)]
     for _ in range(count):
         f = rng.uniform(-1.0, 1.0, size=n)
-        lip = lipschitz_seminorm(space, f)
+        lip = lipschitz_seminorms(space, f[None])[0]
         if lip > 0.0:
             f = f * (rng.uniform(0.0, 1.0) / lip)
         samples.append(f)
@@ -300,8 +312,8 @@ def sampled_orbit_reach(
     reach = 0.0
     for f in samples:
         averaged = orbit_average(orbits, f)
-        lip = lipschitz_seminorm(space, f)
-        worst_violation = max(worst_violation, lipschitz_seminorm(space, averaged) - lip)
+        lip, lip_averaged = lipschitz_seminorms(space, np.stack([f, averaged]))
+        worst_violation = max(worst_violation, lip_averaged - lip)
         if lip <= 1.0 + 1e-12:
             reach = max(reach, float(np.max(np.abs(f - averaged))))
     return reach, float(worst_violation)

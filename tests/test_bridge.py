@@ -15,19 +15,21 @@ from matprox import (
     beta_delta_over_n,
     beta_fixed,
     beta_fraction_of_delta,
-    certify_reach_upper,
+    certify_reach,
     convergence_experiment,
     epsilon_net,
     estimate_reach_lower,
     hausdorff_distance,
     identity,
     l_seminorms,
-    lipschitz_seminorm,
+    lipschitz_seminorms,
     min_separation,
     operator_norm,
+    operator_norms,
     sample_unit_ball,
 )
 from matprox.errors import ConfigError, CorollaryModeViolation
+from matprox.oracles import sampled_reach_witness
 
 
 def two_point_pair(beta: float = 0.5) -> ApproximationPair:
@@ -36,7 +38,7 @@ def two_point_pair(beta: float = 0.5) -> ApproximationPair:
 
 
 def bridge_norm(a: np.ndarray, f: np.ndarray) -> float:
-    """||a - diag(f)||, the bridge norm ``certify_reach_upper`` takes."""
+    """||a - diag(f)||, the bridge norm of the reach certificate."""
     return operator_norm(a - np.diag(f.astype(complex)))
 
 
@@ -64,17 +66,47 @@ def test_certificate_value_is_beta_and_witnesses_hold():
     for n in (2, 4, 7):
         space = FiniteMetricSpace.from_points(rng.normal(size=(n, 3)))
         pair = ApproximationPair(space, 0.5 * min_separation(space))
-        cert = certify_reach_upper(pair, samples=200, seed=n)
-        assert cert.upper_bound == pair.beta
-        assert cert.worst_forward <= pair.beta + 1e-12
-        assert cert.worst_backward == 0.0
-        assert cert.certified
+        assert certify_reach(pair).reach == pair.beta
+        assert sampled_reach_witness(pair, 200, n) <= pair.beta + 1e-12
+
+
+_WITNESS_NETS = [
+    (Circle(TAU), (2, 8, 32, 64)),
+    (Interval(1.0), (2, 8, 32, 64)),
+    # Torus nets are grids, so their sizes are squares.
+    (FlatTorus((1.0, 1.0)), (4, 9, 36, 64)),
+    (PointCloud(FiniteMetricSpace.from_points(np.random.default_rng(8).normal(size=(64, 3)))),
+     (2, 8, 32, 64)),
+]
+
+
+@pytest.mark.parametrize("rule", [beta_delta_over_n, beta_fraction_of_delta(1.0)],
+                         ids=["delta-over-n", "delta"])
+@pytest.mark.parametrize("generator,sizes", _WITNESS_NETS, ids=["circle", "interval", "torus", "cloud"])
+def test_reach_witness_attains_beta(generator, sizes, rule):
+    # W = beta (E_ij + E_ji) has L(W) = 1, and its entry (i, j) keeps
+    # ||W - diag f|| >= beta for every f.  eigvalsh returns the norm of a
+    # matrix within 32 n^3 u of ||X|| relative (the margin derived in
+    # ``l_seminorms``), so the computed norms may read that much below beta.
+    rng = np.random.default_rng(9)
+    for n in sizes:
+        pair, _ = approximate_compact_space(generator, n, rule)
+        cert = certify_reach(pair)
+        i, j = cert.witness
+        assert cert.reach == pair.beta and i != j
+        w = np.zeros((n, n), dtype=complex)
+        w[i, j] = w[j, i] = pair.beta
+        assert l_seminorms(pair, w[None])[0] == 1.0
+        # f = 0, then f at the scale of beta, where the bound is nearly tight.
+        fs = np.concatenate([np.zeros((1, n)), pair.beta * rng.uniform(-2.0, 2.0, size=(16, n))])
+        norms = operator_norms(w - fs[:, :, None] * np.eye(n))
+        assert np.all(norms * (1.0 + 32 * n**3 * np.finfo(float).eps / 2) >= pair.beta)
 
 
 def test_unit_lipschitz_functions_embed_into_the_unit_ball():
     pair = two_point_pair()
     f = pair.space.dist[0]
-    assert lipschitz_seminorm(pair.space, f) == 1.0
+    assert lipschitz_seminorms(pair.space, f[None])[0] == 1.0
     assert l_seminorms(pair, np.diag(f.astype(complex))[None])[0] <= 1.0
 
 
@@ -260,7 +292,7 @@ def test_reach_descent_rejects_a_matrix_one_ulp_from_self_adjoint():
         (Circle(TAU), 12),
         (Interval(1.0), 10),
         (FlatTorus((1.0, 1.0)), 16),
-        (PointCloud(np.random.default_rng(7).normal(size=(9, 3))), 9),
+        (PointCloud(FiniteMetricSpace.from_points(np.random.default_rng(7).normal(size=(9, 3)))), 9),
     ],
     ids=["circle", "interval", "torus", "cloud"],
 )
@@ -286,7 +318,7 @@ def test_reach_norms_take_no_svd(generator, n, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_svd)
     pair, _ = approximate_compact_space(generator, n, beta_delta_over_n)
     assert 0.0 < estimate_reach_lower(pair, iters=2, seed=3) <= pair.beta + 1e-9
-    assert certify_reach_upper(pair, samples=8, seed=3).upper_bound == pair.beta
+    assert sampled_reach_witness(pair, 8, 3) <= pair.beta + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +344,7 @@ def test_maximal_corollary_mode_beta_equals_delta():
 def test_finite_generator_bound_shrinks_with_beta():
     rng = np.random.default_rng(42)
     points = rng.normal(size=(5, 2))
-    cloud = PointCloud(points)
+    cloud = PointCloud(FiniteMetricSpace.from_points(points))
     for beta in (1e-3, 1e-6, 1e-9):
         pair, row = approximate_compact_space(cloud, 5, beta_fixed(beta))
         assert row.certified_bound == pytest.approx(beta, abs=1e-15)  # haus is exactly zero
@@ -382,9 +414,9 @@ def test_sampled_estimates_never_exceed_certificates_across_configs():
         n = int(rng.integers(2, 7))
         space = FiniteMetricSpace.from_points(rng.normal(size=(n, 3)))
         pair = ApproximationPair(space, min_separation(space))
-        cert = certify_reach_upper(pair, samples=64, seed=trial)
+        assert sampled_reach_witness(pair, 64, trial) <= pair.beta + 1e-12 * (1.0 + pair.beta)
         lower = estimate_reach_lower(pair, iters=5, seed=trial)
-        assert lower <= cert.upper_bound + 1e-9
+        assert lower <= certify_reach(pair).reach + 1e-9
 
 
 def test_witness_values_on_unit_ball_samples_stay_under_beta():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matprox import acceptance, fixed_point, lseminorm, matrix_algebra
+from matprox import acceptance, fixed_point, lseminorm, matrix_algebra, metric_core
 from matprox.cli import build_parser, main, parse_beta_rule, parse_generator
 from matprox.cli import ValidationFailure
 from matprox.matrix_algebra import operator_norms
@@ -386,6 +386,30 @@ def test_cloud_generator_runs_on_a_points_file(tmp_path):
     assert read_json(out)["results"]["n"] == 3
 
 
+@pytest.mark.parametrize("command", ["approximate", "converge"])
+def test_a_cloud_is_validated_once(tmp_path, monkeypatch, command):
+    # The parsed cloud carries its space, so the nets reuse it: the O(N^3)
+    # metric check runs once on the full cloud, not once more per net.
+    cloud = np.random.default_rng(3).normal(size=(40, 2))
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": cloud.tolist()}), encoding="utf-8")
+    sizes = []
+    post_init = metric_core.FiniteMetricSpace.__post_init__
+
+    def recording(self):
+        sizes.append(len(self.labels))
+        post_init(self)
+
+    monkeypatch.setattr(metric_core.FiniteMetricSpace, "__post_init__", recording)
+    argv = {
+        "approximate": ["approximate", "--n", "8", "--reach-samples", "1"],
+        "converge": ["converge", "--n-list", "4,8,16,32"],
+    }[command]
+    argv += ["--generator", f"cloud:{points}", "--output", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    assert sizes.count(40) == 1
+
+
 @pytest.mark.parametrize(
     "content",
     [None, "{not json", json.dumps({"labels": ["a"]}), json.dumps({"points": [[0, 0], [1, 1], [0, 0]]})],
@@ -694,6 +718,22 @@ def test_action_seminorm_norms_are_bitwise_self_adjoint(tmp_path, monkeypatch):
     monkeypatch.setattr(fixed_point, "operator_norms", norms)
     assert main(["fixedpoint", "--output", str(tmp_path / "fp.json")]) == 0
     assert seen and all(seen)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fixedpoint"], ["fixedpoint", "--q", "6", "--h-generators", "[[0, 3]]",
+                      "--k-generators", "[[3, 0], [2, 2]]"], ["fixedpoint", "--sweep", "4,6,12"]],
+    ids=["default", "both-directions", "sweep"],
+)
+def test_fixedpoint_takes_no_svd(tmp_path, monkeypatch, argv):
+    # Every norm of a fixed-point run, the gap images (E_H - E_K) u included,
+    # is taken of a bitwise self-adjoint stack, so none falls back to the SVD.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a fixed-point norm took the SVD")
+
+    monkeypatch.setattr(matrix_algebra.np.linalg, "svd", no_svd)
+    assert main(argv + ["--output", str(tmp_path / "fp.json")]) == 0
 
 
 @pytest.mark.parametrize("sweep", ["", ","])

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,31 @@ def test_folded_seminorm_matches_conjugation_over_every_g(q, p):
         for a, value in zip(stack, fast):
             slow = _seminorm_by_explicit_conjugation(torus, ell, a)
             assert value == pytest.approx(slow, rel=1e-12, abs=atol)
+
+
+@pytest.mark.parametrize(
+    "q,unit",
+    [
+        (3, (1.403809982715389, 1.2333583929042173, 2.1245204111770772, 1.9859349382061575)),
+        (6, (4.773171189279645, 4.421619063213088, 4.710875836341594, 6.182780037975497)),
+        (12, (20.17844960289803, 15.754315132856899, 18.19295032765923, 15.670892800688884)),
+    ],
+)
+def test_seminorms_hold_far_from_unit_scale(q, unit):
+    # ``unit`` holds the seminorms of four draws as the kernel gave them
+    # before it scaled elements by powers of two (OpenBLAS build): at unit
+    # scale they keep their bits.  At 1e-100 the Schatten sums underflowed
+    # and at 1e160 the Frobenius squares overflowed, so each value read 0.0,
+    # with overflow warnings at 1e160.
+    torus = FuzzyTorus(q, 1)
+    ell = LengthFunction.max_arc(q)
+    draws = fixed_point._draws(torus, 4, 0)
+    assert tuple(action_lip_seminorms(torus, ell, draws)) == unit
+    for scale in (1e-100, 1e160):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = action_lip_seminorms(torus, ell, scale * draws) / scale
+        assert got == pytest.approx(unit, rel=1e-12, abs=0.0)
 
 
 def test_no_element_visits_both_g_and_its_inverse(monkeypatch):
@@ -885,6 +911,20 @@ def test_bridge_directions_match_the_direct_witness_formula():
         ):
             ref = _directed_bridge_reference(torus, ell, source, target, 2, 4)
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_bridge_directions_mirror_when_h_and_k_swap():
+    # (E_H - E_K) u and (E_K - E_H) u are exact negations of each other, and
+    # norms of their Hermitian parts come from eigvalsh: swapping H and K
+    # swaps the two directions bit for bit on every pair.
+    torus = FuzzyTorus(4, 1)
+    ell = LengthFunction.max_arc(4)
+    for h, k in itertools.combinations(enumerate_subgroups(4), 2):
+        hk = fixed_point_bridge(torus, ell, h, k, count=4, seed=0)
+        kh = fixed_point_bridge(torus, ell, k, h, count=4, seed=0)
+        assert hk.gap_sampled == kh.gap_sampled
+        assert (hk.worst_left_to_right, hk.worst_right_to_left) == (
+            kh.worst_right_to_left, kh.worst_left_to_right)
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,9 @@ from matprox import (
     Interval,
     PointCloud,
     TAU,
-    diameter,
     epsilon_net,
     hausdorff_distance,
-    lipschitz_seminorm,
+    lipschitz_seminorms,
     min_separation,
     mk_distance,
     space_from_dict,
@@ -109,10 +108,12 @@ def test_min_separation_single_point_raises():
 
 
 def test_diameter_values():
+    # The diameter is the largest entry of the distance matrix; callers take
+    # np.max(space.dist), which reads zero for a single point.
     single = FiniteMetricSpace(("a",), np.zeros((1, 1)))
-    assert diameter(single) == 0.0
-    assert diameter(two_point()) == 1.0
-    assert diameter(circle_net(5)) == pytest.approx(4 * np.pi / 5, abs=1e-15)
+    assert np.max(single.dist) == 0.0
+    assert np.max(two_point().dist) == 1.0
+    assert np.max(circle_net(5).dist) == pytest.approx(4 * np.pi / 5, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +123,11 @@ def test_diameter_values():
 
 def test_lipschitz_constant_function_is_zero():
     space = circle_net(6)
-    assert lipschitz_seminorm(space, np.full(6, 2.7)) == 0.0
+    assert lipschitz_seminorms(space, np.full(6, 2.7)[None])[0] == 0.0
 
 
 def test_lipschitz_two_points():
-    assert lipschitz_seminorm(two_point(), np.array([0.0, 3.0])) == 3.0
+    assert lipschitz_seminorms(two_point(), np.array([0.0, 3.0])[None])[0] == 3.0
 
 
 def test_lipschitz_of_distance_function_is_one():
@@ -135,12 +136,12 @@ def test_lipschitz_of_distance_function_is_one():
         space = FiniteMetricSpace.from_points(rng.normal(size=(n, 3)))
         for base in range(n):
             f = space.dist[base]
-            assert lipschitz_seminorm(space, f) == pytest.approx(1.0, abs=1e-12)
+            assert lipschitz_seminorms(space, f[None])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lipschitz_single_point_convention():
     single = FiniteMetricSpace(("a",), np.zeros((1, 1)))
-    assert lipschitz_seminorm(single, np.array([4.2])) == 0.0
+    assert lipschitz_seminorms(single, np.array([4.2])[None])[0] == 0.0
 
 
 def test_lipschitz_kernel_is_exactly_constants():
@@ -149,7 +150,7 @@ def test_lipschitz_kernel_is_exactly_constants():
     for _ in range(50):
         f = rng.uniform(-1, 1, size=5)
         is_constant = np.max(f) == np.min(f)
-        assert (lipschitz_seminorm(space, f) == 0.0) == is_constant
+        assert (lipschitz_seminorms(space, f[None])[0] == 0.0) == is_constant
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def test_mk_state_space_diameter_matches_ground_diameter():
             for i in range(n)
             for j in range(n)
         )
-        assert worst == pytest.approx(diameter(space), abs=1e-9)
+        assert worst == pytest.approx(np.max(space.dist), abs=1e-9)
 
 
 def test_lipschitz_constraints_match_the_pairwise_loop():
@@ -332,7 +333,7 @@ def test_torus_net_is_grid_with_max_metric():
 def test_point_cloud_net_full_and_partial():
     rng = np.random.default_rng(4)
     points = rng.normal(size=(7, 2))
-    cloud = PointCloud(points)
+    cloud = PointCloud(FiniteMetricSpace.from_points(points))
     net, bound = epsilon_net(cloud, 7)
     assert net.n_points == 7
     assert bound == 0.0

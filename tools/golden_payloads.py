@@ -51,7 +51,8 @@ INPUTS = {
 # ran).  fixedpoint also runs a sweep each way, a pair of large subgroups so
 # that haus_ell is compared over many elements, and a q = 64 sample of 96
 # draws and 96 images, more elements than one normalization block of
-# ``metric_core.BLOCK_BYTES`` holds at that order.
+# ``metric_core.BLOCK_BYTES`` holds at that order, and one pair both ways
+# (fixedpoint_hk and fixedpoint_kh), whose directions swap bit for bit.
 # The leibniz ratios of leibniz_screen_mix put seminorms on both sides of the
 # Lipschitz screen in ``l_seminorms``.
 CONFIGS = [
@@ -91,6 +92,10 @@ CONFIGS = [
     ("fixedpoint_large_pair_q32", ["fixedpoint", "--q", "32", "--h-generators", "[[1,0],[0,1]]",
                                    "--k-generators", "[[2,0],[0,1]]"], None),
     ("fixedpoint_trivial_h_q64", ["fixedpoint", "--q", "64", "--h-generators", "[]", "--count", "96"], None),
+    ("fixedpoint_hk", ["fixedpoint", "--q", "6", "--h-generators", "[[0, 3]]",
+                       "--k-generators", "[[3, 0], [2, 2]]", "--count", "8"], None),
+    ("fixedpoint_kh", ["fixedpoint", "--q", "6", "--h-generators", "[[3, 0], [2, 2]]",
+                       "--k-generators", "[[0, 3]]", "--count", "8"], None),
 ]
 
 
