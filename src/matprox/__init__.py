@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     CorollaryModeViolation,
     DegenerateSpaceError,
-    EmptySetError,
     InputShapeError,
     MatproxError,
     MetricAxiomError,
@@ -69,7 +68,6 @@ from .metric_core import (
     PointCloud,
     TAU,
     epsilon_net,
-    hausdorff_distance,
     lipschitz_seminorms,
     min_separation,
     mk_distance,

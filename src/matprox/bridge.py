@@ -228,16 +228,6 @@ class ConvergenceReport:
     strictly_decreasing: bool
     nonincreasing: bool
 
-    CSV_HEADER = "n,delta,beta,haus,certified_bound"
-
-    def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.n},{r.delta!r},{r.beta!r},{r.haus!r},{r.certified_bound!r}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def approximate_compact_space(
     generator: Generator,

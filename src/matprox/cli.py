@@ -13,6 +13,7 @@ machine-readable error object goes to stderr), 3 acceptance failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -42,7 +43,6 @@ from .errors import (
 from .fixed_point import (
     FuzzyTorus,
     LengthFunction,
-    SPECIALIZATION_NOTE,
     TorusSubgroup,
     fixed_point_bridge,
     fixed_point_sweep,
@@ -62,6 +62,8 @@ from .metric_core import (
 )
 
 OUTPUT_DIR_ENV = "MATPROX_OUTPUT_DIR"
+# The model every fixedpoint payload names: uniform averages stand in for Haar integrals.
+SPECIALIZATION_NOTE = "finite model: q-torsion torus subgroup acting on a clock-shift matrix algebra"
 
 
 class ValidationFailure(Exception):
@@ -71,16 +73,25 @@ class ValidationFailure(Exception):
         self.message = message
 
 
+def _number(token: str, kind: type, field: str):
+    """``kind(token)``, where ``kind`` is int or float, for a token of plain
+    ASCII: Python's own parsers also take ``_`` separators and non-ASCII
+    digits, which would coerce "1_0" to 10 and "١٦" to 16."""
+    try:
+        if token.isascii() and "_" not in token:
+            return kind(token)
+    except ValueError:
+        pass
+    raise ValidationFailure(field, f"cannot parse {field} number {token!r}")
+
+
 def _parse_scalar(token: str, field: str) -> float:
     text = token.strip().lower()
     if text == "pi":
         return math.pi
     if text == "2pi":
         return 2.0 * math.pi
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValidationFailure(field, f"cannot parse number {token!r}") from None
+    value = _number(text, float, field)
     if not math.isfinite(value):
         raise ValidationFailure(field, f"number {token!r} is not finite")
     return value
@@ -177,21 +188,20 @@ def _boolean(value, field: str) -> bool:
 
 
 def _numbers(kind: type, rule: Callable[[list], Any], message: str, maximum: int | None = None) -> _Check:
-    """Finite ints or floats, from a JSON array or a comma-separated string,
-    that satisfy ``rule`` (else ``message``) and are at most ``maximum``."""
+    """Finite ints or floats, from a JSON array of JSON numbers or a comma-
+    separated string, that satisfy ``rule`` (else ``message``) and are at
+    most ``maximum``."""
 
     def check(raw, field: str) -> list:
-        items = [tok for tok in raw.split(",") if tok.strip()] if isinstance(raw, str) else raw
-        if not isinstance(items, list):
+        if isinstance(raw, str):
+            items = [_number(tok, kind, field) for tok in raw.split(",") if tok.strip()]
+        elif isinstance(raw, list):
+            items = raw
+        else:
             raise ValidationFailure(field, f"{field} must be a list, got {raw!r}")
         accepted = (int, float) if kind is float else (int,)
         values = []
         for item in items:
-            if isinstance(item, str):
-                try:
-                    item = kind(item)
-                except ValueError:
-                    raise ValidationFailure(field, f"cannot parse {field} entry {item!r}") from None
             if type(item) not in accepted or not math.isfinite(item):
                 raise ValidationFailure(field, f"{field} entries must be finite {kind.__name__}s, got {item!r}")
             values.append(kind(item))
@@ -241,17 +251,40 @@ def _space_file(value, field: str) -> FiniteMetricSpace:
         raise ValidationFailure(field, str(exc))
 
 
-def _write_text(path: Path, text: str) -> None:
-    # Full results are assembled in memory first; the temp-file rename keeps
-    # partially written artifacts from ever appearing under the final name.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _write_outputs(out: Path, text: str, csv: str | None = None) -> list[Path]:
+    """Write ``text`` to ``out`` and ``csv``, if given, next to it as .csv, all
+    or none, and return the paths written: every temp file is written before
+    any is renamed.  An ``OSError`` (a directory or a file in the way) or a
+    path with no name exits 2 naming ``output``, leaving no file behind."""
+    done: list[Path] = []
+    try:
+        texts = {out: text}
+        if csv is not None:
+            texts[out.with_suffix(".csv")] = csv
+        for path, body in texts.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            done.append(path.with_name(path.name + ".tmp"))
+            done[-1].write_text(body, encoding="utf-8")
+        for path in texts:
+            os.replace(path.with_name(path.name + ".tmp"), path)
+            done.append(path)
+        return list(texts)
+    except (OSError, ValueError) as exc:
+        for path in done:
+            with contextlib.suppress(OSError):
+                path.unlink()
+        raise ValidationFailure("output", f"cannot write {out}: {exc}") from None
 
 
-def _emit_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """A header of ``columns``, then the repr of each row's cells: every cell
+    is a Python int or float, whose repr is its shortest round-tripping text."""
+    lines = [",".join(columns)] + [",".join(repr(row[c]) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _error_exit(failure: ValidationFailure) -> int:
@@ -314,12 +347,13 @@ def _converge(v: dict, config: dict) -> _Output:
         raise ValidationFailure("generator", str(exc))
     except MatproxError as exc:
         raise ValidationFailure("n_list", str(exc))
+    rows = [dataclasses.asdict(r) for r in report.rows]
     results = {
-        "rows": [dataclasses.asdict(r) for r in report.rows],
+        "rows": rows,
         "strictly_decreasing": report.strictly_decreasing,
         "nonincreasing": report.nonincreasing,
     }
-    return _Output("converge", results, report.to_csv())
+    return _Output("converge", results, _csv(("n", "delta", "beta", "haus", "certified_bound"), rows))
 
 
 def _leibniz(v: dict, config: dict) -> _Output:
@@ -386,9 +420,7 @@ def _fixedpoint(v: dict, config: dict) -> _Output:
             if v[key.name] != key.check(key.default, key.name):
                 raise ValidationFailure(key.name, f"{key.name} does not apply to a sweep; leave it at its default")
         rows = fixed_point_sweep(v["sweep"], count=count, seed=seed)
-        csv = "q,m,haus_ell,gap_sampled,dim_fixed\n" + "".join(
-            f"{r['q']},{r['m']},{r['haus_ell']!r},{r['gap_sampled']!r},{r['dim_fixed']}\n" for r in rows
-        )
+        csv = _csv(("q", "m", "haus_ell", "gap_sampled", "dim_fixed"), rows)
         return _Output("fixedpoint_sweep", {"model": SPECIALIZATION_NOTE, "sweep_rows": rows}, csv)
     if math.gcd(p % q, q) != 1:
         raise ValidationFailure("p", f"p={p} must be coprime to q={q}")
@@ -401,7 +433,7 @@ def _fixedpoint(v: dict, config: dict) -> _Output:
     sub_k = TorusSubgroup.from_generators(q, *k_gens) if k_gens else TorusSubgroup.trivial(q)
     report = fixed_point_bridge(torus, ell, sub_h, sub_k, count=count, seed=seed)
     results = {
-        "model": report.model,
+        "model": SPECIALIZATION_NOTE,
         "q": q,
         "p": p,
         "H_generators": [list(g) for g in sub_h.generators],
@@ -412,7 +444,7 @@ def _fixedpoint(v: dict, config: dict) -> _Output:
             "worst_left_to_right": report.worst_left_to_right,
             "worst_right_to_left": report.worst_right_to_left,
             "reach_sampled": report.reach_sampled,
-            "certified": report.certified,
+            "certified": False,
         },
         "dims": {
             "fixed_left": report.dim_fixed_left,
@@ -443,7 +475,7 @@ def _selftest(output: str | None) -> int:
                 for r in results
             ],
         }
-        _emit_json(Path(output), payload)
+        _write_outputs(Path(output), _json_text(payload))
     return 0 if all_passed(results) else 3
 
 
@@ -558,10 +590,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _integer_flag(field: str) -> Callable[[str], int]:
     def parse(text: str) -> int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ValidationFailure(field, f"{field} must be an integer, got {text!r}") from None
+        return _number(text, int, field)
 
     return parse
 
@@ -626,11 +655,7 @@ def _run(args: argparse.Namespace) -> int:
         "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
     }
     out = Path(args.output or Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{output.name}.json")
-    _emit_json(out, payload)
-    written = [out]
-    if output.csv is not None:
-        written.append(out.with_suffix(".csv"))
-        _write_text(written[1], output.csv)
+    written = _write_outputs(out, _json_text(payload), output.csv)
     print("wrote " + " and ".join(map(str, written)))
     return 0
 

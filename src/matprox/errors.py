@@ -13,10 +13,6 @@ class DegenerateSpaceError(MatproxError):
     """An operation needs at least two points but the space has one."""
 
 
-class EmptySetError(MatproxError):
-    """A subset argument that must be nonempty is empty."""
-
-
 class MetricAxiomError(MatproxError):
     """A distance matrix violates symmetry, positivity or the triangle inequality."""
 

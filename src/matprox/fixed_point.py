@@ -41,20 +41,13 @@ from .errors import (
     InputShapeError,
 )
 from . import metric_core
-from .matrix_algebra import operator_norms
+from .matrix_algebra import hermitian_part, operator_norms
 from .metric_core import (
     FiniteMetricSpace,
     blocks,
 )
 
 GroupElement = tuple[int, int]
-
-# Every report produced here is for the finite model: the clock-and-shift
-# matrix algebra acted on by the q-torsion subgroup of the 2-torus, with
-# uniform averages in place of Haar integrals.  Outputs carry this note.
-SPECIALIZATION_NOTE = (
-    "finite model: q-torsion torus subgroup acting on a clock-shift matrix algebra"
-)
 
 
 class FuzzyTorus:
@@ -370,7 +363,6 @@ class AveragingExpectation:
                 f"subgroup lives in Z_{subgroup.q}^2, torus has order {torus.q}"
             )
         self.torus = torus
-        self.subgroup = subgroup
         m, n = np.ogrid[: torus.q, : torus.q]
         mask = (subgroup.a * m % torus.q == 0) & ((subgroup.s * m + subgroup.b * n) % torus.q == 0)
         mask.setflags(write=False)
@@ -634,13 +626,9 @@ def _normalized_unit_ball(
     for rows in blocks(len(candidates), 16 * q * q):
         block = candidates[rows]
         traces = np.trace(block, axis1=1, axis2=2) / q
-        centered = block - traces[:, None, None] * np.eye(q)
-        # The candidates are self-adjoint; their Hermitian part makes them so
-        # bitwise (it is the identity on the draws), so every action
-        # difference is bitwise self-adjoint and takes the eigenvalue norm.
-        # Row-major order keeps the flat gathers of ``dual_action`` free of
-        # copies.
-        centered = np.add(centered, np.swapaxes(centered, 1, 2).conj(), order="C") / 2.0
+        # The images among the candidates are self-adjoint only up to
+        # rounding; made bitwise so, every action difference takes eigvalsh.
+        centered = hermitian_part(block - traces[:, None, None] * np.eye(q))
         values = action_lip_seminorms(torus, ell, centered)[:, None, None]
         np.divide(centered, values, out=out[rows], where=values > 1e-12)
     return out
@@ -657,8 +645,7 @@ def _draws(torus: FuzzyTorus, count: int, seed: int) -> np.ndarray:
         raise ConfigError("need at least one sample")
     q = torus.q
     parts = np.random.default_rng(seed).normal(size=(count, 2, q, q))
-    g = parts[:, 0] + 1j * parts[:, 1]
-    return np.add(g, np.swapaxes(g, 1, 2).conj(), order="C") / 2.0
+    return hermitian_part(parts[:, 0] + 1j * parts[:, 1])
 
 
 def _sampled_gaps(
@@ -697,17 +684,12 @@ def _sampled_gaps(
         units = np.concatenate([units, _normalized_unit_ball(torus, ell, np.concatenate(images))])
     del images  # before the norms below; at q = 64 each image of 256 draws is 16 MiB
     signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
-    diffs = torus.from_coefficients(signed_mask * torus.to_coefficients(units))
     # The images are self-adjoint only up to rounding after the coefficient
-    # round trip.  Their Hermitian part, formed in place, is bitwise
-    # self-adjoint and takes eigvalsh, which gives a stack and its negation
-    # the same norms bit for bit (the SVD does not), so swapping H and K
-    # swaps the two directions exactly.
-    herm = np.conjugate(np.swapaxes(diffs, 1, 2), order="C")
-    herm += diffs
-    herm /= 2.0
-    del diffs
-    norms = operator_norms(herm)
+    # round trip, so they take their Hermitian part.  No name holds them, so
+    # they are freed before the norms run.
+    norms = operator_norms(hermitian_part(
+        torus.from_coefficients(signed_mask * torus.to_coefficients(units))
+    ))
     # Peaks over the draws, E_h draws, E_k draws.
     sizes = [len(draws)] + [len(draws) * t for t in imaged]
     peak = [float(np.max(x, initial=0.0)) for x in np.split(norms, np.cumsum(sizes)[:-1])]
@@ -759,8 +741,6 @@ class FixedPointBridgeReport:
     reach_sampled: float
     dim_fixed_left: int
     dim_fixed_right: int
-    certified: bool = False
-    model: str = SPECIALIZATION_NOTE
 
 
 def fixed_point_bridge(

@@ -110,6 +110,11 @@ def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
     reads +inf and fails the screen, so the bound never raises where the
     deviation itself does not; when no element passes, the stack goes to
     ``operator_norms`` unchanged, and when all do, no solve is made.
+
+    The margin holds whenever every nonzero off-diagonal modulus |x_ij| is a
+    normal float (at least 2^-1022), whatever beta: a subnormal one errs by
+    up to 2^-1075 absolute, not relative.  An underflow of R m / beta keeps
+    the screen exact, as rounding is monotone.
     """
     s = np.asarray(stack, dtype=complex)
     if s.ndim != 3 or s.shape[1:] != (pair.dim, pair.dim):

@@ -39,8 +39,8 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     stacks of this package are built so bitwise: ``jordan_lie`` takes ba as
     (ab)^*, and the fuzzy torus's conjugate-symmetric character table makes
     each action difference a - alpha^g(a) of a bitwise self-adjoint a bitwise
-    self-adjoint, and the fixed-point gaps take the Hermitian part of their
-    (E_H - E_K) u images.  Every other stack, including one that is
+    self-adjoint, and the fixed-point gaps take the :func:`hermitian_part` of
+    their (E_H - E_K) u images.  Every other stack, including one that is
     self-adjoint only up to rounding, takes the SVD.
     """
     s = np.asarray(stack, dtype=complex)
@@ -97,10 +97,20 @@ def pinch(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(x + x^*) / 2 of each matrix of a (..., n, n) stack, row-major, so flat
+    reshapes of it need no copy.  It is bitwise self-adjoint, as IEEE
+    addition commutes, so its norms take ``eigvalsh``, which gives a stack
+    and its negation the same norms bit for bit: swapping H and K swaps the
+    fixed-point directions exactly."""
+    out = np.conjugate(np.swapaxes(x, -1, -2), order="C")
+    out += x
+    out /= 2.0
+    return out
+
+
 def _gaussian_hermitian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    # Row-major, so later flat reshapes of the stack need no copy.
-    return np.add(g, np.swapaxes(g, -1, -2).conj(), order="C") / 2.0
+    return hermitian_part(rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 This module provides the ground-space side of the library: validated finite
 metric spaces, Lipschitz seminorms of functions, Monge-Kantorovich
 (Wasserstein-1) distances between probability measures computed by LP
-duality, Hausdorff distances between subsets, and equispaced nets of a few
-built-in compact spaces together with exact Hausdorff bounds for them.
+duality, and nets of a few built-in compact spaces together with their
+exact Hausdorff distances to the space.
 
 Functions on a space and probability measures are represented as plain
 ``numpy`` vectors indexed like the space's labels; helpers validate them
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 from scipy.optimize import linprog
@@ -24,7 +24,6 @@ from scipy.optimize import linprog
 from .errors import (
     ConfigError,
     DegenerateSpaceError,
-    EmptySetError,
     InputShapeError,
     MetricAxiomError,
 )
@@ -101,21 +100,6 @@ class FiniteMetricSpace:
     @property
     def n_points(self) -> int:
         return len(self.labels)
-
-    def resolve(self, keys: Iterable[int]) -> np.ndarray:
-        """Point indices as an index array, each checked to be in range."""
-        out = []
-        for k in keys:
-            i = int(k)
-            if not 0 <= i < self.n_points:
-                raise KeyError(f"point index {i} out of range")
-            out.append(i)
-        return np.asarray(out, dtype=int)
-
-    def restrict(self, indices: Sequence[int]) -> "FiniteMetricSpace":
-        idx = self.resolve(indices)
-        labels = tuple(self.labels[i] for i in idx)
-        return FiniteMetricSpace(labels, self.dist[np.ix_(idx, idx)])
 
     @classmethod
     def from_points(
@@ -275,20 +259,6 @@ def dirac_distances(space: FiniteMetricSpace) -> np.ndarray:
     return dirac
 
 
-def hausdorff_distance(
-    space: FiniteMetricSpace, subset_a: Iterable[int], subset_b: Iterable[int]
-) -> float:
-    """Hausdorff distance between two nonempty sets of point indices."""
-    ia = space.resolve(list(subset_a))
-    ib = space.resolve(list(subset_b))
-    if ia.size == 0 or ib.size == 0:
-        raise EmptySetError("Hausdorff distance needs nonempty subsets")
-    block = space.dist[np.ix_(ia, ib)]
-    a_to_b = float(np.max(np.min(block, axis=1)))
-    b_to_a = float(np.max(np.min(block, axis=0)))
-    return max(a_to_b, b_to_a)
-
-
 # ---------------------------------------------------------------------------
 # Built-in compact spaces and their equispaced nets.
 # ---------------------------------------------------------------------------
@@ -381,7 +351,10 @@ def _cloud_net(cloud: PointCloud, n: int) -> tuple[FiniteMetricSpace, float]:
         gaps = np.min(full.dist[:, selected], axis=1)
         selected.append(int(np.argmax(gaps)))
     selected = sorted(selected)
-    net = full.restrict(selected)
+    labels = tuple(full.labels[i] for i in selected)
+    net = FiniteMetricSpace(labels, full.dist[np.ix_(selected, selected)])
+    # The net is a subset of the cloud, so the Hausdorff distance between
+    # them is the farthest any cloud point lies from the net.
     haus = float(np.max(np.min(full.dist[:, selected], axis=1)))
     return net, haus
 

@@ -659,6 +659,43 @@ def test_fixedpoint_sweep_writes_csv(tmp_path):
     assert len(csv_lines) > 4
 
 
+@pytest.mark.parametrize(
+    "argv,rows,columns",
+    [
+        (["converge", "--n-list", "4,8,16,32"], "rows", "n,delta,beta,haus,certified_bound"),
+        (["converge", "--generator", "torus(1,2)", "--n-list", "4,9"], "rows", "n,delta,beta,haus,certified_bound"),
+        (["fixedpoint", "--sweep", "4,6", "--count", "6"], "sweep_rows", "q,m,haus_ell,gap_sampled,dim_fixed"),
+    ],
+)
+def test_csv_lines_are_the_reprs_of_the_payload_rows(tmp_path, argv, rows, columns):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 0
+    payload_rows = read_json(out)["results"][rows]
+    lines = out.with_suffix(".csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == columns
+    assert lines[1:] == [",".join(repr(row[c]) for c in columns.split(",")) for row in payload_rows]
+    assert len(lines) == 1 + len(payload_rows)
+
+
+@pytest.mark.parametrize("argv", [["--q", "6", "--count", "4"], ["--sweep", "4,6", "--count", "4"]],
+                         ids=["pair", "sweep"])
+def test_fixedpoint_payloads_name_the_finite_model_and_certify_nothing(tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert main(["fixedpoint", *argv, "--output", str(out)]) == 0
+    results = read_json(out)["results"]
+    assert results["model"] == "finite model: q-torsion torus subgroup acting on a clock-shift matrix algebra"
+    labels = []
+    pending = [results]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, dict):
+            labels += [value for key, value in item.items() if key == "certified"]
+            pending += item.values()
+        elif isinstance(item, list):
+            pending += item
+    assert labels == ([False] if "--q" in argv else [])
+
+
 def test_fixedpoint_normalizes_each_sample_once(tmp_path, monkeypatch):
     # One pass for the gap and both directions: each draw and each of its
     # images under E_H and E_K gets one action seminorm.
@@ -936,6 +973,68 @@ def test_leibniz_empty_lists_name_the_field(tmp_path, capsys, key, value):
 def test_leibniz_list_parse_errors_name_the_field(tmp_path, capsys, flag, value):
     argv = ["leibniz", flag, value, "--pairs", "2"]
     assert _rejected_field(argv, tmp_path / "out.json", capsys) == flag[2:]
+
+
+@pytest.mark.parametrize(
+    "argv,config,field",
+    [
+        (["converge"], {"n_list": ["4", "8"]}, "n_list"),
+        (["leibniz", "--pairs", "2"], {"sizes": [2, "3"]}, "sizes"),
+        (["leibniz", "--pairs", "2"], {"ratios": ["1.0"]}, "ratios"),
+        (["fixedpoint"], {"sweep": ["4"]}, "sweep"),
+        (["approximate", "--n", "\u0661\u0666"], None, "n"),
+        (["approximate", "--n", "1_6"], None, "n"),
+        (["fixedpoint", "--seed", "1_0"], None, "seed"),
+        (["approximate", "--generator", "circle(2_0)"], None, "generator"),
+        (["approximate", "--generator", "torus(1, \u0662)"], None, "generator"),
+        (["approximate", "--beta-rule", "fixed(0.0_1)"], None, "beta_rule"),
+        (["leibniz", "--ratios", "1_0"], None, "ratios"),
+        (["leibniz", "--sizes", "2,\u0663"], None, "sizes"),
+        (["converge", "--n-list", "4,1_6"], None, "n_list"),
+    ],
+)
+def test_numbers_are_not_coerced(tmp_path, capsys, argv, config, field):
+    # Each ran: Python's int and float take "_" separators and non-ASCII
+    # digits, and a string entry of a JSON array was parsed as a number.
+    if config is not None:
+        argv = argv + ["--config", _config_file(tmp_path, config)]
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == field
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [
+        (["fixedpoint", "--q", "4", "--count", "2", "--output", "{adir}"], "adir"),
+        (["fixedpoint", "--q", "4", "--count", "2", "--output", "{afile}/x.json"], None),
+        (["converge", "--n-list", "4,8", "--output", "{tmp}/run.json"], "run.csv"),
+        (["approximate", "--n", "4", "--output", "{tmp}"], None),
+        (["approximate", "--n", "4", "--output", "/"], None),
+        (["selftest", "--output", "{adir}"], "adir"),
+    ],
+)
+def test_an_unwritable_output_names_the_output(tmp_path, capsys, monkeypatch, argv, target):
+    # Each ended in a traceback (IsADirectoryError, FileExistsError or
+    # ValueError) and left a .tmp file; the CSV one left its JSON behind.
+    monkeypatch.setattr(acceptance, "CRITERIA", [_fake_criterion_pass])
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "run.csv").mkdir()
+    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = [arg.format(adir=tmp_path / "adir", afile=tmp_path / "afile", tmp=tmp_path) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]["field"] == "output"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert not any((tmp_path / "adir").iterdir()) and not any((tmp_path / "run.csv").iterdir())
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
+
+
+def test_an_output_dir_that_is_a_file_names_the_output(tmp_path, capsys, monkeypatch):
+    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    monkeypatch.setenv("MATPROX_OUTPUT_DIR", str(tmp_path / "afile"))
+    assert main(["approximate", "--n", "4"]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]["field"] == "output"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
 
 # ---------------------------------------------------------------------------

@@ -854,7 +854,6 @@ def test_bridge_report_on_equal_subgroups_is_zero():
     h = TorusSubgroup.cyclic_first_factor(6, 3)
     report = fixed_point_bridge(torus, ell, h, h, count=4, seed=0)
     assert report.reach_sampled == 0.0
-    assert not report.certified
 
 
 def test_bridge_inclusion_direction_is_exactly_zero():

@@ -2,6 +2,7 @@
 a change keeps the CLI payloads byte-identical."""
 
 import copy
+import importlib.util
 import json
 import subprocess
 import sys
@@ -72,3 +73,53 @@ def test_keys_on_one_side_are_named_and_shared_keys_still_compared(tmp_path):
         f"sweep.json: resolved_config.seed only in {old}",
         f"sweep.json: resolved_config.sweep only in {new}",
     ]
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("golden_payloads", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_rejected_config_exits_2_naming_its_field(tmp_path, monkeypatch):
+    from matprox.cli import main
+
+    tool = _tool()
+    monkeypatch.chdir(tmp_path)
+    tool.write_inputs()
+    tool.write_rejections(main)
+    fields = {
+        "rejected_n_65": "n",
+        "rejected_h_generators_object": "h_generators",
+        "rejected_n_list_strings": "n_list",
+        "rejected_n_arabic_digits": "n",
+        "rejected_ratios_underscore": "ratios",
+        "rejected_output_onto_dir": "output",
+        "rejected_output_under_file": "output",
+        "rejected_csv_onto_dir": "output",
+    }
+    assert [name for name, _, _ in tool.REJECTED] == list(fields)
+    for name, field in fields.items():
+        record = json.loads((tmp_path / f"{name}.error.json").read_text(encoding="utf-8"))
+        assert (record["exit_code"], record["exception"], record["error"]["field"]) == (2, None, field), name
+    # Nothing was written for any of them, not even a temp file.
+    assert [p.name for p in (tmp_path / "rejected").iterdir()] == ["csv_onto_dir.csv"]
+    assert not any((tmp_path / "rejected" / "csv_onto_dir.csv").iterdir())
+
+
+def test_an_escaped_exception_is_recorded_by_type():
+    def escapes(argv):
+        print("partial", file=sys.stderr)
+        raise IsADirectoryError(21, "Is a directory")
+
+    record = _tool().rejection(escapes, ["fixedpoint"])
+    assert record == {"argv": ["fixedpoint"], "exit_code": None, "error": None, "exception": "IsADirectoryError"}
+
+
+def test_a_changed_error_field_is_named(tmp_path):
+    old, new = _write(tmp_path / "old", PAYLOAD), _write(tmp_path / "new", PAYLOAD)
+    for directory, field in ((old, "argv"), (new, "n")):
+        record = {"argv": ["approximate"], "exit_code": 2, "error": {"field": field, "message": "m"}, "exception": None}
+        (directory / "bad_n.error.json").write_text(json.dumps(record), encoding="utf-8")
+    assert _compare(old, new) == (1, ["bad_n.error.json: error.field changed"])

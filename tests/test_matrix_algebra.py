@@ -13,7 +13,7 @@ from matprox import (
     trace_state,
 )
 from matprox.errors import InputShapeError
-from matprox.matrix_algebra import _gaussian_hermitian, jordan_lie, random_hermitian_stack
+from matprox.matrix_algebra import _gaussian_hermitian, hermitian_part, jordan_lie, random_hermitian_stack
 from matprox.oracles import power_iteration_norm
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -183,6 +183,30 @@ def test_hermitian_draws_are_row_major(shape):
     assert stack.flags.c_contiguous
     assert np.array_equal(stack, (g + np.swapaxes(g, -1, -2).conj()) / 2.0)
     assert random_hermitian_stack(np.random.default_rng(7), *shape[:2]).flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (7, 12, 12), (3, 64, 64)])
+def test_hermitian_part_is_the_np_add_form_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # Signed zeros in both parts, and entries whose sum with their mirror
+    # is an exact zero of either sign.
+    x.real[rng.random(shape) < 0.1] = -0.0
+    x.imag[rng.random(shape) < 0.1] = 0.0
+    x.imag[rng.random(shape) < 0.1] = -0.0
+    x[..., 0, 1] = np.conj(-x[..., 1, 0])
+    for source in (x, np.swapaxes(x, -1, -2)):  # row-major and column-major input
+        h = hermitian_part(source)
+        reference = np.add(source, np.swapaxes(source, -1, -2).conj(), order="C") / 2.0
+        assert h.flags.c_contiguous and h.shape == shape
+        assert np.array_equal(h.view(np.uint64), reference.view(np.uint64))
+        # Bitwise self-adjoint (a signed zero equals its negation), so the
+        # norms take the eigenvalue path.
+        assert np.array_equal(h, np.swapaxes(h, -1, -2).conj())
+        assert np.array_equal(operator_norms(h.reshape((-1,) + shape[-2:])),
+                              np.abs(np.linalg.eigvalsh(h.reshape((-1,) + shape[-2:]))).max(axis=-1))
+    # Idempotent, up to the sign of a zero (-0 + 0 is +0).
+    assert np.array_equal(hermitian_part(h), h)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from matprox import (
     PointCloud,
     TAU,
     epsilon_net,
-    hausdorff_distance,
     lipschitz_seminorms,
     min_separation,
     mk_distance,
@@ -20,11 +19,16 @@ from matprox import (
 from matprox.errors import (
     ConfigError,
     DegenerateSpaceError,
-    EmptySetError,
     InputShapeError,
     MetricAxiomError,
 )
-from matprox.metric_core import BLOCK_BYTES, blocks, dirac_distances, lipschitz_constraints
+from matprox.metric_core import (
+    BLOCK_BYTES,
+    blocks,
+    dirac_distances,
+    lipschitz_constraints,
+    random_cloud_space,
+)
 
 
 def two_point(d: float = 1.0) -> FiniteMetricSpace:
@@ -247,40 +251,60 @@ def test_lipschitz_constraints_match_the_pairwise_loop():
 
 
 # ---------------------------------------------------------------------------
-# Hausdorff distance.
+# The Hausdorff distance from a point cloud to its net.
 # ---------------------------------------------------------------------------
 
 
+# The subset Hausdorff distance the library computes is the one from a point
+# cloud to its farthest-point net, a subset of it; ``epsilon_net`` returns it.
+
+
+def _cloud_haus(space: FiniteMetricSpace, n: int) -> float:
+    return epsilon_net(PointCloud(space), n)[1]
+
+
 def test_hausdorff_identical_sets():
-    space = circle_net(6)
-    assert hausdorff_distance(space, [0, 2, 4], [0, 2, 4]) == 0.0
+    assert _cloud_haus(circle_net(6), 6) == 0.0
 
 
 def test_hausdorff_subset_is_directed_value():
     space = circle_net(6)
-    subset = [0, 2, 4]
-    everything = range(6)
-    directed = max(
-        min(space.dist[t, s] for s in subset) for t in range(6)
-    )
-    assert hausdorff_distance(space, subset, everything) == pytest.approx(directed, abs=1e-15)
+    net, haus = epsilon_net(PointCloud(space), 3)
+    subset = [space.labels.index(label) for label in net.labels]
+    directed = max(min(space.dist[t, s] for s in subset) for t in range(6))
+    assert haus == directed
 
 
 def test_hausdorff_three_vs_six_circle_points():
-    assert hausdorff_distance(circle_net(6), [0, 2, 4], range(6)) == pytest.approx(
-        np.pi / 3, abs=1e-12
-    )
+    assert _cloud_haus(circle_net(6), 3) == pytest.approx(np.pi / 3, abs=1e-12)
 
 
 def test_hausdorff_empty_subset_raises():
-    with pytest.raises(EmptySetError):
-        hausdorff_distance(circle_net(4), [], [0, 1])
+    with pytest.raises(ConfigError):
+        _cloud_haus(circle_net(4), 0)
 
 
 def test_hausdorff_zero_iff_equal_sets():
     space = circle_net(5)
-    assert hausdorff_distance(space, [0, 1], [1, 0]) == 0.0
-    assert hausdorff_distance(space, [0, 1], [0, 2]) > 0.0
+    assert _cloud_haus(space, 5) == 0.0
+    assert all(_cloud_haus(space, n) > 0.0 for n in range(1, 5))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cloud_net_hausdorff_is_the_brute_force_value(seed):
+    # For every net size of a random cloud: the net is the cloud's distance
+    # matrix on the selected points, and its value is max_x min_{y in net}
+    # d(x, y) exactly, zero just when the net is the whole cloud.
+    rng = np.random.default_rng(seed)
+    total = int(rng.integers(2, 12))
+    full = random_cloud_space(rng, total)
+    for n in range(1, total + 1):
+        net, haus = epsilon_net(PointCloud(full), n)
+        selected = [full.labels.index(label) for label in net.labels]
+        assert selected == sorted(set(selected)) and len(selected) == n
+        assert np.array_equal(net.dist, full.dist[np.ix_(selected, selected)])
+        assert haus == max(min(full.dist[x, y] for y in selected) for x in range(total))
+        assert (haus == 0.0) == (n == total)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ their payloads agree apart from ``runtime_ms``, so
 prints nothing when a change keeps every output.  Exits 1 naming the first
 config that does not exit 0.
 
+Then it runs every config of ``REJECTED``, which the CLI should refuse, and
+writes ``OUT_DIR/<name>.error.json``: the argv, the exit code, the error
+object the CLI printed to stderr (or null), and the type of an exception
+that escaped ``main`` (or null).  Their outputs go under
+``OUT_DIR/rejected/``, which is not compared, so what a tree wrongly leaves
+there does not count.
+
 ``--compare OLD_DIR NEW_DIR`` names what moved instead: one line per field
 that differs, ``<file>: <field> <largest relative move>``, where a field is
 a JSON path (or CSV column) with list indices collapsed to ``[]``, so the
@@ -98,18 +105,76 @@ CONFIGS = [
                        "--k-generators", "[[0, 3]]", "--count", "8"], None),
 ]
 
+# Configs the CLI should refuse, in the same form, each run with
+# ``--output rejected/<name>.json`` unless its argv names an output of its
+# own.  ``rejected/`` is a directory and ``rejected/csv_onto_dir.csv`` is one
+# too, so the last three write onto a directory, into a regular file's
+# "directory", and a CSV onto a directory.
+REJECTED = [
+    ("rejected_n_65", ["approximate", "--n", "65"], None),
+    ("rejected_h_generators_object", ["fixedpoint", "--h-generators", "{}"], None),
+    ("rejected_n_list_strings", ["converge"], {"n_list": ["4", "8"]}),
+    ("rejected_n_arabic_digits", ["approximate", "--n", "\u0661\u0666"], None),
+    ("rejected_ratios_underscore", ["leibniz", "--ratios", "1_0", "--pairs", "2"], None),
+    ("rejected_output_onto_dir", ["fixedpoint", "--q", "4", "--count", "2", "--output", "rejected"], None),
+    ("rejected_output_under_file", ["fixedpoint", "--q", "4", "--count", "2", "--output", "points.json/x.json"],
+     None),
+    ("rejected_csv_onto_dir", ["converge", "--n-list", "4,8", "--output", "rejected/csv_onto_dir.json"], None),
+]
+
+
+def _with_config(name: str, argv: list[str], config: dict | None) -> list[str]:
+    if config is None:
+        return argv
+    Path(f"{name}.config.json").write_text(json.dumps(config), encoding="utf-8")
+    return argv + ["--config", f"{name}.config.json"]
+
+
+def write_inputs() -> None:
+    """The input files and directories of every config, in the working
+    directory."""
+    for name, payload in INPUTS.items():
+        Path(name).write_text(json.dumps(payload), encoding="utf-8")
+    Path("rejected/csv_onto_dir.csv").mkdir(parents=True, exist_ok=True)
+
+
+def rejection(main, argv: list[str]) -> dict:
+    """What ``main(argv)`` did: its exit code and the error object on its
+    stderr's last line, or the type of the exception that escaped it."""
+    err = io.StringIO()
+    record = {"argv": argv, "exit_code": None, "error": None, "exception": None}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            record["exit_code"] = main(argv)
+        except Exception as exc:  # noqa: BLE001 -- an escape is what is recorded
+            record["exception"] = type(exc).__name__
+    lines = err.getvalue().splitlines()
+    if lines:
+        with contextlib.suppress(ValueError, AttributeError):  # not a JSON object
+            record["error"] = json.loads(lines[-1]).get("error")
+    return record
+
+
+def write_rejections(main) -> None:
+    """Run every config of ``REJECTED`` in the working directory and write
+    its ``<name>.error.json``."""
+    for name, argv, config in REJECTED:
+        argv = _with_config(name, argv, config)
+        if "--output" not in argv:
+            argv = argv + ["--output", f"rejected/{name}.json"]
+        record = rejection(main, argv)
+        Path(f"{name}.error.json").write_text(json.dumps(record, sort_keys=True, indent=2) + "\n",
+                                              encoding="utf-8")
+
 
 def run(out_dir: Path) -> int:
     from matprox.cli import main
 
     out_dir.mkdir(parents=True, exist_ok=True)
     os.chdir(out_dir)
-    for name, payload in INPUTS.items():
-        Path(name).write_text(json.dumps(payload), encoding="utf-8")
+    write_inputs()
     for name, argv, config in CONFIGS:
-        if config is not None:
-            Path(f"{name}.config.json").write_text(json.dumps(config), encoding="utf-8")
-            argv = argv + ["--config", f"{name}.config.json"]
+        argv = _with_config(name, argv, config)
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv + ["--output", f"{name}.json"])
         if code != 0:
@@ -119,6 +184,7 @@ def run(out_dir: Path) -> int:
         payload = json.loads(out.read_text(encoding="utf-8"))
         del payload["runtime_ms"]
         out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    write_rejections(main)
     return 0
 
 
