@@ -65,7 +65,6 @@ from .metric_core import (
     FiniteMetricSpace,
     FlatTorus,
     Interval,
-    PointCloud,
     TAU,
     epsilon_net,
     lipschitz_seminorms,

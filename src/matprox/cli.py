@@ -53,7 +53,6 @@ from .metric_core import (
     FiniteMetricSpace,
     FlatTorus,
     Interval,
-    PointCloud,
     check_probability,
     dirac_distances,
     json_number_array,
@@ -99,30 +98,42 @@ def _parse_scalar(token: str, field: str) -> float:
 
 def _read_file(path: Path, field: str, what: str) -> str:
     """The text of the file a key names; a missing or unreadable file (a
-    directory, a name too long) is that key's fault."""
+    directory, a name too long, bytes that are not UTF-8) is that key's
+    fault."""
     try:
         if path.exists():
             return path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationFailure(field, f"cannot read {what} {path}: {exc}") from None
     raise ValidationFailure(field, f"{what} {path} does not exist")
 
 
+def _read_space(value, field: str, max_points: int | None = None) -> FiniteMetricSpace:
+    """The space of a space file (a ``--space`` file or a ``cloud:`` file),
+    with at most ``max_points`` points if given; every fault of the file is
+    ``field``'s."""
+    if not value:
+        raise ValidationFailure(field, "a space file is required")
+    try:
+        payload = json.loads(_read_file(Path(str(value)), field, "space file"))
+    except json.JSONDecodeError as exc:
+        raise ValidationFailure(field, f"space input is not valid JSON: {exc}") from None
+    # The point count is capped before any n x n array is built.
+    rows = payload.get("points", payload.get("dist")) if isinstance(payload, dict) else None
+    if max_points is not None and isinstance(rows, list) and len(rows) > max_points:
+        raise ValidationFailure(field, f"space has {len(rows)} points, at most {max_points} are allowed")
+    try:
+        return space_from_dict(payload)
+    except (MatproxError, TypeError, ValueError) as exc:
+        raise ValidationFailure(field, str(exc)) from None
+
+
 def parse_generator(spec: str):
     """Parse a generator spec: circle(c), interval(l), torus(c1,c2,...),
-    or cloud:<path-to-json-points-file>."""
+    or cloud:<path-to-json-space-file>."""
     text = spec.strip()
     if text.startswith("cloud:"):
-        path = Path(text[len("cloud:") :])
-        try:
-            payload = json.loads(_read_file(path, "generator", "point file"))
-            pts = json_number_array(payload["points"], "points")
-            labels = tuple(payload["labels"]) if "labels" in payload else None
-            return PointCloud(FiniteMetricSpace.from_points(pts, labels))
-        except (KeyError, TypeError, ValueError, MatproxError) as exc:
-            raise ValidationFailure(
-                "generator", f"point file {path} needs a 'points' array of distinct points ({exc!r})"
-            ) from None
+        return _read_space(text[len("cloud:") :], "generator")
     for name, builder in (
         ("circle", lambda args: Circle(args[0])),
         ("interval", lambda args: Interval(args[0])),
@@ -233,33 +244,29 @@ def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
     raise ValidationFailure(field, f"{field} must be a JSON array of [j, k] integer pairs, got {raw!r}")
 
 
-def _space_file(value, field: str) -> FiniteMetricSpace:
-    if not value:
-        raise ValidationFailure(field, "a space file is required")
-    try:
-        payload = json.loads(_read_file(Path(str(value)), field, "space file"))
-    except json.JSONDecodeError as exc:
-        raise ValidationFailure(field, f"space input is not valid JSON: {exc}") from None
-    # mk solves a transport LP per pair of points over an n(n-1) x n constraint
-    # matrix, so the point count is capped before any n x n array is built.
-    rows = payload.get("points", payload.get("dist")) if isinstance(payload, dict) else None
-    if isinstance(rows, list) and len(rows) > _MAX_DIM:
-        raise ValidationFailure(field, f"space has {len(rows)} points, at most {_MAX_DIM} are allowed")
-    try:
-        return space_from_dict(payload)
-    except (MatproxError, TypeError, ValueError) as exc:
-        raise ValidationFailure(field, str(exc))
+def _refuse_unwritable(path: Path, directory: bool = False) -> None:
+    """Exit 2 naming ``output`` if the path alone shows that the file (or,
+    with ``directory``, the directory) ``path`` cannot be written: a directory
+    where a file must go, or a non-directory where a directory must go."""
+    if not directory and os.path.isdir(path):
+        raise ValidationFailure("output", f"cannot write {path}: it is a directory")
+    for folder in [path, *path.parents] if directory else path.parents:
+        if os.path.lexists(folder) and not os.path.isdir(folder):
+            raise ValidationFailure("output", f"cannot write {path}: {folder} is not a directory")
 
 
 def _write_outputs(out: Path, text: str, csv: str | None = None) -> list[Path]:
     """Write ``text`` to ``out`` and ``csv``, if given, next to it as .csv, all
     or none, and return the paths written: every temp file is written before
-    any is renamed.  An ``OSError`` (a directory or a file in the way) or a
-    path with no name exits 2 naming ``output``, leaving no file behind."""
+    any is renamed.  An ``OSError`` (a directory or a file in the way), a
+    path with no name, or a .csv ``out`` that the CSV would overwrite exits
+    2 naming ``output``, leaving no file behind."""
     done: list[Path] = []
     try:
         texts = {out: text}
         if csv is not None:
+            if out.suffix == ".csv":
+                raise ValueError("the CSV would overwrite the JSON; name a path that does not end in .csv")
             texts[out.with_suffix(".csv")] = csv
         for path, body in texts.items():
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -460,6 +467,8 @@ def _selftest(output: str | None) -> int:
     # Imported here: the acceptance suite sits above every other module.
     from .acceptance import all_passed, run_all
 
+    if output:
+        _refuse_unwritable(Path(output))
     results = run_all(stream=sys.stdout)
     if output:
         payload = {
@@ -557,7 +566,9 @@ COMMANDS = {
         _Key("include_raw", True, _boolean),
     )),
     "mk": _Command("transport distances on a space file", _mk, (
-        _Key("space", None, _space_file, "JSON file with labels + dist or points", lambda given, _: str(given)),
+        # mk solves an LP per pair of points, so its space is capped at the desk scale.
+        _Key("space", None, functools.partial(_read_space, max_points=_MAX_DIM),
+             "JSON file with labels + dist or points", lambda given, _: str(given)),
         # Checked against the space by the handler.
         _Key("p", None, lambda value, field: value, _WEIGHTS),
         _Key("q", None, lambda value, field: value, _WEIGHTS),
@@ -624,7 +635,7 @@ def _resolve_config(args: argparse.Namespace, keys: tuple[_Key, ...]) -> dict[st
     if args.config:
         try:
             loaded = json.loads(_read_file(Path(args.config), "config", "config file"))
-        except ValueError as exc:  # not JSON, or not UTF-8
+        except json.JSONDecodeError as exc:
             raise ValidationFailure("config", f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ValidationFailure("config", "config file must hold a JSON object")
@@ -640,12 +651,16 @@ def _resolve_config(args: argparse.Namespace, keys: tuple[_Key, ...]) -> dict[st
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Check every key of the subcommand, run its handler, and write the
-    result JSON (and CSV), timed from the end of the checks."""
+    """Check every key of the subcommand and the output path, run its
+    handler, and write the result JSON (and CSV), timed from the end of the
+    checks."""
     command = COMMANDS[args.command]
     given = _resolve_config(args, command.keys)
     checked = {key.name: key.check(given[key.name], key.name) for key in command.keys}
     config = {key.name: key.show(given[key.name], checked[key.name]) for key in command.keys}
+    out = Path(args.output) if args.output else None
+    directory = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
+    _refuse_unwritable(out or directory, directory=out is None)
     start = time.perf_counter()
     output = command.run(checked, config)
     payload = {
@@ -654,7 +669,7 @@ def _run(args: argparse.Namespace) -> int:
         "results": output.results,
         "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
     }
-    out = Path(args.output or Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{output.name}.json")
+    out = out or directory / f"{output.name}.json"
     written = _write_outputs(out, _json_text(payload), output.csv)
     print("wrote " + " and ".join(map(str, written)))
     return 0

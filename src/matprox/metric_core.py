@@ -3,8 +3,8 @@
 This module provides the ground-space side of the library: validated finite
 metric spaces, Lipschitz seminorms of functions, Monge-Kantorovich
 (Wasserstein-1) distances between probability measures computed by LP
-duality, and nets of a few built-in compact spaces together with their
-exact Hausdorff distances to the space.
+duality, and nets of a few built-in compact spaces and of finite spaces
+together with their exact Hausdorff distances to the space.
 
 Functions on a space and probability measures are represented as plain
 ``numpy`` vectors indexed like the space's labels; helpers validate them
@@ -59,13 +59,18 @@ class FiniteMetricSpace:
     dist: np.ndarray
 
     def __post_init__(self) -> None:
+        labels = tuple(self.labels)
+        # Refused, not converted: str() made 1, True and None into labels.
+        bad = [x for x in labels if not isinstance(x, str)]
+        if bad:
+            raise ConfigError(f"point labels must be strings, got {bad[0]!r}")
         dist = np.asarray(self.dist, dtype=float)
-        n = len(self.labels)
+        n = len(labels)
         if dist.shape != (n, n):
             raise InputShapeError(
                 f"distance matrix shape {dist.shape} does not match {n} labels"
             )
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise MetricAxiomError("point labels must be distinct")
         if not np.all(np.isfinite(dist)):
             raise MetricAxiomError("distances must be finite")
@@ -95,7 +100,7 @@ class FiniteMetricSpace:
                     )
         dist.setflags(write=False)
         object.__setattr__(self, "dist", dist)
-        object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n_points(self) -> int:
@@ -109,15 +114,19 @@ class FiniteMetricSpace:
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        n = pts.shape[0]
-        if labels is None:
-            labels = tuple(f"p{i}" for i in range(n))
+        if pts.ndim != 2:
+            raise InputShapeError("points must be a list of numbers or of coordinate rows")
         # Coordinates near the float limit overflow to inf here, and
         # __post_init__ rejects the non-finite distances that result.
         with np.errstate(over="ignore"):
             diff = pts[:, None, :] - pts[None, :, :]
             dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        return cls(tuple(labels), dist)
+        return cls(_default_labels(len(pts)) if labels is None else labels, dist)
+
+
+def _default_labels(n: int) -> tuple[str, ...]:
+    """The labels ``p0``, ..., ``p{n-1}`` of a space given without labels."""
+    return tuple(f"p{i}" for i in range(n))
 
 
 def check_probability(space: FiniteMetricSpace, weights: np.ndarray) -> np.ndarray:
@@ -285,64 +294,35 @@ class FlatTorus:
     circumferences: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """An explicit finite metric space, already compact; its nets are
-    subsets of its points.  Build one from Euclidean coordinates with
-    ``PointCloud(FiniteMetricSpace.from_points(points))``."""
-
-    space: FiniteMetricSpace
+Generator = Union[Circle, Interval, FlatTorus, FiniteMetricSpace]
 
 
-Generator = Union[Circle, Interval, FlatTorus, PointCloud]
-
-
-def _line_net(extent: float, n: int, wrap: bool) -> tuple[FiniteMetricSpace, float]:
-    """Equispaced n-net of a circle (``wrap``) or of a segment of that length."""
-    if extent <= 0.0:
-        raise ConfigError(
-            "circle circumference must be positive"
-            if wrap
-            else "interval length must be positive"
-        )
-    gaps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    if wrap:
-        gaps = np.minimum(gaps, n - gaps)
-    # Distances come from integer index gaps so that rotations of the net
-    # are bitwise isometries.
-    dist = (extent / n) * gaps
-    labels = tuple(f"p{i}" for i in range(n))
-    return FiniteMetricSpace(labels, dist), extent / (2 * n)
-
-
-def _torus_net(
-    circumferences: tuple[float, ...], n: int
-) -> tuple[FiniteMetricSpace, float]:
-    circs = tuple(float(c) for c in circumferences)
-    if len(circs) < 1 or any(c <= 0.0 for c in circs):
-        raise ConfigError("torus circumferences must be a nonempty positive tuple")
-    d = len(circs)
+def _grid_net(sizes: tuple[float, ...], n: int, wrap: bool) -> tuple[FiniteMetricSpace, float]:
+    """Equispaced grid n-net of a product of circles (``wrap``) or segments
+    of the given sizes, with the max-of-axes metric; a circle or a segment
+    is one axis."""
+    if len(sizes) < 1 or any(c <= 0.0 for c in sizes):
+        raise ConfigError("space sizes must be a nonempty tuple of positive numbers")
+    d = len(sizes)
+    # n^(1/d) rounds to m when n = m^d, and to no m with m^d = n otherwise.
     m = round(n ** (1.0 / d))
-    while m**d > n:
-        m -= 1
-    if m < 1 or m**d != n:
+    if m**d != n:
         raise ConfigError(
             f"torus nets are grids: point count {n} must be a perfect {d}-th power"
         )
-    grid = np.stack(
-        np.meshgrid(*[np.arange(m)] * d, indexing="ij"), axis=-1
-    ).reshape(-1, d)
+    # Row r is the grid point with index r in row-major order.
+    grid = np.indices((m,) * d).reshape(d, n).T
     gaps = np.abs(grid[:, None, :] - grid[None, :, :])
-    gaps = np.minimum(gaps, m - gaps)
-    per_axis = gaps * (np.asarray(circs) / m)
-    dist = np.max(per_axis, axis=-1)
-    labels = tuple(f"p{i}" for i in range(n))
-    haus = max(c / (2 * m) for c in circs)
-    return FiniteMetricSpace(labels, dist), haus
+    if wrap:
+        gaps = np.minimum(gaps, m - gaps)
+    # Distances come from integer index gaps so that rotations of the net
+    # are bitwise isometries.
+    dist = np.max(gaps * (np.asarray(sizes) / m), axis=-1)
+    haus = max(c / (2 * m) for c in sizes)
+    return FiniteMetricSpace(_default_labels(n), dist), haus
 
 
-def _cloud_net(cloud: PointCloud, n: int) -> tuple[FiniteMetricSpace, float]:
-    full = cloud.space
+def _cloud_net(full: FiniteMetricSpace, n: int) -> tuple[FiniteMetricSpace, float]:
     total = full.n_points
     if n > total:
         raise ConfigError(f"requested {n} net points from a {total}-point cloud")
@@ -360,23 +340,24 @@ def _cloud_net(cloud: PointCloud, n: int) -> tuple[FiniteMetricSpace, float]:
 
 
 def epsilon_net(generator: Generator, n: int) -> tuple[FiniteMetricSpace, float]:
-    """An n-point net of a built-in compact space and a Hausdorff bound.
+    """An n-point net of a compact space and a Hausdorff bound.
 
     For circles, intervals and flat tori the nets are equispaced (grids for
     tori, which therefore require a perfect d-th power point count) and the
-    returned Hausdorff distance between the space and the net is exact.  For
-    point clouds the net is a greedy farthest-point subset and the Hausdorff
-    value is computed exactly by enumeration.
+    returned Hausdorff distance between the space and the net is exact.  A
+    finite metric space is its own generator: its net is a greedy
+    farthest-point subset and the Hausdorff value is computed exactly by
+    enumeration.
     """
     if n < 1:
         raise ConfigError("a net needs at least one point")
     if isinstance(generator, Circle):
-        return _line_net(generator.circumference, n, wrap=True)
+        return _grid_net((generator.circumference,), n, wrap=True)
     if isinstance(generator, Interval):
-        return _line_net(generator.length, n, wrap=False)
+        return _grid_net((generator.length,), n, wrap=False)
     if isinstance(generator, FlatTorus):
-        return _torus_net(generator.circumferences, n)
-    if isinstance(generator, PointCloud):
+        return _grid_net(generator.circumferences, n, wrap=True)
+    if isinstance(generator, FiniteMetricSpace):
         return _cloud_net(generator, n)
     raise ConfigError(f"unknown space generator {generator!r}")
 
@@ -405,8 +386,9 @@ def space_from_dict(payload: dict) -> FiniteMetricSpace:
 
     The payload is a parsed JSON object with optional ``labels`` and exactly
     one of ``dist`` (full distance matrix) or ``points`` (Euclidean
-    coordinates), whose entries must be JSON numbers.  Matrices failing the
-    metric axioms are rejected at construction.
+    coordinates), whose entries must be JSON numbers.  The labels, if given,
+    are a JSON array of strings.  Matrices failing the metric axioms are
+    rejected at construction.
     """
     if not isinstance(payload, dict):
         raise ConfigError("space payload must be a JSON object")
@@ -415,9 +397,11 @@ def space_from_dict(payload: dict) -> FiniteMetricSpace:
     if has_dist == has_points:
         raise ConfigError("space payload needs exactly one of 'dist' or 'points'")
     labels = payload.get("labels")
+    if "labels" in payload and not isinstance(labels, list):
+        raise ConfigError(f"labels must be a JSON array of strings, got {labels!r}")
     if has_points:
         return FiniteMetricSpace.from_points(json_number_array(payload["points"], "points"), labels)
     dist = json_number_array(payload["dist"], "dist")
     if labels is None:
-        labels = tuple(f"p{i}" for i in range(dist.shape[0]))
-    return FiniteMetricSpace(tuple(labels), dist)
+        labels = _default_labels(len(dist) if dist.ndim else 0)
+    return FiniteMetricSpace(labels, dist)

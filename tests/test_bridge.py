@@ -9,7 +9,6 @@ from matprox import (
     FiniteMetricSpace,
     FlatTorus,
     Interval,
-    PointCloud,
     TAU,
     approximate_compact_space,
     beta_delta_over_n,
@@ -74,7 +73,7 @@ _WITNESS_NETS = [
     (Interval(1.0), (2, 8, 32, 64)),
     # Torus nets are grids, so their sizes are squares.
     (FlatTorus((1.0, 1.0)), (4, 9, 36, 64)),
-    (PointCloud(FiniteMetricSpace.from_points(np.random.default_rng(8).normal(size=(64, 3)))),
+    (FiniteMetricSpace.from_points(np.random.default_rng(8).normal(size=(64, 3))),
      (2, 8, 32, 64)),
 ]
 
@@ -291,7 +290,7 @@ def test_reach_descent_rejects_a_matrix_one_ulp_from_self_adjoint():
         (Circle(TAU), 12),
         (Interval(1.0), 10),
         (FlatTorus((1.0, 1.0)), 16),
-        (PointCloud(FiniteMetricSpace.from_points(np.random.default_rng(7).normal(size=(9, 3)))), 9),
+        (FiniteMetricSpace.from_points(np.random.default_rng(7).normal(size=(9, 3))), 9),
     ],
     ids=["circle", "interval", "torus", "cloud"],
 )
@@ -343,7 +342,7 @@ def test_maximal_corollary_mode_beta_equals_delta():
 def test_finite_generator_bound_shrinks_with_beta():
     rng = np.random.default_rng(42)
     points = rng.normal(size=(5, 2))
-    cloud = PointCloud(FiniteMetricSpace.from_points(points))
+    cloud = FiniteMetricSpace.from_points(points)
     for beta in (1e-3, 1e-6, 1e-9):
         pair, row = approximate_compact_space(cloud, 5, beta_fixed(beta))
         assert row.certified_bound == pytest.approx(beta, abs=1e-15)  # haus is exactly zero

@@ -388,7 +388,7 @@ def test_cloud_generator_runs_on_a_points_file(tmp_path):
 
 @pytest.mark.parametrize("command", ["approximate", "converge"])
 def test_a_cloud_is_validated_once(tmp_path, monkeypatch, command):
-    # The parsed cloud carries its space, so the nets reuse it: the O(N^3)
+    # The parsed cloud file is the space its nets are taken from: the O(N^3)
     # metric check runs once on the full cloud, not once more per net.
     cloud = np.random.default_rng(3).normal(size=(40, 2))
     points = tmp_path / "points.json"
@@ -408,6 +408,57 @@ def test_a_cloud_is_validated_once(tmp_path, monkeypatch, command):
     argv += ["--generator", f"cloud:{points}", "--output", str(tmp_path / "out.json")]
     assert main(argv) == 0
     assert sizes.count(40) == 1
+
+
+def test_a_dist_cloud_file_runs_as_its_points_twin(tmp_path):
+    # A cloud file takes dist as well as points, like a --space file; the
+    # distances of the points file, written out, give the same results.
+    points = np.random.default_rng(5).normal(size=(7, 2))
+    twins = {"points": {"points": points.tolist()},
+             "dist": {"dist": metric_core.FiniteMetricSpace.from_points(points).dist.tolist()}}
+    results = {}
+    for form, payload in twins.items():
+        path = tmp_path / f"{form}.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        for argv in (["approximate", "--n", "5", "--reach-samples", "2"], ["converge", "--n-list", "2,4,7"]):
+            out = tmp_path / f"{form}-{argv[0]}.json"
+            assert main(argv + ["--generator", f"cloud:{path}", "--output", str(out)]) == 0
+            payload = read_json(out)["results"]
+            payload.pop("generator", None)
+            results[form, argv[0]] = payload
+            if argv[0] == "converge":
+                results[form, "csv"] = out.with_suffix(".csv").read_text(encoding="utf-8")
+    for key in ("approximate", "converge", "csv"):
+        assert results["points", key] == results["dist", key]
+
+
+_THREE_POINTS = [[0, 0], [1, 0], [0, 2]]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"labels": "abc", "points": _THREE_POINTS},
+        {"labels": [1, 2, 3], "points": _THREE_POINTS},
+        {"labels": [True, None, 2.5], "points": _THREE_POINTS},
+        {"points": 5},
+        {"points": 5, "labels": []},
+        {"dist": 5},
+    ],
+    ids=["labels-string", "labels-numbers", "labels-mixed", "points-number", "points-number-labels", "dist-number"],
+)
+@pytest.mark.parametrize("command", ["mk", "cloud"])
+def test_bad_space_files_name_their_key(tmp_path, capsys, payload, command):
+    # The labels ran: "abc" as the labels a, b and c, and every other entry
+    # as its str(), so [1, 2, 3] read "1", "2", "3" and [true, null] "True",
+    # "None".  {"points": 5} ended in an IndexError traceback.
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    if command == "mk":
+        argv, field = ["mk", "--space", str(path)], "space"
+    else:
+        argv, field = ["approximate", "--generator", f"cloud:{path}", "--n", "2"], "generator"
+    assert _rejected_field(argv, tmp_path / "out.json", capsys) == field
 
 
 @pytest.mark.parametrize(
@@ -926,11 +977,13 @@ def test_leibniz_suite_reuses_the_draws_norms_and_screens_deviations(tmp_path, m
         (["approximate", "--generator", "cloud:{dir}"], "generator"),
         (["approximate", "--config", "{dir}"], "config"),
         (["approximate", "--config", "{binary}"], "config"),
+        (["mk", "--space", "{binary}"], "space"),
+        (["approximate", "--generator", "cloud:{binary}"], "generator"),
     ],
 )
 def test_unreadable_input_files_name_their_key(tmp_path, capsys, argv, field):
     # A directory ended in an IsADirectoryError traceback, and a config file
-    # that is not UTF-8 in a UnicodeDecodeError one.
+    # or --space file that is not UTF-8 in a UnicodeDecodeError one.
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe")
     argv = [arg.format(dir=tmp_path, binary=binary) for arg in argv]
@@ -1010,11 +1063,13 @@ def test_numbers_are_not_coerced(tmp_path, capsys, argv, config, field):
         (["approximate", "--n", "4", "--output", "{tmp}"], None),
         (["approximate", "--n", "4", "--output", "/"], None),
         (["selftest", "--output", "{adir}"], "adir"),
+        (["converge", "--n-list", "4,8", "--output", "{tmp}/r.csv"], None),
     ],
 )
 def test_an_unwritable_output_names_the_output(tmp_path, capsys, monkeypatch, argv, target):
     # Each ended in a traceback (IsADirectoryError, FileExistsError or
-    # ValueError) and left a .tmp file; the CSV one left its JSON behind.
+    # ValueError) and left a .tmp file; the CSV one left its JSON behind,
+    # and a converge output ending in .csv wrote its CSV over its JSON.
     monkeypatch.setattr(acceptance, "CRITERIA", [_fake_criterion_pass])
     (tmp_path / "adir").mkdir()
     (tmp_path / "run.csv").mkdir()
@@ -1027,6 +1082,22 @@ def test_an_unwritable_output_names_the_output(tmp_path, capsys, monkeypatch, ar
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert not any((tmp_path / "adir").iterdir()) and not any((tmp_path / "run.csv").iterdir())
     assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("target", ["{adir}", "{afile}/x.json"], ids=["onto-dir", "under-file"])
+def test_an_unwritable_output_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch, target):
+    # selftest ran every criterion (about 12 s) and a fixedpoint run its
+    # whole bridge before the output was found unwritable.
+    ran = []
+    monkeypatch.setattr(acceptance, "CRITERIA", [lambda: ran.append("criterion") or _fake_criterion_pass()])
+    monkeypatch.setattr("matprox.cli.fixed_point_bridge", lambda *args, **kwargs: ran.append("bridge"))
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    output = target.format(adir=tmp_path / "adir", afile=tmp_path / "afile")
+    for argv in (["selftest"], ["fixedpoint", "--q", "4", "--count", "2"]):
+        assert main(argv + ["--output", output]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"]["field"] == "output"
+    assert ran == []
 
 
 def test_an_output_dir_that_is_a_file_names_the_output(tmp_path, capsys, monkeypatch):

@@ -98,6 +98,10 @@ def test_every_rejected_config_exits_2_naming_its_field(tmp_path, monkeypatch):
         "rejected_output_onto_dir": "output",
         "rejected_output_under_file": "output",
         "rejected_csv_onto_dir": "output",
+        "rejected_output_csv": "output",
+        "rejected_space_not_utf8": "space",
+        "rejected_labels_string": "space",
+        "rejected_labels_numbers": "generator",
     }
     assert [name for name, _, _ in tool.REJECTED] == list(fields)
     for name, field in fields.items():

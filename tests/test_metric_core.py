@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,6 @@ from matprox import (
     FiniteMetricSpace,
     FlatTorus,
     Interval,
-    PointCloud,
     TAU,
     epsilon_net,
     lipschitz_seminorms,
@@ -260,7 +260,7 @@ def test_lipschitz_constraints_match_the_pairwise_loop():
 
 
 def _cloud_haus(space: FiniteMetricSpace, n: int) -> float:
-    return epsilon_net(PointCloud(space), n)[1]
+    return epsilon_net(space, n)[1]
 
 
 def test_hausdorff_identical_sets():
@@ -269,7 +269,7 @@ def test_hausdorff_identical_sets():
 
 def test_hausdorff_subset_is_directed_value():
     space = circle_net(6)
-    net, haus = epsilon_net(PointCloud(space), 3)
+    net, haus = epsilon_net(space, 3)
     subset = [space.labels.index(label) for label in net.labels]
     directed = max(min(space.dist[t, s] for s in subset) for t in range(6))
     assert haus == directed
@@ -299,7 +299,7 @@ def test_cloud_net_hausdorff_is_the_brute_force_value(seed):
     total = int(rng.integers(2, 12))
     full = random_cloud_space(rng, total)
     for n in range(1, total + 1):
-        net, haus = epsilon_net(PointCloud(full), n)
+        net, haus = epsilon_net(full, n)
         selected = [full.labels.index(label) for label in net.labels]
         assert selected == sorted(set(selected)) and len(selected) == n
         assert np.array_equal(net.dist, full.dist[np.ix_(selected, selected)])
@@ -354,10 +354,40 @@ def test_torus_net_is_grid_with_max_metric():
         epsilon_net(FlatTorus((TAU, TAU)), 8)
 
 
+def _line_net_formula(extent: float, n: int, wrap: bool) -> tuple[np.ndarray, float]:
+    # How circle and interval nets were built before every net became a grid
+    # of one or more axes: (extent / n) times the integer index gaps.
+    gaps = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
+    if wrap:
+        gaps = np.minimum(gaps, n - gaps)
+    return (extent / n) * gaps, extent / (2 * n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 32, 36, 64])
+def test_grid_nets_are_the_line_formula_bit_for_bit(n):
+    labels = tuple(f"p{i}" for i in range(n))
+    for extent in (TAU, 1.0, 0.1, 3.0, 7.5, 1e-3, 1e5):
+        for generator, wrap in ((Circle(extent), True), (FlatTorus((extent,)), True), (Interval(extent), False)):
+            net, haus = epsilon_net(generator, n)
+            dist, bound = _line_net_formula(extent, n, wrap)
+            assert net.dist.tobytes() == dist.tobytes() and haus == bound and net.labels == labels
+        m = math.isqrt(n)
+        if m * m == n:
+            # A square torus net: row r is the grid point (r // m, r % m), and
+            # its distance is the larger of the two wrapped axis distances.
+            sizes = (extent, 2.0 * extent / 3.0)
+            net, haus = epsilon_net(FlatTorus(sizes), n)
+            axes = np.divmod(np.arange(n), m)
+            lines = [_line_net_formula(c, m, True) for c in sizes]
+            dist = np.maximum(*(d[np.ix_(a, a)] for (d, _), a in zip(lines, axes)))
+            assert net.dist.tobytes() == dist.tobytes() and net.labels == labels
+            assert haus == max(bound for _, bound in lines)
+
+
 def test_point_cloud_net_full_and_partial():
     rng = np.random.default_rng(4)
     points = rng.normal(size=(7, 2))
-    cloud = PointCloud(FiniteMetricSpace.from_points(points))
+    cloud = FiniteMetricSpace.from_points(points)
     net, bound = epsilon_net(cloud, 7)
     assert net.n_points == 7
     assert bound == 0.0
@@ -385,8 +415,20 @@ def test_space_from_dict_with_matrix_and_points():
     assert by_points.n_points == 3
 
 
+@pytest.mark.parametrize("labels", [(1, 2), (True, None), ("a", 2.5), ("a", b"b")])
+def test_labels_must_be_strings(labels):
+    # Each was passed through str(), so (1, 2) became ("1", "2").
+    with pytest.raises(ConfigError):
+        FiniteMetricSpace(labels, np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
 def test_space_from_dict_rejects_bad_payloads():
     with pytest.raises(ConfigError):
         space_from_dict({"labels": ["a"]})
+    for labels in ("ab", None, {"a": 0}):
+        with pytest.raises(ConfigError):
+            space_from_dict({"labels": labels, "dist": [[0, 1], [1, 0]]})
+    with pytest.raises(InputShapeError):
+        space_from_dict({"points": 5})
     with pytest.raises(MetricAxiomError):
         space_from_dict({"dist": [[0, 1], [2, 0]]})

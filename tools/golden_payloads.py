@@ -4,8 +4,9 @@ Usage: ``PYTHONPATH=<tree>/src python tools/golden_payloads.py OUT_DIR``
 or ``python tools/golden_payloads.py --compare OLD_DIR NEW_DIR``
 
 Runs every config below in-process through ``matprox.cli.main``, with OUT_DIR
-as the working directory, so the input files it writes there (a point cloud,
-two space files, the config files) appear in the payloads as relative paths.
+as the working directory, so the input files it writes there (two point
+clouds, one by points and one by distances, the space files and the config
+files) appear in the payloads as relative paths.
 Each payload is written to ``OUT_DIR/<name>.json`` without its ``runtime_ms``
 field, and each CSV next to it.  Two trees write the same bytes exactly when
 their payloads agree apart from ``runtime_ms``, so
@@ -48,7 +49,14 @@ INPUTS = {
     "points.json": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.25], [0.2, 0.8]]},
     "space_dist.json": {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]},
     "space_points.json": {"points": [[0, 0], [1, 0], [0, 1], [1, 2]]},
+    # The shortest-path metric of the graph a-b, b-c, b-d, c-e, d-e.
+    "cloud_dist.json": {"labels": ["a", "b", "c", "d", "e"],
+                        "dist": [[0, 1, 2, 2, 3], [1, 0, 1, 1, 2], [2, 1, 0, 2, 1], [2, 1, 2, 0, 1], [3, 2, 1, 1, 0]]},
+    "space_labels_string.json": {"labels": "abc", "dist": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]},
+    "cloud_labels_numbers.json": {"labels": [1, 2, 3], "points": [[0, 0], [1, 0], [0, 1]]},
 }
+# Written as bytes: a space file that is not UTF-8.
+NOT_UTF8 = "space_not_utf8.json"
 
 # (name, argv, config file contents or None).  Each subcommand runs with its
 # defaults, with non-default values by flag and by config file, and with its
@@ -79,6 +87,9 @@ CONFIGS = [
                         "--beta-rule", "fixed(0.01)"], None),
     ("converge_config", ["converge", "--n-list", "4,16"], {"generator": "torus(1,1)", "n_list": [4, 9]}),
     ("converge_cloud", ["converge", "--generator", "cloud:points.json", "--n-list", "2,4,6"], None),
+    ("approximate_cloud_dist", ["approximate", "--generator", "cloud:cloud_dist.json", "--n", "4",
+                                "--reach-samples", "2"], None),
+    ("converge_cloud_dist", ["converge", "--generator", "cloud:cloud_dist.json", "--n-list", "2,3,5"], None),
     ("leibniz_defaults", ["leibniz"], None),
     ("leibniz_flags", ["leibniz", "--sizes", "2,5", "--ratios", "0.5,2", "--pairs", "30", "--seed", "4"], None),
     ("leibniz_config", ["leibniz"], {"sizes": [3, 4], "ratios": "1.0", "pairs": 10, "include_raw": False}),
@@ -108,8 +119,8 @@ CONFIGS = [
 # Configs the CLI should refuse, in the same form, each run with
 # ``--output rejected/<name>.json`` unless its argv names an output of its
 # own.  ``rejected/`` is a directory and ``rejected/csv_onto_dir.csv`` is one
-# too, so the last three write onto a directory, into a regular file's
-# "directory", and a CSV onto a directory.
+# too, so the output configs write onto a directory, into a regular file's
+# "directory", a CSV onto a directory, and a CSV over its own JSON.
 REJECTED = [
     ("rejected_n_65", ["approximate", "--n", "65"], None),
     ("rejected_h_generators_object", ["fixedpoint", "--h-generators", "{}"], None),
@@ -120,6 +131,11 @@ REJECTED = [
     ("rejected_output_under_file", ["fixedpoint", "--q", "4", "--count", "2", "--output", "points.json/x.json"],
      None),
     ("rejected_csv_onto_dir", ["converge", "--n-list", "4,8", "--output", "rejected/csv_onto_dir.json"], None),
+    ("rejected_output_csv", ["converge", "--n-list", "4,8", "--output", "rejected/r.csv"], None),
+    ("rejected_space_not_utf8", ["mk", "--space", NOT_UTF8], None),
+    ("rejected_labels_string", ["mk", "--space", "space_labels_string.json"], None),
+    ("rejected_labels_numbers", ["approximate", "--generator", "cloud:cloud_labels_numbers.json", "--n", "2"],
+     None),
 ]
 
 
@@ -135,6 +151,7 @@ def write_inputs() -> None:
     directory."""
     for name, payload in INPUTS.items():
         Path(name).write_text(json.dumps(payload), encoding="utf-8")
+    Path(NOT_UTF8).write_bytes(b"\xff" + json.dumps(INPUTS["space_dist.json"]).encode())
     Path("rejected/csv_onto_dir.csv").mkdir(parents=True, exist_ok=True)
 
 
