@@ -98,11 +98,12 @@ def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
     it ensures fl(R m) >= N, N the norm ``operator_norms`` would compute, and
     division by beta is monotone, so fl(N / beta) < Lip(diag a) and the max
     returns the Lipschitz term.  Each modulus |x_ij| is within one ulp (2u)
-    and each sum of n of them within (n - 1) u relative, so the exact sum
-    bound is at most R (1 + 2 (n + 2) u).  ``eigvalsh`` and the SVD return
-    the exact values of a matrix within ||dA||_2 of x; for the n - 2
-    Householder reflections of the reduction ||dA||_F <= c n^2 u ||x||_F with
-    c small (Higham, Accuracy and Stability, Lemma 19.3), so
+    and each sum of n of them, added in any order, within (n - 1) u
+    relative, so the exact sum bound is at most R (1 + 2 (n + 2) u).
+    ``eigvalsh`` and the SVD return the exact values of a matrix within
+    ||dA||_2 of x; for the n - 2 Householder reflections of the reduction
+    ||dA||_F <= c n^2 u ||x||_F with c small (Higham, Accuracy and
+    Stability, Lemma 19.3), so
     ||dA||_2 <= c n^(5/2) u ||x||_2, and the tridiagonal or bidiagonal stage
     adds O(n u) ||x||_2.  By Weyl, N <= ||x||_2 (1 + 32 n^3 u) with c up to
     32 sqrt(n), and 64 n^3 u covers that, the sum bound and the rounding of
@@ -127,7 +128,7 @@ def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
     idx = np.arange(n)
     off[:, idx, idx] = 0.0
     mags = np.abs(off)
-    sums = np.maximum(mags.sum(axis=1), mags.sum(axis=2)).max(axis=1)
+    sums = np.maximum(np.einsum("cij->ci", mags), np.einsum("cij->cj", mags)).max(axis=1)
     del mags
     margin = 1.0 + 64.0 * n**3 * np.finfo(float).eps / 2.0
     with np.errstate(over="ignore"):

@@ -14,6 +14,7 @@ summing to one).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
@@ -174,6 +175,11 @@ def lipschitz_seminorms(space: FiniteMetricSpace, batch: np.ndarray) -> np.ndarr
     Finite spaces make the supremum a maximum, so the value is always
     finite.  A single-point space returns 0 by convention.  Complex-valued
     functions are accepted; differences are measured in modulus.
+
+    Only the pairs i < j are formed.  The ordered pair (j, i) gives the same
+    ratio bit for bit: IEEE subtraction is exactly antisymmetric, the
+    modulus ignores the sign, and ``dist`` is stored exactly symmetric; so
+    the maximum equals the one over all ordered pairs, NaN included.
     """
     fs = np.asarray(batch)
     if fs.ndim != 2 or fs.shape[1] != space.n_points:
@@ -181,9 +187,17 @@ def lipschitz_seminorms(space: FiniteMetricSpace, batch: np.ndarray) -> np.ndarr
     n = space.n_points
     if n < 2:
         return np.zeros(fs.shape[0])
-    num = np.abs(fs[:, :, None] - fs[:, None, :])
-    mask = ~np.eye(n, dtype=bool)
-    return np.max(num[:, mask] / space.dist[mask][None, :], axis=1)
+    i, j = _upper_pairs(n)
+    return np.max(np.abs(fs[:, i] - fs[:, j]) / space.dist[i, j], axis=1)
+
+
+@functools.cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, read-only and built once per n."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def lipschitz_constraints(space: FiniteMetricSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +208,7 @@ def lipschitz_constraints(space: FiniteMetricSpace) -> tuple[np.ndarray, np.ndar
     in exactly this order.
     """
     n = space.n_points
-    i, j = np.triu_indices(n, k=1)
+    i, j = _upper_pairs(n)
     rows = np.zeros((i.size, n))
     rows[np.arange(i.size), i] = 1.0
     rows[np.arange(i.size), j] = -1.0
@@ -308,7 +322,7 @@ def _grid_net(sizes: tuple[float, ...], n: int, wrap: bool) -> tuple[FiniteMetri
     m = round(n ** (1.0 / d))
     if m**d != n:
         raise ConfigError(
-            f"torus nets are grids: point count {n} must be a perfect {d}-th power"
+            f"torus nets are grids: point count {n} is not m**{d} for any integer m"
         )
     # Row r is the grid point with index r in row-major order.
     grid = np.indices((m,) * d).reshape(d, n).T

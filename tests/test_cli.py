@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matprox import acceptance, fixed_point, lseminorm, matrix_algebra, metric_core
+from matprox import acceptance, cli, fixed_point, lseminorm, matrix_algebra, metric_core
 from matprox.cli import build_parser, main, parse_beta_rule, parse_generator
 from matprox.cli import ValidationFailure
 from matprox.matrix_algebra import operator_norms
@@ -494,6 +495,21 @@ def test_reused_parser_leaks_nothing_between_calls(tmp_path):
 def test_net_size_errors_name_n(tmp_path, capsys, extra):
     argv = ["approximate"] + extra
     assert _rejected_field(argv, tmp_path / "out.json", capsys) == "n"
+
+
+@pytest.mark.parametrize(
+    "argv, field, message",
+    [
+        (["converge", "--generator", "torus(1,1)", "--n-list", "4,5"], "n_list",
+         "torus nets are grids: point count 5 is not m**2 for any integer m"),
+        (["approximate", "--generator", "torus(1,1,1)", "--n", "10"], "n",
+         "torus nets are grids: point count 10 is not m**3 for any integer m"),
+    ],
+)
+def test_a_torus_net_size_off_the_grid_is_worded_as_m_to_the_d(tmp_path, capsys, argv, field, message):
+    # The message read "must be a perfect 2-th power".
+    assert main(argv + ["--output", str(tmp_path / "out.json")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {"field": field, "message": message}}
 
 
 def test_corollary_mode_violation_names_the_beta_rule(tmp_path, capsys):
@@ -1199,6 +1215,56 @@ def test_several_bad_values_name_one_of_them(run):
     code, field = _run_changed(command, changes, unknown_flag)
     if code == 2:
         assert field in [key for key, _, _ in changes] + ["argv", "config"]
+
+
+# ---------------------------------------------------------------------------
+# The result writer: the bytes of json.dumps(payload, sort_keys=True, indent=2).
+# ---------------------------------------------------------------------------
+
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 1e22, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_STRINGS = st.one_of(st.sampled_from(['", "', '"', 'a", "b', "\\", "\n", "\u00e9\u00fc \u6f22", ""]), st.text())
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _STRINGS)
+_LEAVES = st.one_of(
+    _SCALARS,
+    st.lists(_FLOATS, max_size=7),
+    st.lists(_FLOATS, min_size=8, max_size=60),
+    st.lists(_SCALARS, max_size=30),
+    st.lists(_SCALARS, min_size=8, max_size=30).map(tuple),
+    # Long lists that are not all scalars.
+    st.lists(st.one_of(_SCALARS, st.lists(_SCALARS, max_size=2), st.dictionaries(_STRINGS, _SCALARS, max_size=2)),
+             min_size=8, max_size=12),
+)
+_PAYLOADS = st.dictionaries(_STRINGS, st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple), st.dictionaries(_STRINGS, inner, max_size=5)
+    ),
+    max_leaves=8,
+), max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_PAYLOADS)
+def test_json_text_writes_the_bytes_of_json_dumps(payload):
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {"keys": {1: "a", "b": 2}},  # a non-string key goes to json.dumps whole
+    {"numpy": [np.float64(0.1)] * 9, "one": np.float64(-0.0), "bool": [np.True_]},
+    {"set": {1, 2}},
+])
+def test_json_text_matches_json_dumps_beyond_plain_payloads(payload):
+    try:
+        expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=str(exc)):
+            cli._json_text(payload)
+    else:
+        assert cli._json_text(payload) == expected
 
 
 # ---------------------------------------------------------------------------

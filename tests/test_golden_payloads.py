@@ -75,6 +75,22 @@ def test_keys_on_one_side_are_named_and_shared_keys_still_compared(tmp_path):
     ]
 
 
+def test_a_file_whose_values_agree_but_bytes_differ_is_reported(tmp_path):
+    # The old tool parsed and re-serialized every payload, so a change in the
+    # CLI's own writer (here: key order and indent) compared clean.
+    old, new = _write(tmp_path / "old", PAYLOAD), _write(tmp_path / "new", PAYLOAD)
+    (new / "sweep.json").write_text(json.dumps(PAYLOAD, indent=4) + "\n", encoding="utf-8")
+    assert _compare(old, new) == (1, ["sweep.json: bytes differ"])
+
+
+def test_masking_replaces_only_the_top_level_runtime_value():
+    payload = {"command": "mk", "results": {"runtime_ms": 1.5}, "runtime_ms": 12.25}
+    text = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    assert _tool().mask_runtime(text) == text.replace(b'"runtime_ms": 12.25', b'"runtime_ms": null')
+    with pytest.raises(ValueError, match="found 0"):
+        _tool().mask_runtime(json.dumps(payload).encode())
+
+
 def _tool():
     spec = importlib.util.spec_from_file_location("golden_payloads", TOOL)
     module = importlib.util.module_from_spec(spec)

@@ -185,6 +185,43 @@ def test_hermitian_draws_are_row_major(shape):
     assert random_hermitian_stack(np.random.default_rng(7), *shape[:2]).flags.c_contiguous
 
 
+def _two_draw_stack(rng, count, n):
+    """random_hermitian_stack as two draws and numpy's x + 1j * y."""
+    shape = (count, n, n)
+    stack = hermitian_part(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    norms = operator_norms(stack)
+    norms[norms == 0.0] = 1.0
+    return stack / norms[:, None, None]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2602])
+@pytest.mark.parametrize("count, n", [(1, 1), (250, 2), (250, 5), (250, 8), (40, 33), (3, 64)])
+def test_random_hermitian_stack_is_the_two_draw_formula_bit_for_bit(seed, count, n):
+    got = random_hermitian_stack(np.random.default_rng(seed), count, n)
+    expected = _two_draw_stack(np.random.default_rng(seed), count, n)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class _FixedDraws:
+    """A stand-in generator whose normal draw is a given array."""
+
+    def __init__(self, draws):
+        self.draws = draws
+
+    def normal(self, size):
+        assert size == self.draws.shape
+        return self.draws.copy()
+
+
+def test_hermitian_draws_assemble_x_plus_1j_y_bit_for_bit_on_every_sign_of_zero():
+    # Every ordered pair of these values, as (x, y) entries of one draw.
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 0.3, -7.5, 1e16, -1e300, 1e300]
+    x, y = (np.array(v).reshape(-1, 12, 12) for v in zip(*((a, b) for a in values for b in values)))
+    got = _gaussian_hermitian(_FixedDraws(np.stack([x, y])), x.shape)
+    expected = hermitian_part(x + 1j * y)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 @pytest.mark.parametrize("shape", [(5, 5), (7, 12, 12), (3, 64, 64)])
 def test_hermitian_part_is_the_np_add_form_bit_for_bit(shape):
     rng = np.random.default_rng(11)

@@ -157,6 +157,32 @@ def test_lipschitz_kernel_is_exactly_constants():
         assert (lipschitz_seminorms(space, f[None])[0] == 0.0) == is_constant
 
 
+def _ordered_pairs_lipschitz(space, fs):
+    """The Lipschitz seminorms over all ordered pairs i != j."""
+    n = space.n_points
+    if n < 2:
+        return np.zeros(fs.shape[0])
+    num = np.abs(fs[:, :, None] - fs[:, None, :])
+    mask = ~np.eye(n, dtype=bool)
+    return np.max(num[:, mask] / space.dist[mask][None, :], axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_lipschitz_over_pairs_i_lt_j_is_the_ordered_pairs_maximum_bit_for_bit(n, kind):
+    rng = np.random.default_rng(100 + n)
+    # Distances from coordinates, so that they are not round numbers.
+    space = FiniteMetricSpace.from_points(rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-3, 4, size=(n, 1)))
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 1.0, np.nan])
+    rows = [rng.normal(size=(40, n)), np.zeros((1, n)), np.full((1, n), -0.0), rng.choice(special, size=(30, n))]
+    fs = np.concatenate(rows)
+    if kind == "complex":
+        fs = fs + 1j * np.concatenate([rng.normal(size=(40, n))] + rows[1:])[::-1]
+    got, expected = lipschitz_seminorms(space, fs), _ordered_pairs_lipschitz(space, fs)
+    assert got.dtype == expected.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # Monge-Kantorovich distance.
 # ---------------------------------------------------------------------------

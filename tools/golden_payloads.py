@@ -7,9 +7,10 @@ Runs every config below in-process through ``matprox.cli.main``, with OUT_DIR
 as the working directory, so the input files it writes there (two point
 clouds, one by points and one by distances, the space files and the config
 files) appear in the payloads as relative paths.
-Each payload is written to ``OUT_DIR/<name>.json`` without its ``runtime_ms``
-field, and each CSV next to it.  Two trees write the same bytes exactly when
-their payloads agree apart from ``runtime_ms``, so
+Each payload is kept as the CLI wrote it to ``OUT_DIR/<name>.json``, byte for
+byte, except that the value of its ``runtime_ms`` field reads ``null``, and
+each CSV next to it.  Two trees write the same bytes exactly when their
+payloads agree apart from ``runtime_ms``, so
 
     PYTHONPATH=old/src python tools/golden_payloads.py /tmp/old
     PYTHONPATH=new/src python tools/golden_payloads.py /tmp/new
@@ -31,7 +32,9 @@ a JSON path (or CSV column) with list indices collapsed to ``[]``, so the
 rows of a sweep make one field.  A non-numeric change reads ``changed``,
 and a file or an object key in one directory only reads ``only in OLD_DIR``
 or ``only in NEW_DIR``, as in ``<file>: <field>.<key> only in OLD_DIR``.
-Exits 0 if nothing differs, 1 otherwise.
+A file whose values agree but whose bytes do not (a change of layout, key
+order or number spelling) reads ``<file>: bytes differ``.  Exits 0 if every
+file is byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -184,6 +188,18 @@ def write_rejections(main) -> None:
                                               encoding="utf-8")
 
 
+RUNTIME = re.compile(rb'^  "runtime_ms": [^,\n]*', re.MULTILINE)
+
+
+def mask_runtime(text: bytes) -> bytes:
+    """A payload's bytes as the CLI wrote them, with only the value of its
+    top-level ``runtime_ms`` replaced by ``null``."""
+    masked, count = RUNTIME.subn(b'  "runtime_ms": null', text)
+    if count != 1:
+        raise ValueError(f"expected one top-level runtime_ms line, found {count}")
+    return masked
+
+
 def run(out_dir: Path) -> int:
     from matprox.cli import main
 
@@ -198,9 +214,7 @@ def run(out_dir: Path) -> int:
             print(f"{name}: {' '.join(argv)} exited {code}", file=sys.stderr)
             return 1
         out = Path(f"{name}.json")
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        del payload["runtime_ms"]
-        out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        out.write_bytes(mask_runtime(out.read_bytes()))
     write_rejections(main)
     return 0
 
@@ -257,6 +271,9 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             print(f"{name}: only in {old_dir if old.exists() else new_dir}")
             differs = True
             continue
+        if old.read_bytes() == new.read_bytes():
+            continue
+        differs = True
         moved: dict[str, float] = {}
         sides: dict[str, bool] = {}
         _moves(_load(old), _load(new), "", moved, sides)
@@ -264,7 +281,8 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             print(f"{name}: {field or '(file)'} {'changed' if math.isinf(move) else f'{move:.3e}'}")
         for field, in_old in sides.items():
             print(f"{name}: {field} only in {old_dir if in_old else new_dir}")
-        differs = differs or bool(moved) or bool(sides)
+        if not (moved or sides):
+            print(f"{name}: bytes differ")
     return 1 if differs else 0
 
 
