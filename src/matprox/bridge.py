@@ -78,7 +78,9 @@ def _coordinate_descent_inf(
     at a time inside the interval allowed by the Lipschitz constraints; the
     one-dimensional sections are convex, so a bounded scalar minimizer is
     enough.  Descent only tightens the witness value; it stops after 200
-    sections or after a sweep that gains less than 1e-9.
+    sections or after a sweep that gains less than 1e-9.  It follows the
+    exact path of its objective values, so a norm that moves by rounding
+    (about 1e-15) can move the result by orders of magnitude more.
 
     One working matrix m = a - diag(f) is kept: a section writes only the
     real part of m_ii, and after it m_ii is reset from the accepted f_i, so

@@ -244,43 +244,58 @@ def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
     raise ValidationFailure(field, f"{field} must be a JSON array of [j, k] integer pairs, got {raw!r}")
 
 
-def _refuse_unwritable(path: Path, directory: bool = False) -> None:
-    """Exit 2 naming ``output`` if the path alone shows that the file (or,
-    with ``directory``, the directory) ``path`` cannot be written: a directory
-    where a file must go, or a non-directory where a directory must go."""
-    if not directory and os.path.isdir(path):
+class _Files(NamedTuple):
+    name: str  # default file name, without the .json suffix
+    csv: bool = False  # whether a CSV goes next to the JSON
+
+
+def _refuse_unwritable(path: Path) -> Path:
+    """``path``, or exit 2 naming ``output`` if the path alone shows that no
+    file can be written there: a directory where the file must go, or a
+    non-directory where a directory must go."""
+    if os.path.isdir(path):
         raise ValidationFailure("output", f"cannot write {path}: it is a directory")
-    for folder in [path, *path.parents] if directory else path.parents:
+    for folder in path.parents:
         if os.path.lexists(folder) and not os.path.isdir(folder):
             raise ValidationFailure("output", f"cannot write {path}: {folder} is not a directory")
+    return path
 
 
-def _write_outputs(out: Path, text: str, csv: str | None = None) -> list[Path]:
-    """Write ``text`` to ``out`` and ``csv``, if given, next to it as .csv, all
-    or none, and return the paths written: every temp file is written before
-    any is renamed.  An ``OSError`` (a directory or a file in the way), a
-    path with no name, or a .csv ``out`` that the CSV would overwrite exits
-    2 naming ``output``, leaving no file behind."""
+def _output_paths(out: Path | None, files: _Files) -> list[Path]:
+    """The paths a run writes, decided and checked by
+    :func:`_refuse_unwritable` before it runs: its JSON (``out``, or
+    ``<name>.json`` in ``$MATPROX_OUTPUT_DIR``) and its CSV, if it writes
+    one, next to the JSON as .csv.  A JSON path ending in .csv, which the
+    CSV would overwrite, exits 2 naming ``output``."""
+    paths = [_refuse_unwritable(out or Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{files.name}.json")]
+    if files.csv:
+        if paths[0].suffix == ".csv":
+            raise ValidationFailure(
+                "output", f"cannot write {paths[0]}: the CSV would overwrite the JSON; "
+                "name a path that does not end in .csv"
+            )
+        paths.append(_refuse_unwritable(paths[0].with_suffix(".csv")))
+    return paths
+
+
+def _write_outputs(paths: list[Path], texts: list[str]) -> None:
+    """Write each text to its path, all or none: every temp file is written
+    before any is renamed.  An ``OSError`` (a permission, or a file that
+    appeared in the way) exits 2 naming ``output``, leaving no file behind."""
     done: list[Path] = []
     try:
-        texts = {out: text}
-        if csv is not None:
-            if out.suffix == ".csv":
-                raise ValueError("the CSV would overwrite the JSON; name a path that does not end in .csv")
-            texts[out.with_suffix(".csv")] = csv
-        for path, body in texts.items():
+        for path, body in zip(paths, texts):
             path.parent.mkdir(parents=True, exist_ok=True)
             done.append(path.with_name(path.name + ".tmp"))
             done[-1].write_text(body, encoding="utf-8")
-        for path in texts:
+        for path in paths:
             os.replace(path.with_name(path.name + ".tmp"), path)
             done.append(path)
-        return list(texts)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         for path in done:
             with contextlib.suppress(OSError):
                 path.unlink()
-        raise ValidationFailure("output", f"cannot write {out}: {exc}") from None
+        raise ValidationFailure("output", f"cannot write {paths[0]}: {exc}") from None
 
 
 def _json_text(payload: dict) -> str:
@@ -393,9 +408,8 @@ def _error_exit(failure: ValidationFailure) -> int:
 
 
 class _Output(NamedTuple):
-    name: str  # default file name, without the .json suffix
     results: dict
-    csv: str | None = None
+    csv: str | None = None  # the CSV text, where the command's files have one
 
 
 def _approximate(v: dict, config: dict) -> _Output:
@@ -428,7 +442,7 @@ def _approximate(v: dict, config: dict) -> _Output:
         "corollary_mode": v["corollary_mode"],
         "seed": v["seed"],
     }
-    return _Output("approximate", results)
+    return _Output(results)
 
 
 def _converge(v: dict, config: dict) -> _Output:
@@ -446,7 +460,7 @@ def _converge(v: dict, config: dict) -> _Output:
         "strictly_decreasing": report.strictly_decreasing,
         "nonincreasing": report.nonincreasing,
     }
-    return _Output("converge", results, _csv(("n", "delta", "beta", "haus", "certified_bound"), rows))
+    return _Output(results, _csv(("n", "delta", "beta", "haus", "certified_bound"), rows))
 
 
 def _leibniz(v: dict, config: dict) -> _Output:
@@ -470,7 +484,7 @@ def _leibniz(v: dict, config: dict) -> _Output:
             suites.append(suite)
     except (ScaleUnderflowError, ScaleOverflowError) as exc:
         raise ValidationFailure("ratios", str(exc)) from None
-    return _Output("leibniz", {"suites": suites})
+    return _Output({"suites": suites})
 
 
 def _mk(v: dict, config: dict) -> _Output:
@@ -501,7 +515,7 @@ def _mk(v: dict, config: dict) -> _Output:
     }
     if p is not None:
         results["mk_p_q"] = mk_distance(space, p, q)
-    return _Output("mk", results)
+    return _Output(results)
 
 
 def _fixedpoint(v: dict, config: dict) -> _Output:
@@ -514,7 +528,7 @@ def _fixedpoint(v: dict, config: dict) -> _Output:
                 raise ValidationFailure(key.name, f"{key.name} does not apply to a sweep; leave it at its default")
         rows = fixed_point_sweep(v["sweep"], count=count, seed=seed)
         csv = _csv(("q", "m", "haus_ell", "gap_sampled", "dim_fixed"), rows)
-        return _Output("fixedpoint_sweep", {"model": SPECIALIZATION_NOTE, "sweep_rows": rows}, csv)
+        return _Output({"model": SPECIALIZATION_NOTE, "sweep_rows": rows}, csv)
     if math.gcd(p % q, q) != 1:
         raise ValidationFailure("p", f"p={p} must be coprime to q={q}")
 
@@ -546,15 +560,14 @@ def _fixedpoint(v: dict, config: dict) -> _Output:
         },
         "seed": seed,
     }
-    return _Output("fixedpoint", results)
+    return _Output(results)
 
 
 def _selftest(output: str | None) -> int:
     # Imported here: the acceptance suite sits above every other module.
     from .acceptance import all_passed, run_all
 
-    if output:
-        _refuse_unwritable(Path(output))
+    paths = _output_paths(Path(output), _Files("selftest")) if output else []
     results = run_all(stream=sys.stdout)
     if output:
         payload = {
@@ -570,7 +583,7 @@ def _selftest(output: str | None) -> int:
                 for r in results
             ],
         }
-        _write_outputs(Path(output), _json_text(payload))
+        _write_outputs(paths, [_json_text(payload)])
     return 0 if all_passed(results) else 3
 
 
@@ -601,6 +614,7 @@ class _Command:
     help: str
     run: Callable[[dict, dict], _Output]
     keys: tuple[_Key, ...]  # in the order they are checked
+    files: Callable[[dict], _Files]  # what a run writes, from its checked values
 
 
 # The command table: every config key of every subcommand, once.  Matrix
@@ -635,13 +649,13 @@ COMMANDS = {
         _SEED,
         _Key("reach_samples", 8, _integer(1, _MAX_SAMPLES), "random elements for the sampled reach"),
         _Key("corollary_mode", True, _boolean),
-    )),
+    ), lambda v: _Files("approximate")),
     "converge": _Command("sweep net sizes; CSV of certified bounds", _converge, (
         _GENERATOR,
         _BETA_RULE,
         _Key("n_list", [4, 8, 16, 32], _numbers(int, lambda xs: xs and sorted(set(xs)) == xs,
              "net sizes must be strictly increasing", _MAX_DIM), "comma-separated net sizes", _as_checked),
-    )),
+    ), lambda v: _Files("converge", csv=True)),
     "leibniz": _Command("residual suite for the product inequality", _leibniz, (
         _Key("sizes", [2, 3, 4, 5, 6, 7, 8], _numbers(int, lambda xs: xs and min(xs) >= 2,
              "sizes needs one or more entries, each at least 2", _MAX_DIM), "comma-separated matrix sizes", _as_checked),
@@ -650,7 +664,7 @@ COMMANDS = {
         _Key("pairs", 500, _integer(1, _MAX_PAIRS), "random element pairs per suite"),
         _SEED,
         _Key("include_raw", True, _boolean),
-    )),
+    ), lambda v: _Files("leibniz")),
     "mk": _Command("transport distances on a space file", _mk, (
         # mk solves an LP per pair of points, so its space is capped at the desk scale.
         _Key("space", None, functools.partial(_read_space, max_points=_MAX_DIM),
@@ -658,7 +672,7 @@ COMMANDS = {
         # Checked against the space by the handler.
         _Key("p", None, lambda value, field: value, _WEIGHTS),
         _Key("q", None, lambda value, field: value, _WEIGHTS),
-    )),
+    ), lambda v: _Files("mk")),
     "fixedpoint": _Command("subgroup gap and bridge reports on a fuzzy torus", _fixedpoint, (
         _SEED,
         _Key("count", 48, _integer(1, _MAX_SAMPLES), "random elements per sample"),
@@ -666,7 +680,7 @@ COMMANDS = {
              "sweep needs one or more orders, each at least 2", _MAX_DIM)),
              "comma-separated torus orders for the gap sweep", _as_checked),
         *_SINGLE_PAIR,
-    )),
+    ), lambda v: _Files("fixedpoint") if v["sweep"] is None else _Files("fixedpoint_sweep", csv=True)),
 }
 
 
@@ -744,9 +758,7 @@ def _run(args: argparse.Namespace) -> int:
     given = _resolve_config(args, command.keys)
     checked = {key.name: key.check(given[key.name], key.name) for key in command.keys}
     config = {key.name: key.show(given[key.name], checked[key.name]) for key in command.keys}
-    out = Path(args.output) if args.output else None
-    directory = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    _refuse_unwritable(out or directory, directory=out is None)
+    paths = _output_paths(Path(args.output) if args.output else None, command.files(checked))
     start = time.perf_counter()
     output = command.run(checked, config)
     payload = {
@@ -755,9 +767,9 @@ def _run(args: argparse.Namespace) -> int:
         "results": output.results,
         "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
     }
-    out = out or directory / f"{output.name}.json"
-    written = _write_outputs(out, _json_text(payload), output.csv)
-    print("wrote " + " and ".join(map(str, written)))
+    texts = [_json_text(payload)] if output.csv is None else [_json_text(payload), output.csv]
+    _write_outputs(paths, texts)
+    print("wrote " + " and ".join(map(str, paths)))
     return 0
 
 

@@ -41,7 +41,7 @@ from .errors import (
     InputShapeError,
 )
 from . import metric_core
-from .matrix_algebra import hermitian_part, operator_norms
+from .matrix_algebra import hermitian_from_parts, hermitian_part, operator_norms
 from .metric_core import (
     FiniteMetricSpace,
     blocks,
@@ -640,12 +640,12 @@ def _draws(torus: FuzzyTorus, count: int, seed: int) -> np.ndarray:
 
     One normal draw of shape (count, 2, q, q) holds each draw's real and
     imaginary parts in the stream order of ``random_hermitian`` called once
-    per draw, and the same arithmetic makes them self-adjoint."""
+    per draw, and :func:`hermitian_from_parts` assembles them as it does."""
     if count < 1:
         raise ConfigError("need at least one sample")
     q = torus.q
     parts = np.random.default_rng(seed).normal(size=(count, 2, q, q))
-    return hermitian_part(parts[:, 0] + 1j * parts[:, 1])
+    return hermitian_from_parts(parts[:, 0], parts[:, 1])
 
 
 def _sampled_gaps(
@@ -774,7 +774,9 @@ def fixed_point_sweep(
 
     For each order q, runs the divisor chain of first-factor cyclic
     subgroups against the full first factor, exhibiting the gap shrinking
-    with the Hausdorff distance across scales.
+    with the Hausdorff distance across scales.  The draws depend only on q,
+    ``count`` and the seed, so each order normalizes them once for all its
+    rows; each row's gap is :func:`expectation_gap` of its pair bit for bit.
     """
     rows = []
     for q in q_list:
@@ -782,7 +784,6 @@ def fixed_point_sweep(
         ell = LengthFunction.max_arc(q)
         limit = TorusSubgroup.cyclic_first_factor(q, q)
         e_limit = AveragingExpectation(torus, limit)
-        # Every row samples the same draws: normalize them once per order.
         draws = _draws(torus, count, seed)
         units = _normalized_unit_ball(torus, ell, draws)
         for m in _divisors(q):

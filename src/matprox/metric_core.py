@@ -77,9 +77,14 @@ class FiniteMetricSpace:
             raise MetricAxiomError("distances must be finite")
         scale = float(np.max(np.abs(dist))) if n > 1 else 1.0
         tol = _AXIOM_RTOL * max(scale, 1.0)
-        if np.max(np.abs(dist - dist.T)) > tol:
-            raise MetricAxiomError("distance matrix is not symmetric")
-        dist = (dist + dist.T) / 2.0
+        # Past half the float limit a sum or difference overflows to inf,
+        # which still compares right; such a pair is averaged by halving
+        # first, and every other pair by halving its sum, which keeps bits.
+        with np.errstate(over="ignore"):
+            if np.max(np.abs(dist - dist.T)) > tol:
+                raise MetricAxiomError("distance matrix is not symmetric")
+            summed = dist + dist.T
+        dist = np.where(np.isinf(summed), dist / 2.0 + dist.T / 2.0, summed / 2.0)
         if np.max(np.abs(np.diag(dist))) > tol:
             raise MetricAxiomError("diagonal of a distance matrix must be zero")
         np.fill_diagonal(dist, 0.0)
@@ -93,7 +98,8 @@ class FiniteMetricSpace:
                 worst = -np.inf
                 for block in blocks(n, 8 * n * n):
                     rows = dist[block]
-                    via = (rows[:, :, None] + dist[None, :, :]).min(axis=1)
+                    with np.errstate(over="ignore"):
+                        via = (rows[:, :, None] + dist[None, :, :]).min(axis=1)
                     worst = max(worst, float(np.max(rows - via)))
                 if worst > tol:
                     raise MetricAxiomError(
@@ -111,17 +117,26 @@ class FiniteMetricSpace:
     def from_points(
         cls, points: np.ndarray, labels: Sequence[str] | None = None
     ) -> "FiniteMetricSpace":
-        """Build a space from Euclidean coordinates (rows are points)."""
+        """Build a space from Euclidean coordinates (rows are points).
+
+        Each pair's difference is multiplied by the power of two that puts
+        its largest component in [1/2, 1) before it is squared, and its root
+        by the inverse power, so no square underflows or overflows: a
+        distance is right wherever it is a normal float.  Both products are
+        exact, so where the plain squares stay normal the distance keeps
+        their bits."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.ndim != 2:
             raise InputShapeError("points must be a list of numbers or of coordinate rows")
-        # Coordinates near the float limit overflow to inf here, and
-        # __post_init__ rejects the non-finite distances that result.
+        # A difference or distance past the float limit overflows to inf
+        # here, and __post_init__ rejects the non-finite distance.
         with np.errstate(over="ignore"):
             diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            _, scale = np.frexp(np.abs(diff).max(axis=-1, initial=0.0))
+            unit = np.ldexp(diff, -scale[..., None])
+            dist = np.ldexp(np.sqrt(np.sum(unit * unit, axis=-1)), scale)
         return cls(_default_labels(len(pts)) if labels is None else labels, dist)
 
 

@@ -4,15 +4,16 @@ Each oracle recomputes a quantity by a different method than the library
 uses, or checks a constant the theory fixes: the transport distance by
 enumerating vertices of the unit-Lipschitz polytope instead of solving an
 LP, the reach certificate's witness by unit-ball samples instead of its
-proof, operator norms by power iteration instead of SVD, group averaging by
-explicit conjugation sums instead of coefficient masks, the unit-ball
-radius by 2n LPs instead of its closed form, subgroups by brute-force
-closure instead of the triangular basis, subgroup Hausdorff distances over
-all pairs of elements instead of cosets, the fixed-point coefficient lines
-as matrices instead of their closed-form spectra, the commutative reach by
-sampled functions instead of its closed form, and the kernels of both
-seminorms (the scalars, dimension one) by a nullity.  They are
-deliberately slow and simple.
+proof, the pinching seminorm with every deviation solved instead of
+screened, operator norms by power iteration instead of SVD, group averaging
+and the action seminorm by explicit conjugations instead of coefficient
+masks and gathers, the unit-ball radius by 2n LPs instead of its closed
+form, subgroups by brute-force closure instead of the triangular basis,
+subgroup Hausdorff distances over all pairs of elements instead of cosets,
+the fixed-point coefficient lines as matrices instead of their closed-form
+spectra, the commutative reach by sampled functions instead of its closed
+form, and the kernels of both seminorms (the scalars, dimension one) by a
+nullity.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.optimize import linprog
 
 from .fixed_point import FuzzyTorus, GroupElement, LengthFunction, TorusSubgroup
 from .lseminorm import ApproximationPair, sample_unit_ball
-from .matrix_algebra import operator_norm
+from .matrix_algebra import operator_norm, operator_norms
 from .metric_core import (
     FiniteMetricSpace,
     check_probability,
@@ -105,7 +106,8 @@ def mk_by_enumeration(
 
 
 def lip_ball_sup_norm_by_lp(space: FiniteMetricSpace, weights: np.ndarray) -> float:
-    """max ||f||_inf over {Lip(f) <= 1, sum_i w_i f_i = 0}, by 2n LPs."""
+    """max ||f||_inf over {Lip(f) <= 1, sum_i w_i f_i = 0}, by 2n LPs; its
+    closed form is max_i sum_j w_j d(i, j)."""
     n = space.n_points
     if n == 1:
         return 0.0
@@ -140,6 +142,17 @@ def sampled_reach_witness(pair: ApproximationPair, samples: int, seed: int) -> f
     return worst
 
 
+def unscreened_l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
+    """max(||a - E(a)|| / beta, Lip(diag a)) of each element of a (count, n,
+    n) stack with every deviation solved: ``l_seminorms`` without its
+    Lipschitz screen, which it equals bit for bit."""
+    off = stack.copy()
+    idx = np.arange(pair.dim)
+    off[:, idx, idx] = 0.0
+    lips = lipschitz_seminorms(pair.space, np.diagonal(stack, axis1=1, axis2=2).real)
+    return np.maximum(operator_norms(off) / pair.beta, lips)
+
+
 def power_iteration_norm(a: np.ndarray, iters: int = 500, seed: int = 7) -> float:
     """Operator norm via power iteration on a* a."""
     m = np.asarray(a, dtype=complex)
@@ -166,6 +179,17 @@ def average_by_conjugation(
         w = torus.action_unitary(g)
         total += w @ a @ w.conj().T
     return total / subgroup.order
+
+
+def action_seminorm_by_conjugation(torus: FuzzyTorus, ell: LengthFunction, a: np.ndarray) -> float:
+    """max over nontrivial g of ||a - w a w^*|| / length(g), with w the
+    unitary of g: every automorphism by explicit conjugation, and each norm
+    by the SVD, not ``operator_norms``."""
+    group = [tuple(g) for g in TorusSubgroup.full(torus.q).element_array()[1:]]
+    w = np.stack([torus.action_unitary(g) for g in group])
+    moved = w @ a @ np.swapaxes(w, 1, 2).conj()
+    norms = np.linalg.norm(a - moved, 2, axis=(1, 2))
+    return float(np.max(norms / np.array([ell(g) for g in group])))
 
 
 def subgroup_closure(q: int, gens) -> frozenset[GroupElement]:

@@ -643,7 +643,7 @@ def test_mk_rejects_huge_weights_before_summing_them(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["mk", "approximate"])
 def test_points_near_the_float_limit_name_their_field_without_warnings(tmp_path, capsys, command):
-    # Their squared differences overflow to inf; numpy printed two overflow
+    # Their difference overflows to inf; numpy printed two overflow
     # warnings to stderr before the JSON error.
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"points": [[1e308, 0], [-1e308, 0], [0, 2]]}), encoding="utf-8")
@@ -652,6 +652,28 @@ def test_points_near_the_float_limit_name_their_field_without_warnings(tmp_path,
     else:
         argv, field = ["approximate", "--generator", f"cloud:{path}", "--n", "3"], "generator"
     assert _rejected_field(argv, tmp_path / "out.json", capsys) == field
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "points,delta",
+    [([[0], [1e-200]], 1e-200), ([[0, 0], [3e-161, 4e-161]], 5e-161), ([[0], [1e200]], None)],
+)
+def test_clouds_far_from_unit_scale_keep_their_distances(tmp_path, capsys, points, delta):
+    # Their squared differences underflowed or overflowed: the first exited 2
+    # as coincident points, the second ran at delta 4.99997e-161, and the
+    # third exited 2 for a non-finite distance instead of its diameter.
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": points}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    argv = ["approximate", "--generator", f"cloud:{path}", "--n", "2", "--reach-samples", "1", "--output", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if delta is None:
+        error = json.loads(capsys.readouterr().err.strip())["error"]
+        assert code == 2 and error["field"] == "generator" and "diameter 1e+200" in error["message"]
+    else:
+        assert code == 0 and read_json(out)["results"]["delta"] == pytest.approx(delta, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("key", ["h_generators", "k_generators"])
@@ -1100,17 +1122,33 @@ def test_an_unwritable_output_names_the_output(tmp_path, capsys, monkeypatch, ar
     assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
 
 
-@pytest.mark.parametrize("target", ["{adir}", "{afile}/x.json"], ids=["onto-dir", "under-file"])
-def test_an_unwritable_output_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch, target):
+_FIXEDPOINT_PAIR = ["fixedpoint", "--q", "4", "--count", "2"]
+
+
+@pytest.mark.parametrize(
+    "target,runs",
+    [
+        ("{adir}", [["selftest"], _FIXEDPOINT_PAIR]),
+        ("{afile}/x.json", [["selftest"], _FIXEDPOINT_PAIR]),
+        ("{tmp}/r.csv", [["converge", "--n-list", "4,8"]]),
+        ("{tmp}/s.json", [["fixedpoint", "--sweep", "4"]]),
+    ],
+    ids=["onto-dir", "under-file", "json-ending-csv", "csv-onto-dir"],
+)
+def test_an_unwritable_output_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch, target, runs):
     # selftest ran every criterion (about 12 s) and a fixedpoint run its
-    # whole bridge before the output was found unwritable.
+    # whole bridge before the output was found unwritable; so did a converge
+    # run whose JSON ends in .csv and a sweep whose CSV path is a directory.
     ran = []
     monkeypatch.setattr(acceptance, "CRITERIA", [lambda: ran.append("criterion") or _fake_criterion_pass()])
     monkeypatch.setattr("matprox.cli.fixed_point_bridge", lambda *args, **kwargs: ran.append("bridge"))
+    monkeypatch.setattr("matprox.cli.convergence_experiment", lambda *args, **kwargs: ran.append("converge"))
+    monkeypatch.setattr("matprox.cli.fixed_point_sweep", lambda *args, **kwargs: ran.append("sweep"))
     (tmp_path / "adir").mkdir()
+    (tmp_path / "s.csv").mkdir()
     (tmp_path / "afile").write_text("kept", encoding="utf-8")
-    output = target.format(adir=tmp_path / "adir", afile=tmp_path / "afile")
-    for argv in (["selftest"], ["fixedpoint", "--q", "4", "--count", "2"]):
+    output = target.format(adir=tmp_path / "adir", afile=tmp_path / "afile", tmp=tmp_path)
+    for argv in runs:
         assert main(argv + ["--output", output]) == 2
         assert json.loads(capsys.readouterr().err.strip())["error"]["field"] == "output"
     assert ran == []

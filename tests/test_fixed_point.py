@@ -36,6 +36,7 @@ from matprox.acceptance import EXACT
 from matprox.oracles import (
     _structured_lines,
     action_kernel_dimension,
+    action_seminorm_by_conjugation,
     average_by_conjugation,
     brute_force_subgroups,
     hausdorff_by_pairs,
@@ -247,16 +248,6 @@ def test_seminorm_vanishes_on_the_identity():
     assert action_lip_seminorms(torus, ell, identity(6)[None])[0] <= 1e-12
 
 
-def _seminorm_by_explicit_conjugation(torus, ell, a):
-    # Independent slow path: realize every automorphism by conjugation.
-    best = 0.0
-    for g in TorusSubgroup.full(torus.q).element_array()[1:]:
-        w = torus.action_unitary(g)
-        moved = w @ a @ w.conj().T
-        best = max(best, operator_norm(a - moved) / ell(g))
-    return best
-
-
 @pytest.mark.parametrize("q,p", [(4, 1), (5, 3), (8, 5)])
 def test_seminorm_matches_conjugation_path(q, p):
     torus = FuzzyTorus(q, p)
@@ -265,7 +256,7 @@ def test_seminorm_matches_conjugation_path(q, p):
     for _ in range(5):
         a = random_hermitian(rng, q)
         fast = action_lip_seminorms(torus, ell, a[None])[0]
-        slow = _seminorm_by_explicit_conjugation(torus, ell, a)
+        slow = action_seminorm_by_conjugation(torus, ell, a)
         assert fast == pytest.approx(slow, rel=1e-10, abs=1e-10)
 
 
@@ -295,7 +286,7 @@ def test_pruned_seminorm_matches_conjugation_on_structured_inputs(q, p):
     stack = _structured_stack(torus, np.random.default_rng(58))
     fast = action_lip_seminorms(torus, ell, stack)
     for a, value in zip(stack, fast):
-        slow = _seminorm_by_explicit_conjugation(torus, ell, a)
+        slow = action_seminorm_by_conjugation(torus, ell, a)
         assert value == pytest.approx(slow, rel=1e-12, abs=1e-13)
 
 
@@ -329,7 +320,7 @@ def test_folded_seminorm_matches_conjugation_over_every_g(q, p):
     for ell, atol in ((LengthFunction.max_arc(q), 1e-13), (_lopsided_lengths(q), 1e-10)):
         fast = action_lip_seminorms(torus, ell, stack)
         for a, value in zip(stack, fast):
-            slow = _seminorm_by_explicit_conjugation(torus, ell, a)
+            slow = action_seminorm_by_conjugation(torus, ell, a)
             assert value == pytest.approx(slow, rel=1e-12, abs=atol)
 
 

@@ -27,18 +27,22 @@ from matprox import (
     FuzzyTorus,
     Interval,
     LengthFunction,
-    TorusSubgroup,
     action_lip_seminorms,
     epsilon_net,
     l_seminorms,
-    lipschitz_seminorms,
     mk_distance,
     operator_norms,
 )
 from matprox import fixed_point
 from matprox.matrix_algebra import hermitian_part
 from matprox.metric_core import random_cloud_space
-from matprox.oracles import _structured_lines, enumerate_lipschitz_vertices, mk_by_enumeration
+from matprox.oracles import (
+    _structured_lines,
+    action_seminorm_by_conjugation,
+    enumerate_lipschitz_vertices,
+    mk_by_enumeration,
+    unscreened_l_seminorms,
+)
 
 FUZZ = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 # The smallest normal float is 2^-1022.
@@ -95,15 +99,6 @@ def _torus_elements(draw):
     return torus, LengthFunction(q, values), np.ascontiguousarray(stack)
 
 
-def _brute_action_seminorm(torus, ell, a) -> float:
-    # Every nontrivial g by conjugation with its unitary, and the SVD norm.
-    group = [tuple(g) for g in TorusSubgroup.full(torus.q).element_array()[1:]]
-    w = np.stack([torus.action_unitary(g) for g in group])
-    moved = w @ a @ np.swapaxes(w, 1, 2).conj()
-    norms = np.linalg.norm(a - moved, 2, axis=(1, 2))
-    return float(np.max(norms / np.array([ell(g) for g in group])))
-
-
 @FUZZ
 @given(_torus_elements(), st.integers(-1000, 1000))
 def test_action_seminorms_are_the_brute_maximum_at_every_scale(case, k):
@@ -117,7 +112,7 @@ def test_action_seminorms_are_the_brute_maximum_at_every_scale(case, k):
     # moves its bits by exactly 2^k.
     assert np.array_equal(scaled, np.ldexp(unit, k))
     for a, value in zip(stack, unit):
-        brute = _brute_action_seminorm(torus, ell, a)
+        brute = action_seminorm_by_conjugation(torus, ell, a)
         size = np.abs(a).max() / ell.values.ravel()[1:].min()
         assert abs(value - brute) <= 1e-12 * (brute + size)
 
@@ -153,14 +148,6 @@ def _pairs_and_stacks(draw):
     return pair, np.ascontiguousarray(stack)
 
 
-def _unscreened(pair, stack) -> np.ndarray:
-    off = stack.copy()
-    idx = np.arange(pair.dim)
-    off[:, idx, idx] = 0.0
-    lips = lipschitz_seminorms(pair.space, np.diagonal(stack, axis1=1, axis2=2).real)
-    return np.maximum(operator_norms(off) / pair.beta, lips)
-
-
 @FUZZ
 @given(_pairs_and_stacks(), st.integers(-1000, 1000))
 def test_l_seminorms_are_their_unscreened_maximum_bit_for_bit(case, k):
@@ -172,7 +159,7 @@ def test_l_seminorms_are_their_unscreened_maximum_bit_for_bit(case, k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = l_seminorms(pair, stack)
-        want = _unscreened(pair, stack)
+        want = unscreened_l_seminorms(pair, stack)
     assert np.array_equal(got, want)
 
 
@@ -230,7 +217,7 @@ def test_closed_form_lines_match_their_matrices(case):
         assert norm == pytest.approx(np.linalg.norm(line, 2), rel=1e-13, abs=0.0)
         # The line of U^0 V^0 is a scalar, whose closed form is exactly 0.0
         # while the conjugations round; so the slack counts the line's size.
-        brute = _brute_action_seminorm(torus, ell, line)
+        brute = action_seminorm_by_conjugation(torus, ell, line)
         assert abs(seminorm - brute) <= 1e-12 * (brute + norm / shortest)
 
 

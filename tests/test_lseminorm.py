@@ -36,7 +36,7 @@ from matprox.metric_core import (
     lipschitz_seminorms,
     random_cloud_space,
 )
-from matprox.oracles import kernel_dimension, lip_ball_sup_norm_by_lp
+from matprox.oracles import kernel_dimension, lip_ball_sup_norm_by_lp, unscreened_l_seminorms
 
 
 def two_point_pair(beta: float = 1.0) -> ApproximationPair:
@@ -174,15 +174,6 @@ def test_batch_seminorms_match_single_evaluations():
 # ---------------------------------------------------------------------------
 
 
-def _unscreened(pair, stack):
-    """max(||off a|| / beta, Lip(diag a)) with every deviation solved."""
-    off = stack.copy()
-    idx = np.arange(pair.dim)
-    off[:, idx, idx] = 0.0
-    lips = lipschitz_seminorms(pair.space, np.diagonal(stack, axis1=1, axis2=2).real)
-    return np.maximum(operator_norms(off) / pair.beta, lips)
-
-
 def _screened_counts(pair, stack, monkeypatch):
     """Assert l_seminorms equals the unscreened formula bit for bit; return
     how many elements it solved and how many it screened out."""
@@ -194,7 +185,7 @@ def _screened_counts(pair, stack, monkeypatch):
         return operator_norms(s)
 
     monkeypatch.setattr(lseminorm, "operator_norms", spy)
-    assert np.array_equal(l_seminorms(pair, stack), _unscreened(pair, stack))
+    assert np.array_equal(l_seminorms(pair, stack), unscreened_l_seminorms(pair, stack))
     assert len(seen) <= 1
     return sum(seen), len(stack) - sum(seen)
 
@@ -264,7 +255,7 @@ def test_screen_overflow_reads_as_not_screened():
     with np.errstate(over="raise"):
         values = l_seminorms(pair, stack)
     assert np.isfinite(values[0]) and 63.0 / pair.beta == np.inf
-    assert np.array_equal(values, _unscreened(pair, stack))
+    assert np.array_equal(values, unscreened_l_seminorms(pair, stack))
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,35 @@ def test_from_points_builds_euclidean_metric():
     assert space.dist[0, 1] == 5.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "points,distance",
+    [
+        ([[0.0], [1e-200]], 1e-200),
+        ([[0.0], [1e200]], 1e200),
+        ([[0.0, 0.0], [3e-161, 4e-161]], 5e-161),
+        ([[0.0], [1.5e308]], 1.5e308),
+        ([[1e308, 1e308], [0.0, 0.0]], math.sqrt(2.0) * 1e308),
+    ],
+)
+def test_from_points_is_right_far_from_unit_scale(points, distance):
+    # The squared differences underflowed or overflowed: the first two were
+    # refused (coincident points, non-finite distances), the third built at
+    # 4.99997e-161, and the sums of the last two overflowed in validation.
+    space = FiniteMetricSpace.from_points(np.array(points))
+    assert space.dist[0, 1] == space.dist[1, 0] == pytest.approx(distance, rel=1e-15, abs=0.0)
+
+
+def test_from_points_keeps_the_bits_of_the_plain_formula_at_unit_scale():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, d = rng.integers(2, 10), rng.integers(1, 5)
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4)
+        diff = points[:, None, :] - points[None, :, :]
+        plain = np.sqrt(np.sum(diff * diff, axis=-1))
+        assert np.array_equal(FiniteMetricSpace.from_points(points).dist, plain), seed
+
+
 # ---------------------------------------------------------------------------
 # min_separation / diameter.
 # ---------------------------------------------------------------------------
