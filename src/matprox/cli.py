@@ -3,8 +3,11 @@
 Every run resolves its configuration (defaults, then an optional JSON
 config file, then command-line flags), validates it fully before any
 computation, and echoes the resolved configuration inside the result JSON
-so certificates are self-describing.  Each subcommand's keys are declared
-once, in :data:`COMMANDS`, with their defaults, checks and flags.
+so certificates are self-describing.  Each subcommand is declared once, in
+:data:`COMMANDS`: its keys with their defaults, checks and flags; its
+faults, the key each library error from its run names; and its files, the
+JSON name and which results list, if any, is written as CSV.  A handler is
+a plain function from checked values to its results.
 Identical configuration and seed produce byte-identical output except for
 the ``runtime_ms`` field.  Exit codes: 0 success, 2 validation error (a
 machine-readable error object goes to stderr), 3 acceptance failure.
@@ -35,6 +38,7 @@ from .bridge import (
     estimate_reach_lower,
 )
 from .errors import (
+    ConfigError,
     CorollaryModeViolation,
     MatproxError,
     ScaleOverflowError,
@@ -246,7 +250,7 @@ def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
 
 class _Files(NamedTuple):
     name: str  # default file name, without the .json suffix
-    csv: bool = False  # whether a CSV goes next to the JSON
+    csv: str | None = None  # the results list written as a CSV next to the JSON
 
 
 def _refuse_unwritable(path: Path) -> Path:
@@ -261,14 +265,18 @@ def _refuse_unwritable(path: Path) -> Path:
     return path
 
 
-def _output_paths(out: Path | None, files: _Files) -> list[Path]:
+def _output_paths(output: str | None, files: _Files) -> list[Path]:
     """The paths a run writes, decided and checked by
-    :func:`_refuse_unwritable` before it runs: its JSON (``out``, or
+    :func:`_refuse_unwritable` before it runs: its JSON (``output``, or
     ``<name>.json`` in ``$MATPROX_OUTPUT_DIR``) and its CSV, if it writes
-    one, next to the JSON as .csv.  A JSON path ending in .csv, which the
-    CSV would overwrite, exits 2 naming ``output``."""
-    paths = [_refuse_unwritable(out or Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{files.name}.json")]
-    if files.csv:
+    one, next to the JSON as .csv.  An empty ``output``, which names no
+    file, and a JSON path ending in .csv, which the CSV would overwrite,
+    exit 2 naming ``output``."""
+    if output == "":
+        raise ValidationFailure("output", "output path is empty")
+    default = Path(os.environ.get(OUTPUT_DIR_ENV, ".")) / f"{files.name}.json"
+    paths = [_refuse_unwritable(default if output is None else Path(output))]
+    if files.csv is not None:
         if paths[0].suffix == ".csv":
             raise ValidationFailure(
                 "output", f"cannot write {paths[0]}: the CSV would overwrite the JSON; "
@@ -388,10 +396,11 @@ def _lay_out(value: Any, newline: str, out: list[str]) -> None:
         raise _NotLaidOut
 
 
-def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
-    """A header of ``columns``, then the repr of each row's cells: every cell
-    is a Python int or float, whose repr is its shortest round-tripping text."""
-    lines = [",".join(columns)] + [",".join(repr(row[c]) for c in columns) for row in rows]
+def _csv(rows: list[dict]) -> str:
+    """A header of the rows' keys, in the first row's order, then the repr of
+    each row's cells: every cell is a Python int or float, whose repr is its
+    shortest round-tripping text."""
+    lines = [",".join(rows[0])] + [",".join(repr(row[c]) for c in rows[0]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -403,91 +412,57 @@ def _error_exit(failure: ValidationFailure) -> int:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers.  Each takes the checked values and the resolved config
-# and returns its payload; only checks that span keys are left to them.
+# and returns its results; only checks that span keys are left to them.  A
+# library error they raise is named by the command's faults in COMMANDS.
 # ---------------------------------------------------------------------------
 
 
-class _Output(NamedTuple):
-    results: dict
-    csv: str | None = None  # the CSV text, where the command's files have one
-
-
-def _approximate(v: dict, config: dict) -> _Output:
-    try:
-        pair, row = approximate_compact_space(
-            v["generator"], v["n"], v["beta_rule"], corollary_mode=v["corollary_mode"]
-        )
-    except CorollaryModeViolation as exc:
-        raise ValidationFailure("beta_rule", str(exc))
-    except ScaleUnderflowError as exc:
-        raise ValidationFailure("generator", str(exc))
-    except MatproxError as exc:
-        # The generator was validated when parsed; what remains is the net
-        # size (too few points, not a grid, more than the cloud holds).
-        raise ValidationFailure("n", str(exc))
-    try:
-        sampled_lower = estimate_reach_lower(pair, iters=v["reach_samples"], seed=v["seed"])
-    except ScaleOverflowError as exc:
-        raise ValidationFailure("generator", str(exc))
-    results = {
+def _approximate(v: dict, config: dict) -> dict:
+    pair, row = approximate_compact_space(v["generator"], v["n"], v["beta_rule"], corollary_mode=v["corollary_mode"])
+    return {
         "generator": config["generator"],
         "n": v["n"],
         "delta": pair.delta,
         "beta": pair.beta,
         "haus": row.haus,
         "certified_bound": row.certified_bound,
-        "sampled_lower": sampled_lower,
+        "sampled_lower": estimate_reach_lower(pair, iters=v["reach_samples"], seed=v["seed"]),
         "sampled_lower_certified": False,
         "D_constant": pair.leibniz_constant,
         "corollary_mode": v["corollary_mode"],
         "seed": v["seed"],
     }
-    return _Output(results)
 
 
-def _converge(v: dict, config: dict) -> _Output:
-    try:
-        report = convergence_experiment(v["generator"], v["n_list"], v["beta_rule"])
-    except CorollaryModeViolation as exc:
-        raise ValidationFailure("beta_rule", str(exc))
-    except ScaleUnderflowError as exc:
-        raise ValidationFailure("generator", str(exc))
-    except MatproxError as exc:
-        raise ValidationFailure("n_list", str(exc))
-    rows = [dataclasses.asdict(r) for r in report.rows]
-    results = {
-        "rows": rows,
+def _converge(v: dict, config: dict) -> dict:
+    report = convergence_experiment(v["generator"], v["n_list"], v["beta_rule"])
+    return {
+        "rows": [dataclasses.asdict(r) for r in report.rows],
         "strictly_decreasing": report.strictly_decreasing,
         "nonincreasing": report.nonincreasing,
     }
-    return _Output(results, _csv(("n", "delta", "beta", "haus", "certified_bound"), rows))
 
 
-def _leibniz(v: dict, config: dict) -> _Output:
+def _leibniz(v: dict, config: dict) -> dict:
     pairs = v["pairs"]
     suites = []
-    try:
-        for ratio, pair, jres, lres in leibniz_suites(
-            np.random.default_rng(v["seed"]), v["sizes"], v["ratios"], pairs
-        ):
-            suite = {
-                "n": pair.dim,
-                "beta_over_delta": ratio,
-                "D_constant": pair.leibniz_constant,
-                "pairs": pairs,
-                "min_jordan_residual": float(np.min(jres)),
-                "min_lie_residual": float(np.min(lres)),
-            }
-            if v["include_raw"]:
-                suite["jordan_residuals"] = jres.tolist()
-                suite["lie_residuals"] = lres.tolist()
-            suites.append(suite)
-    except (ScaleUnderflowError, ScaleOverflowError) as exc:
-        raise ValidationFailure("ratios", str(exc)) from None
-    return _Output({"suites": suites})
+    for ratio, pair, jres, lres in leibniz_suites(np.random.default_rng(v["seed"]), v["sizes"], v["ratios"], pairs):
+        suite = {
+            "n": pair.dim,
+            "beta_over_delta": ratio,
+            "D_constant": pair.leibniz_constant,
+            "pairs": pairs,
+            "min_jordan_residual": float(np.min(jres)),
+            "min_lie_residual": float(np.min(lres)),
+        }
+        if v["include_raw"]:
+            suite["jordan_residuals"] = jres.tolist()
+            suite["lie_residuals"] = lres.tolist()
+        suites.append(suite)
+    return {"suites": suites}
 
 
-def _mk(v: dict, config: dict) -> _Output:
+def _mk(v: dict, config: dict) -> dict:
     space = v["space"]
 
     def _measure(raw, field):
@@ -507,18 +482,17 @@ def _mk(v: dict, config: dict) -> _Output:
         raise ValidationFailure("q", "p and q must be given together")
 
     dirac = dirac_distances(space)
-    residual = float(np.max(np.abs(dirac - space.dist)))
     results: dict[str, Any] = {
         "labels": list(space.labels),
         "dirac_distance_matrix": dirac.tolist(),
-        "max_gap_to_ground_metric": residual,
+        "max_gap_to_ground_metric": float(np.max(np.abs(dirac - space.dist))),
     }
     if p is not None:
         results["mk_p_q"] = mk_distance(space, p, q)
-    return _Output(results)
+    return results
 
 
-def _fixedpoint(v: dict, config: dict) -> _Output:
+def _fixedpoint(v: dict, config: dict) -> dict:
     q, p, count, seed = v["q"], v["p"], v["count"], v["seed"]
     if v["sweep"] is not None:
         # A sweep runs its own chains at twist 1, so a single-pair key it
@@ -526,20 +500,17 @@ def _fixedpoint(v: dict, config: dict) -> _Output:
         for key in _SINGLE_PAIR:
             if v[key.name] != key.check(key.default, key.name):
                 raise ValidationFailure(key.name, f"{key.name} does not apply to a sweep; leave it at its default")
-        rows = fixed_point_sweep(v["sweep"], count=count, seed=seed)
-        csv = _csv(("q", "m", "haus_ell", "gap_sampled", "dim_fixed"), rows)
-        return _Output({"model": SPECIALIZATION_NOTE, "sweep_rows": rows}, csv)
-    if math.gcd(p % q, q) != 1:
-        raise ValidationFailure("p", f"p={p} must be coprime to q={q}")
+        return {"model": SPECIALIZATION_NOTE, "sweep_rows": fixed_point_sweep(v["sweep"], count=count, seed=seed)}
 
-    # q >= 2, p coprime to q and integer generators: none of these can raise.
+    # With q >= 2 and integer generators, only FuzzyTorus can raise: a twist
+    # p that is not coprime to q, which the faults name ``p``.
     h_gens, k_gens = v["h_generators"], v["k_generators"]
     torus = FuzzyTorus(q, p)
     ell = LengthFunction.max_arc(q)
     sub_h = TorusSubgroup.from_generators(q, *h_gens) if h_gens else TorusSubgroup.trivial(q)
     sub_k = TorusSubgroup.from_generators(q, *k_gens) if k_gens else TorusSubgroup.trivial(q)
     report = fixed_point_bridge(torus, ell, sub_h, sub_k, count=count, seed=seed)
-    results = {
+    return {
         "model": SPECIALIZATION_NOTE,
         "q": q,
         "p": p,
@@ -560,16 +531,15 @@ def _fixedpoint(v: dict, config: dict) -> _Output:
         },
         "seed": seed,
     }
-    return _Output(results)
 
 
 def _selftest(output: str | None) -> int:
     # Imported here: the acceptance suite sits above every other module.
     from .acceptance import all_passed, run_all
 
-    paths = _output_paths(Path(output), _Files("selftest")) if output else []
+    paths = [] if output is None else _output_paths(output, _Files("selftest"))
     results = run_all(stream=sys.stdout)
-    if output:
+    if paths:
         payload = {
             "command": "selftest",
             "results": [
@@ -612,9 +582,12 @@ class _Key:
 @dataclasses.dataclass(frozen=True)
 class _Command:
     help: str
-    run: Callable[[dict, dict], _Output]
+    run: Callable[[dict, dict], dict]  # checked values and resolved config to results
     keys: tuple[_Key, ...]  # in the order they are checked
     files: Callable[[dict], _Files]  # what a run writes, from its checked values
+    # (library error types, key) pairs: a MatproxError from the run names the
+    # key of the first pair it matches; an unmatched one names ``input``.
+    faults: tuple[tuple[tuple[type[MatproxError], ...], str], ...] = ()
 
 
 # The command table: every config key of every subcommand, once.  Matrix
@@ -640,6 +613,11 @@ _SINGLE_PAIR = (
     _Key("h_generators", [[1, 0]], _parse_generators, _SUBGROUP),
     _Key("k_generators", [[1, 0], [0, 1]], _parse_generators, _SUBGROUP),
 )
+_SCALE = (ScaleUnderflowError, ScaleOverflowError)
+# A net's faults: a beta above delta in corollary mode is the rule's, a net
+# too fine or too wide for the floats the generator's, and any other is the
+# net size's (too few points, not a grid, more than a cloud holds).
+_NET_FAULTS = ((CorollaryModeViolation,), "beta_rule"), (_SCALE, "generator")
 
 COMMANDS = {
     "approximate": _Command("one net: certified bound haus + beta", _approximate, (
@@ -649,13 +627,13 @@ COMMANDS = {
         _SEED,
         _Key("reach_samples", 8, _integer(1, _MAX_SAMPLES), "random elements for the sampled reach"),
         _Key("corollary_mode", True, _boolean),
-    ), lambda v: _Files("approximate")),
+    ), lambda v: _Files("approximate"), (*_NET_FAULTS, ((MatproxError,), "n"))),
     "converge": _Command("sweep net sizes; CSV of certified bounds", _converge, (
         _GENERATOR,
         _BETA_RULE,
         _Key("n_list", [4, 8, 16, 32], _numbers(int, lambda xs: xs and sorted(set(xs)) == xs,
              "net sizes must be strictly increasing", _MAX_DIM), "comma-separated net sizes", _as_checked),
-    ), lambda v: _Files("converge", csv=True)),
+    ), lambda v: _Files("converge", "rows"), (*_NET_FAULTS, ((MatproxError,), "n_list"))),
     "leibniz": _Command("residual suite for the product inequality", _leibniz, (
         _Key("sizes", [2, 3, 4, 5, 6, 7, 8], _numbers(int, lambda xs: xs and min(xs) >= 2,
              "sizes needs one or more entries, each at least 2", _MAX_DIM), "comma-separated matrix sizes", _as_checked),
@@ -664,7 +642,7 @@ COMMANDS = {
         _Key("pairs", 500, _integer(1, _MAX_PAIRS), "random element pairs per suite"),
         _SEED,
         _Key("include_raw", True, _boolean),
-    ), lambda v: _Files("leibniz")),
+    ), lambda v: _Files("leibniz"), ((_SCALE, "ratios"),)),
     "mk": _Command("transport distances on a space file", _mk, (
         # mk solves an LP per pair of points, so its space is capped at the desk scale.
         _Key("space", None, functools.partial(_read_space, max_points=_MAX_DIM),
@@ -680,7 +658,8 @@ COMMANDS = {
              "sweep needs one or more orders, each at least 2", _MAX_DIM)),
              "comma-separated torus orders for the gap sweep", _as_checked),
         *_SINGLE_PAIR,
-    ), lambda v: _Files("fixedpoint") if v["sweep"] is None else _Files("fixedpoint_sweep", csv=True)),
+    ), lambda v: _Files("fixedpoint") if v["sweep"] is None else _Files("fixedpoint_sweep", "sweep_rows"),
+        (((ConfigError,), "p"),)),
 }
 
 
@@ -732,7 +711,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace, keys: tuple[_Key, ...]) -> dict[str, Any]:
     config = {key.name: key.default for key in keys}
-    if args.config:
+    if args.config is not None:
+        if not args.config:
+            raise ValidationFailure("config", "config path is empty")
         try:
             loaded = json.loads(_read_file(Path(args.config), "config", "config file"))
         except json.JSONDecodeError as exc:
@@ -752,22 +733,29 @@ def _resolve_config(args: argparse.Namespace, keys: tuple[_Key, ...]) -> dict[st
 
 def _run(args: argparse.Namespace) -> int:
     """Check every key of the subcommand and the output path, run its
-    handler, and write the result JSON (and CSV), timed from the end of the
-    checks."""
+    handler, name the key at fault for a library error it raises, and write
+    the result JSON (and CSV), timed from the end of the checks."""
     command = COMMANDS[args.command]
     given = _resolve_config(args, command.keys)
     checked = {key.name: key.check(given[key.name], key.name) for key in command.keys}
     config = {key.name: key.show(given[key.name], checked[key.name]) for key in command.keys}
-    paths = _output_paths(Path(args.output) if args.output else None, command.files(checked))
+    files = command.files(checked)
+    paths = _output_paths(args.output, files)
     start = time.perf_counter()
-    output = command.run(checked, config)
+    try:
+        results = command.run(checked, config)
+    except MatproxError as exc:
+        field = next((key for types, key in command.faults if isinstance(exc, types)), None)
+        if field is None:
+            raise
+        raise ValidationFailure(field, str(exc)) from None
     payload = {
         "command": args.command,
         "resolved_config": config,
-        "results": output.results,
+        "results": results,
         "runtime_ms": round(1000.0 * (time.perf_counter() - start), 3),
     }
-    texts = [_json_text(payload)] if output.csv is None else [_json_text(payload), output.csv]
+    texts = [_json_text(payload)] if files.csv is None else [_json_text(payload), _csv(results[files.csv])]
     _write_outputs(paths, texts)
     print("wrote " + " and ".join(map(str, paths)))
     return 0

@@ -27,8 +27,10 @@ class ScaleUnderflowError(ConfigError):
 
 
 class ScaleOverflowError(ConfigError):
-    """A net is so large that products of its distances in the reach
-    descent's scalar minimiser overflow."""
+    """A value overflows.  Raised by the reach descent's scalar minimiser,
+    for a net so large that products of its distances overflow, and by
+    ``lseminorm.leibniz_suites``, for residuals that overflow at an extreme
+    beta/delta ratio (the ``leibniz`` command then names ``ratios``)."""
 
 
 class CorollaryModeViolation(MatproxError):

@@ -655,34 +655,30 @@ def _sampled_gaps(
     e_k: AveragingExpectation,
     draws: np.ndarray,
     units: np.ndarray | None = None,
-    reach: bool = True,
 ) -> tuple[float, float, float]:
     """The sampled gap and both bridge directions, from one normalized sample.
 
     The sample is the coefficient lines on H & ~K and on K & ~H (the fixed-
-    coefficient masks, see :func:`_line_peaks`), the draws, and with ``reach``
-    E_h and E_k of the draws, each normalized to the traceless unit ball;
-    ``units``, if given, is the draws already so normalized.  Every value is
-    a largest ||(E_h - E_k) u||: the gap over all lines and the raw draws;
-    left to right over the H & ~K lines and E_h of the draws, since u - E_k u
-    = (E_h - E_k) u for u fixed by h; right to left over the K & ~H lines and
-    E_k of the draws.  Each value is exactly 0.0 on an empty support; without
-    ``reach`` the directions cover the lines alone.
+    coefficient masks, see :func:`_line_peaks`) and the draws normalized to
+    the traceless unit ball: ``units``, if given, is that normalization.
+    Without ``units``, E_h and E_k of the draws join the sample, normalized
+    in one pass with the draws.  Every value is a largest ||(E_h - E_k) u||:
+    the gap over all lines and the draws; left to right over the H & ~K lines
+    and E_h of the draws, since u - E_k u = (E_h - E_k) u for u fixed by h;
+    right to left over the K & ~H lines and E_k of the draws.  Each value is
+    exactly 0.0 on an empty support; given ``units``, the directions cover
+    the lines alone.  Each element's seminorm is its own exact maximum, so
+    the gap does not depend on which of the two forms is used.
     """
     supports = (e_h.mask & ~e_k.mask, e_k.mask & ~e_h.mask)
     if not any(s.any() for s in supports):
         return 0.0, 0.0, 0.0
     lines = _line_peaks(torus, ell, supports)
-    imaged = [reach and s.any() for s in supports]
-    images = [e(draws) for e, t in zip((e_h, e_k), imaged) if t]
-    # The draws and their images share one normalization pass; each
-    # element's seminorm is its own exact maximum, so the gap never depends
-    # on ``reach``.
+    imaged = [units is None and s.any() for s in supports]
     if units is None:
+        images = [e(draws) for e, t in zip((e_h, e_k), imaged) if t]
         units = _normalized_unit_ball(torus, ell, np.concatenate([draws, *images]))
-    elif images:
-        units = np.concatenate([units, _normalized_unit_ball(torus, ell, np.concatenate(images))])
-    del images  # before the norms below; at q = 64 each image of 256 draws is 16 MiB
+        del images  # before the norms below; at q = 64 each image of 256 draws is 16 MiB
     signed_mask = e_h.mask.astype(float) - e_k.mask.astype(float)
     # The images are self-adjoint only up to rounding after the coefficient
     # round trip, so they take their Hermitian part.  No name holds them, so
@@ -715,7 +711,8 @@ def expectation_gap(
     """
     e_h = AveragingExpectation(torus, h)
     e_k = AveragingExpectation(torus, k)
-    return _sampled_gaps(torus, ell, e_h, e_k, _draws(torus, count, seed), reach=False)[0]
+    draws = _draws(torus, count, seed)
+    return _sampled_gaps(torus, ell, e_h, e_k, draws, _normalized_unit_ball(torus, ell, draws))[0]
 
 
 @dataclass(frozen=True)
@@ -789,7 +786,7 @@ def fixed_point_sweep(
         for m in _divisors(q):
             sub = TorusSubgroup.cyclic_first_factor(q, m)
             e_sub = AveragingExpectation(torus, sub)
-            gap = _sampled_gaps(torus, ell, e_sub, e_limit, draws, units, reach=False)[0]
+            gap = _sampled_gaps(torus, ell, e_sub, e_limit, draws, units)[0]
             rows.append(
                 {
                     "q": q,

@@ -260,7 +260,10 @@ def mk_distance(
     is pinned to zero; the objective only sees differences of f against the
     measure difference, so the pin removes the constant-function degeneracy
     without changing the optimum.  Intended for desk-scale spaces
-    (<= 64 points).
+    (<= 64 points).  The LP runs at unit scale, divided by the power of two
+    of the largest distance, as HiGHS's tolerances are absolute and it reads
+    bounds of 1e20 and more as infinite; W1 is positively homogeneous in the
+    metric, and scaling by a power of two and back is exact.
     """
     pw = check_probability(space, p)
     qw = check_probability(space, q)
@@ -272,16 +275,17 @@ def mk_distance(
         return 0.0
     # Variables f_1 .. f_{n-1}; f_0 = 0, so its constraint column drops out.
     a_ub, b_ub = lipschitz_constraints(space)
+    scale = np.frexp(np.max(b_ub))[1]
     res = linprog(
         c=-z[1:],
         A_ub=a_ub[:, 1:],
-        b_ub=b_ub,
+        b_ub=np.ldexp(b_ub, -scale),
         bounds=[(None, None)] * (n - 1),
         method="highs",
     )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(max(-res.fun, 0.0))
+    return float(np.ldexp(max(-res.fun, 0.0), scale))
 
 
 def dirac_distances(space: FiniteMetricSpace) -> np.ndarray:

@@ -16,6 +16,13 @@ from hypothesis import strategies as st
 from matprox import acceptance, cli, fixed_point, lseminorm, matrix_algebra, metric_core
 from matprox.cli import build_parser, main, parse_beta_rule, parse_generator
 from matprox.cli import ValidationFailure
+from matprox.errors import (
+    ConfigError,
+    CorollaryModeViolation,
+    InputShapeError,
+    ScaleOverflowError,
+    ScaleUnderflowError,
+)
 from matprox.matrix_algebra import operator_norms
 from matprox.metric_core import Circle, FlatTorus, Interval
 
@@ -518,6 +525,33 @@ def test_corollary_mode_violation_names_the_beta_rule(tmp_path, capsys):
         assert _rejected_field(argv, tmp_path / "out.json", capsys) == "beta_rule"
 
 
+@pytest.mark.parametrize(
+    "command,target,error,field",
+    [
+        ("approximate", "approximate_compact_space", CorollaryModeViolation, "beta_rule"),
+        ("approximate", "estimate_reach_lower", ScaleOverflowError, "generator"),
+        ("approximate", "approximate_compact_space", ConfigError, "n"),
+        ("converge", "convergence_experiment", ScaleUnderflowError, "generator"),
+        ("converge", "convergence_experiment", InputShapeError, "n_list"),
+        ("leibniz", "leibniz_suites", ScaleOverflowError, "ratios"),
+        ("leibniz", "leibniz_suites", ConfigError, "input"),
+        ("fixedpoint", "fixed_point_bridge", ConfigError, "p"),
+        ("fixedpoint", "fixed_point_bridge", InputShapeError, "input"),
+    ],
+)
+def test_a_library_error_names_the_first_fault_it_matches(tmp_path, capsys, monkeypatch, command, target, error,
+                                                          field):
+    # A command's faults in COMMANDS name the key; an error none of them
+    # matches is the input's as a whole.
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(f"matprox.cli.{target}", fail)
+    assert main([command, "--output", str(tmp_path / "out.json")]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": {"field": field, "message": "boom"}}
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # mk.
 # ---------------------------------------------------------------------------
@@ -561,6 +595,27 @@ def test_mk_command_recovers_ground_metric(tmp_path):
     results = read_json(out)["results"]
     assert results["max_gap_to_ground_metric"] <= 1e-9
     assert results["mk_p_q"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        {"dist": [[0, 1e200, 1e200], [1e200, 0, 1e200], [1e200, 1e200, 0]]},
+        {"points": (np.random.default_rng(1).normal(size=(6, 2)) * 1e-9).tolist()},
+    ],
+    ids=["dist-1e200", "points-1e-9"],
+)
+def test_mk_meets_the_ground_metric_far_from_unit_scale(tmp_path, space):
+    # The transport LP ran at the input's own scale: the first ended in a
+    # traceback ("transport LP failed: The problem is unbounded"), and the
+    # second exited 0 with Dirac entries off by up to 136% of a distance.
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space), encoding="utf-8")
+    out = tmp_path / "mk.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["mk", "--space", str(path), "--output", str(out)]) == 0
+    diameter = np.max(metric_core.space_from_dict(space).dist)
+    assert read_json(out)["results"]["max_gap_to_ground_metric"] <= acceptance.LOOSE * diameter
 
 
 def test_mk_rejects_non_metric_space(tmp_path, capsys):
@@ -1132,13 +1187,17 @@ _FIXEDPOINT_PAIR = ["fixedpoint", "--q", "4", "--count", "2"]
         ("{afile}/x.json", [["selftest"], _FIXEDPOINT_PAIR]),
         ("{tmp}/r.csv", [["converge", "--n-list", "4,8"]]),
         ("{tmp}/s.json", [["fixedpoint", "--sweep", "4"]]),
+        ("", [["selftest"], _FIXEDPOINT_PAIR]),
     ],
-    ids=["onto-dir", "under-file", "json-ending-csv", "csv-onto-dir"],
+    ids=["onto-dir", "under-file", "json-ending-csv", "csv-onto-dir", "empty"],
 )
 def test_an_unwritable_output_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch, target, runs):
     # selftest ran every criterion (about 12 s) and a fixedpoint run its
     # whole bridge before the output was found unwritable; so did a converge
     # run whose JSON ends in .csv and a sweep whose CSV path is a directory.
+    # An empty output was read as absent: selftest wrote nothing and the
+    # pair wrote ./fixedpoint.json, both exiting 0.
+    monkeypatch.chdir(tmp_path)
     ran = []
     monkeypatch.setattr(acceptance, "CRITERIA", [lambda: ran.append("criterion") or _fake_criterion_pass()])
     monkeypatch.setattr("matprox.cli.fixed_point_bridge", lambda *args, **kwargs: ran.append("bridge"))
@@ -1160,6 +1219,14 @@ def test_an_output_dir_that_is_a_file_names_the_output(tmp_path, capsys, monkeyp
     assert main(["approximate", "--n", "4"]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"]["field"] == "output"
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_an_empty_config_path_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch):
+    # It was read as absent: the run went ahead without a config and exited 0.
+    monkeypatch.setattr("matprox.cli.approximate_compact_space", lambda *args, **kwargs: pytest.fail("ran"))
+    assert main(["approximate", "--n", "4", "--config", "", "--output", str(tmp_path / "a.json")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]["field"] == "config"
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,9 @@ def test_every_rejected_config_exits_2_naming_its_field(tmp_path, monkeypatch):
         "rejected_space_not_utf8": "space",
         "rejected_labels_string": "space",
         "rejected_labels_numbers": "generator",
+        "rejected_output_empty": "output",
+        "rejected_config_empty": "config",
+        "rejected_selftest_output_empty": "output",
     }
     assert [name for name, _, _ in tool.REJECTED] == list(fields)
     for name, field in fields.items():

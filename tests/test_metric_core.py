@@ -16,6 +16,7 @@ from matprox import (
     mk_distance,
     space_from_dict,
 )
+from matprox.acceptance import LOOSE
 from matprox.errors import (
     ConfigError,
     DegenerateSpaceError,
@@ -242,6 +243,34 @@ def test_dirac_table_is_the_symmetric_table_of_pairwise_transport_distances():
     for i, j in zip(*np.triu_indices(5, k=1)):
         assert table[i, j] == mk_distance(space, eye[i], eye[j])
     assert np.max(np.abs(table - space.dist)) <= 1e-9
+
+
+# Powers of two far from one, and decimal scales near the float limits and
+# past 1e20, which the LP solver reads as infinite.
+_MK_SCALES = [2.0**-600, 2.0**-30, 2.0**30, 2.0**600, 1e-9, 1e-300, 1e19, 1e200]
+
+
+@pytest.mark.parametrize("scale", _MK_SCALES)
+def test_mk_dirac_table_is_the_ground_metric_at_any_scale(scale):
+    # At the input's own scale 1e200 ended in "transport LP failed: The
+    # problem is unbounded", and 1e-9 missed by up to 136% of a distance.
+    space = FiniteMetricSpace.from_points(np.random.default_rng(1).normal(size=(6, 2)) * scale)
+    table = dirac_distances(space)
+    assert np.max(np.abs(table - space.dist)) <= LOOSE * np.max(space.dist)
+
+
+@pytest.mark.parametrize("scale", _MK_SCALES)
+def test_mk_scales_with_the_cloud(scale):
+    rng = np.random.default_rng(4)
+    points = rng.normal(size=(7, 2))
+    p, q = (w / w.sum() for w in rng.uniform(0.05, 1.0, size=(2, 7)))
+    unit = mk_distance(FiniteMetricSpace.from_points(points), p, q)
+    scaled = mk_distance(FiniteMetricSpace.from_points(points * scale), p, q)
+    if math.frexp(scale)[0] == 0.5:
+        # A power of two scales every distance exactly, and so the LP's value.
+        assert scaled == unit * scale
+    else:
+        assert scaled == pytest.approx(unit * scale, rel=LOOSE, abs=0.0)
 
 
 def test_mk_uniform_vs_dirac_two_points():

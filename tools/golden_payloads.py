@@ -53,6 +53,11 @@ INPUTS = {
     "points.json": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.25], [0.2, 0.8]]},
     "space_dist.json": {"labels": ["a", "b", "c"], "dist": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]},
     "space_points.json": {"points": [[0, 0], [1, 0], [0, 1], [1, 2]]},
+    # The two spaces above, far from unit scale, where the transport LP must
+    # still meet the ground metric.
+    "space_points_tiny.json": {"points": [[0, 0], [1e-9, 0], [0, 1e-9], [1e-9, 2e-9]]},
+    "space_dist_huge.json": {"labels": ["a", "b", "c"], "dist": [[0, 1e200, 2e200], [1e200, 0, 1.5e200],
+                                                                 [2e200, 1.5e200, 0]]},
     # The shortest-path metric of the graph a-b, b-c, b-d, c-e, d-e.
     "cloud_dist.json": {"labels": ["a", "b", "c", "d", "e"],
                         "dist": [[0, 1, 2, 2, 3], [1, 0, 1, 1, 2], [2, 1, 0, 2, 1], [2, 1, 2, 0, 1], [3, 2, 1, 1, 0]]},
@@ -103,6 +108,10 @@ CONFIGS = [
     ("mk_flags", ["mk", "--space", "space_dist.json", "--p", "[0.5, 0.5, 0]", "--q", "[0, 0.25, 0.75]"], None),
     ("mk_config", ["mk"], {"space": "space_points.json", "p": [0.25, 0.25, 0.25, 0.25],
                            "q": [1, 0, 0, 0]}),
+    ("mk_points_tiny", ["mk", "--space", "space_points_tiny.json", "--p", "[0.25, 0.25, 0.25, 0.25]",
+                        "--q", "[1, 0, 0, 0]"], None),
+    ("mk_dist_huge", ["mk", "--space", "space_dist_huge.json", "--p", "[0.5, 0.5, 0]",
+                      "--q", "[0, 0.25, 0.75]"], None),
     ("fixedpoint_defaults", ["fixedpoint"], None),
     ("fixedpoint_flags", ["fixedpoint", "--q", "6", "--p", "5", "--h-generators", "[[3, 0]]",
                           "--k-generators", "[[1, 0]]", "--count", "8", "--seed", "2"], None),
@@ -140,6 +149,10 @@ REJECTED = [
     ("rejected_labels_string", ["mk", "--space", "space_labels_string.json"], None),
     ("rejected_labels_numbers", ["approximate", "--generator", "cloud:cloud_labels_numbers.json", "--n", "2"],
      None),
+    # An empty path names no file, so it is refused rather than read as absent.
+    ("rejected_output_empty", ["approximate", "--n", "4", "--output", ""], None),
+    ("rejected_config_empty", ["approximate", "--n", "4", "--config", ""], None),
+    ("rejected_selftest_output_empty", ["selftest", "--output", ""], None),
 ]
 
 
