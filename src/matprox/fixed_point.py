@@ -41,7 +41,7 @@ from .errors import (
     InputShapeError,
 )
 from . import metric_core
-from .matrix_algebra import hermitian_from_parts, hermitian_part, operator_norms
+from .matrix_algebra import hermitian_from_parts, hermitian_part, matrix_stack, operator_norms
 from .metric_core import (
     FiniteMetricSpace,
     blocks,
@@ -109,22 +109,12 @@ class FuzzyTorus:
     def to_coefficients(self, a: np.ndarray) -> np.ndarray:
         """Expand a matrix, or a (..., q, q) stack, over the monomial basis;
         c[..., m, n] multiplies U^m V^n."""
-        mat = np.asarray(a, dtype=complex)
-        if mat.ndim < 2 or mat.shape[-2:] != (self.q, self.q):
-            raise InputShapeError(
-                f"element has shape {mat.shape}, torus dimension is {self.q}"
-            )
-        diag_offsets = mat[..., self._row_grid, self._gather_cols]
+        diag_offsets = matrix_stack(a, self.q)[..., self._row_grid, self._gather_cols]
         return (self._char.conj().T @ diag_offsets) / self.q
 
     def from_coefficients(self, c: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_coefficients`, for one grid or a stack."""
-        coeff = np.asarray(c, dtype=complex)
-        if coeff.ndim < 2 or coeff.shape[-2:] != (self.q, self.q):
-            raise InputShapeError(
-                f"coefficients have shape {coeff.shape}, expected (..., {self.q}, {self.q})"
-            )
-        diag_offsets = self._char @ coeff
+        diag_offsets = self._char @ matrix_stack(c, self.q)
         mat = np.zeros(diag_offsets.shape, dtype=complex)
         mat[..., self._row_grid, self._gather_cols] = diag_offsets
         return mat
@@ -142,11 +132,7 @@ class FuzzyTorus:
         one group element per matrix.
         """
         q = self.q
-        mat = np.asarray(a, dtype=complex)
-        if mat.ndim not in (2, 3) or mat.shape[-2:] != (q, q):
-            raise InputShapeError(
-                f"element has shape {mat.shape}, torus dimension is {q}"
-            )
+        mat = matrix_stack(a, q, axes=3 if np.ndim(a) > 2 else 2)
         flat = mat.reshape(-1, q * q)
         j, k = (np.broadcast_to(x, len(flat)) for x in g)
         gather = self._shift_gather[(self._p_inv * j) % q]
@@ -238,13 +224,13 @@ class TorusSubgroup:
     """A subgroup H of Z_q x Z_q as its triangular basis (a, 0), (s, b), with
     a | q, b | q, 0 <= s < a and a | s q / b.  b spans H's projection to the
     second factor and a its part in the first, so each H has exactly one
-    basis.  ``generators`` is what the caller gave, echoed in reports."""
+    basis, and two subgroups are equal, and hash equal, exactly when they
+    are the same set, however they were given."""
 
     q: int
     a: int
     s: int
     b: int
-    generators: tuple[GroupElement, ...] = ()
 
     def __post_init__(self) -> None:
         q, a, s, b = self.q, self.a, self.s, self.b
@@ -270,27 +256,27 @@ class TorusSubgroup:
 
     @classmethod
     def trivial(cls, q: int) -> "TorusSubgroup":
-        return cls(q, q, 0, q, ((0, 0),))
+        return cls(q, q, 0, q)
 
     @classmethod
     def full(cls, q: int) -> "TorusSubgroup":
-        return cls(q, 1, 0, 1, ((1, 0), (0, 1)))
+        return cls(q, 1, 0, 1)
 
     @classmethod
     def from_generators(cls, q: int, *gens: GroupElement) -> "TorusSubgroup":
         """(a, 0), (s, b) is the Hermite basis of the lattice L = q Z^2 + span(gens).
         A generator (j, k) folds in by one extended-gcd step: with g = gcd(b, k)
         = u b + v k, (s, b) and (j, k) span the lattice of (u s + v j, g) and
-        ((k s - b j) / g, 0).  The new a divides s q / g because L holds (0, q)."""
-        norm = tuple((int(j) % q, int(k) % q) for j, k in gens)
+        ((k s - b j) / g, 0).  The new a divides s q / g because L holds (0, q).
+        With no generators, L = q Z^2 gives the trivial subgroup."""
         a, s, b = q, 0, q
-        for j, k in norm:
+        for j, k in ((int(j) % q, int(k) % q) for j, k in gens):
             g = math.gcd(b, k)
             v = pow(k // g, -1, b // g)
             u = (g - v * k) // b
             a = math.gcd(a, (k * s - b * j) // g)
             s, b = (u * s + v * j) % a, g
-        return cls(q, a, s, b, norm)
+        return cls(q, a, s, b)
 
     @classmethod
     def cyclic_first_factor(cls, q: int, m: int) -> "TorusSubgroup":
@@ -313,7 +299,7 @@ def enumerate_subgroups(q: int) -> list[TorusSubgroup]:
     if q > 24:
         raise ConfigError("subgroup enumeration is desk scale only (q <= 24)")
     subgroups = [
-        TorusSubgroup(q, a, s, b, ((a % q, 0), (s, b % q)))
+        TorusSubgroup(q, a, s, b)
         for a in _divisors(q)
         for b in _divisors(q)
         for s in range(0, a, a // math.gcd(a, q // b))
@@ -474,11 +460,7 @@ def action_lip_seminorms(
     keeps its bits, and the margins hold for every element whose largest
     entry modulus is a finite nonzero float.
     """
-    s = np.asarray(stack, dtype=complex)
-    if s.ndim != 3 or s.shape[1:] != (torus.q, torus.q):
-        raise InputShapeError(
-            f"stack has shape {s.shape}, expected (count, {torus.q}, {torus.q})"
-        )
+    s = matrix_stack(stack, torus.q, axes=3)
     if ell.q != torus.q:
         raise InputShapeError("length function and torus orders differ")
     _, scale = np.frexp(np.abs(s).max(axis=(1, 2), initial=0.0))

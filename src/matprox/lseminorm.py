@@ -25,12 +25,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     CorollaryModeViolation,
-    InputShapeError,
     ScaleOverflowError,
     ScaleUnderflowError,
 )
 from .matrix_algebra import (
     jordan_lie,
+    matrix_stack,
     operator_norm,
     operator_norms,
     random_hermitian,
@@ -117,11 +117,7 @@ def l_seminorms(pair: ApproximationPair, stack: np.ndarray) -> np.ndarray:
     up to 2^-1075 absolute, not relative.  An underflow of R m / beta keeps
     the screen exact, as rounding is monotone.
     """
-    s = np.asarray(stack, dtype=complex)
-    if s.ndim != 3 or s.shape[1:] != (pair.dim, pair.dim):
-        raise InputShapeError(
-            f"stack has shape {s.shape}, expected (count, {pair.dim}, {pair.dim})"
-        )
+    s = matrix_stack(stack, pair.dim, axes=3)
     n = pair.dim
     lips = lipschitz_seminorms(pair.space, np.diagonal(s, axis1=1, axis2=2).real)
     off = s.copy()

@@ -18,16 +18,22 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def _as_square(a: np.ndarray) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputShapeError(f"expected a square matrix, got shape {m.shape}")
-    return m
+def matrix_stack(a: np.ndarray, order: int | None = None, axes: int | None = None) -> np.ndarray:
+    """``a`` as a complex (..., n, n) stack of square matrices, with n equal
+    to ``order`` and exactly ``axes`` axes where they are given, else an
+    ``InputShapeError`` naming the expected and the actual shape."""
+    s = np.asarray(a, dtype=complex)
+    square = s.shape[-1:] * 2 if order is None else (order, order)
+    if s.ndim < 2 or s.shape[-2:] != square or axes not in (None, s.ndim):
+        lead = "..., " if axes is None else "count, " * (axes - 2)
+        size = "n" if order is None else order
+        raise InputShapeError(f"expected shape ({lead}{size}, {size}), got {s.shape}")
+    return s
 
 
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value of one square matrix, by :func:`operator_norms`."""
-    return float(operator_norms(_as_square(a)))
+    return float(operator_norms(matrix_stack(a, axes=2)))
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
@@ -43,9 +49,7 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     their (E_H - E_K) u images.  Every other stack, including one that is
     self-adjoint only up to rounding, takes the SVD.
     """
-    s = np.asarray(stack, dtype=complex)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise InputShapeError(f"expected a stack of square matrices, got {s.shape}")
+    s = matrix_stack(stack)
     if _bitwise_self_adjoint(s):
         return _eigenvalue_norms(s)
     return np.linalg.svd(s, compute_uv=False)[..., 0]
@@ -76,7 +80,7 @@ def jordan_lie(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_state(a: np.ndarray) -> complex:
     """The normalized trace, i.e. the unique tracial state of the algebra."""
-    m = _as_square(a)
+    m = matrix_stack(a, axes=2)
     return complex(np.trace(m)) / m.shape[0]
 
 
@@ -88,9 +92,7 @@ def pinch(a: np.ndarray) -> np.ndarray:
     diagonal subalgebra: it is idempotent, unital, positive, contractive and
     a bimodule map over diagonal matrices.
     """
-    s = np.asarray(a, dtype=complex)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise InputShapeError(f"expected a square matrix or a stack of them, got shape {s.shape}")
+    s = matrix_stack(a)
     out = np.zeros_like(s)
     rows = np.arange(s.shape[-1])
     out[..., rows, rows] = s[..., rows, rows]

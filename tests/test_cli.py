@@ -395,6 +395,25 @@ def test_cloud_generator_runs_on_a_points_file(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["approximate", "converge"])
+@pytest.mark.parametrize("size", [1000, 1001])
+def test_cloud_files_are_capped_at_1000_points(tmp_path, capsys, monkeypatch, command, size):
+    # A 6,000-point file ran out of memory in the n x n distance temporaries
+    # and ended in a traceback; the cap is checked before any is built.
+    def reached(payload):
+        raise ConfigError("reached the space builder")
+
+    monkeypatch.setattr("matprox.cli.space_from_dict", reached)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [[i, 0] for i in range(size)]}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    assert main([command, "--generator", f"cloud:{points}", "--output", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert not out.exists()
+    built = "reached the space builder" if size == 1000 else "space has 1001 points, at most 1000 are allowed"
+    assert (error["field"], error["message"]) == ("generator", built)
+
+
+@pytest.mark.parametrize("command", ["approximate", "converge"])
 def test_a_cloud_is_validated_once(tmp_path, monkeypatch, command):
     # The parsed cloud file is the space its nets are taken from: the O(N^3)
     # metric check runs once on the full cloud, not once more per net.
@@ -784,6 +803,24 @@ def test_fixedpoint_report(tmp_path):
     assert results["gap_sampled"] > 0.0
     assert results["reach_report"]["certified"] is False
     assert results["haus_ell"] > 0.0
+
+
+def test_fixedpoint_echoes_the_generators_as_given_mod_q(tmp_path):
+    # A subgroup is its basis alone, so the echo comes from the checked keys;
+    # no generators echo the identity, as the trivial subgroup always has.
+    rng = np.random.default_rng(11)
+    out = tmp_path / "fp.json"
+    for _ in range(8):
+        q = int(rng.integers(2, 17))
+        given = {key: [rng.integers(-3 * q, 3 * q, size=2).tolist() for _ in range(rng.integers(0, 4))]
+                 for key in ("H_generators", "K_generators")}
+        argv = ["fixedpoint", "--q", str(q), "--h-generators", json.dumps(given["H_generators"]),
+                "--k-generators", json.dumps(given["K_generators"]), "--count", "1", "--output", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        results = read_json(out)["results"]
+        for key, gens in given.items():
+            assert results[key] == ([[j % q, k % q] for j, k in gens] or [[0, 0]]), (q, key, gens)
 
 
 def test_fixedpoint_rejects_bad_twist(tmp_path, capsys):
@@ -1219,6 +1256,16 @@ def test_an_output_dir_that_is_a_file_names_the_output(tmp_path, capsys, monkeyp
     assert main(["approximate", "--n", "4"]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"]["field"] == "output"
     assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def test_an_empty_output_dir_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch):
+    # Path("") is ".", so the run wrote ./approximate.json and exited 0.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MATPROX_OUTPUT_DIR", "")
+    monkeypatch.setattr("matprox.cli.approximate_compact_space", lambda *args, **kwargs: pytest.fail("ran"))
+    assert main(["approximate", "--n", "4"]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]["field"] == "output"
+    assert not any(tmp_path.iterdir())
 
 
 def test_an_empty_config_path_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch):

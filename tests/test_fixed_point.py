@@ -634,8 +634,31 @@ def test_random_generator_lists_span_the_bfs_closure():
         gens = [tuple(rng.integers(-3 * q, 3 * q, size=2).tolist()) for _ in range(rng.integers(0, 5))]
         h = TorusSubgroup.from_generators(q, *gens)
         assert h.elements == subgroup_closure(q, gens)
-        assert h.generators == tuple((j % q, k % q) for j, k in gens)
         _assert_triangular_basis(h)
+
+
+def test_a_subgroup_equals_itself_however_it_is_generated():
+    # Equality read the generators as given, so these three were False.
+    assert TorusSubgroup.from_generators(12, (1, 1)) == TorusSubgroup.from_generators(12, (1, 1), (6, 6))
+    assert TorusSubgroup.from_generators(12, (0, 1), (1, 0)) in enumerate_subgroups(12)
+    assert TorusSubgroup.trivial(12) == TorusSubgroup.from_generators(12)
+    rng = np.random.default_rng(29)
+    for q in range(2, 9):
+        subgroups = enumerate_subgroups(q)
+        for h in subgroups:
+            elements = h.element_array()
+            basis = np.array([[h.a, 0], [h.s, h.b]])
+            for _ in range(4):
+                # A unimodular change of the basis, a few more elements of H,
+                # shuffled, each moved by multiples of q.
+                change = np.eye(2, dtype=int)
+                for i in rng.integers(0, 2, size=3):
+                    change[i] += int(rng.integers(-3, 4)) * change[1 - i]
+                extra = elements[rng.integers(0, len(elements), size=rng.integers(0, 4))]
+                gens = np.concatenate([change @ basis, extra])[rng.permutation(2 + len(extra))]
+                gens += q * rng.integers(-3, 4, size=gens.shape)
+                g = TorusSubgroup.from_generators(q, *map(tuple, gens.tolist()))
+                assert g == h and hash(g) == hash(h) and g in subgroups, (q, gens.tolist())
 
 
 def test_enumeration_yields_each_subgroup_once():

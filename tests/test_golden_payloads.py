@@ -105,25 +105,7 @@ def test_every_rejected_config_exits_2_naming_its_field(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     tool.write_inputs()
     tool.write_rejections(main)
-    fields = {
-        "rejected_n_65": "n",
-        "rejected_h_generators_object": "h_generators",
-        "rejected_n_list_strings": "n_list",
-        "rejected_n_arabic_digits": "n",
-        "rejected_ratios_underscore": "ratios",
-        "rejected_output_onto_dir": "output",
-        "rejected_output_under_file": "output",
-        "rejected_csv_onto_dir": "output",
-        "rejected_output_csv": "output",
-        "rejected_space_not_utf8": "space",
-        "rejected_labels_string": "space",
-        "rejected_labels_numbers": "generator",
-        "rejected_output_empty": "output",
-        "rejected_config_empty": "config",
-        "rejected_selftest_output_empty": "output",
-    }
-    assert [name for name, _, _ in tool.REJECTED] == list(fields)
-    for name, field in fields.items():
+    for name, _, _, field in tool.REJECTED:
         record = json.loads((tmp_path / f"{name}.error.json").read_text(encoding="utf-8"))
         assert (record["exit_code"], record["exception"], record["error"]["field"]) == (2, None, field), name
     # Nothing was written for any of them, not even a temp file.

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from matprox import (
+    ApproximationPair,
+    FuzzyTorus,
+    LengthFunction,
+    action_lip_seminorms,
     identity,
+    l_seminorms,
+    min_separation,
     operator_norm,
     operator_norms,
     pinch,
@@ -14,6 +22,7 @@ from matprox import (
 )
 from matprox.errors import InputShapeError
 from matprox.matrix_algebra import _gaussian_hermitian, hermitian_part, jordan_lie, random_hermitian_stack
+from matprox.metric_core import random_cloud_space
 from matprox.oracles import power_iteration_norm
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,6 +110,60 @@ def test_single_norm_rejects_non_square_input():
     for shape in [(2, 3), (4,), (2, 2, 2)]:
         with pytest.raises(InputShapeError):
             operator_norm(np.ones(shape, dtype=complex))
+
+
+def _stack_entries() -> dict:
+    """Every entry point whose matrix stack ``matrix_algebra.matrix_stack``
+    checks, at order 4 where the order is fixed."""
+    torus = FuzzyTorus(4, 1)
+    space = random_cloud_space(np.random.default_rng(0), 4)
+    pair = ApproximationPair(space, min_separation(space))
+    return {
+        "operator_norm": operator_norm,
+        "trace_state": trace_state,
+        "operator_norms": operator_norms,
+        "pinch": pinch,
+        "to_coefficients": torus.to_coefficients,
+        "from_coefficients": torus.from_coefficients,
+        "dual_action": lambda a: torus.dual_action((1, 1), a),
+        "action_lip_seminorms": lambda a: action_lip_seminorms(torus, LengthFunction.max_arc(4), a),
+        "l_seminorms": lambda a: l_seminorms(pair, a),
+    }
+
+
+# (entry, a shape it takes, whether its order is fixed, the axis counts it
+# takes or None for any from 2 up).
+_STACK_SHAPES = [
+    ("operator_norm", (4, 4), False, {2}),
+    ("trace_state", (4, 4), False, {2}),
+    ("operator_norms", (2, 4, 4), False, None),
+    ("pinch", (2, 4, 4), False, None),
+    ("to_coefficients", (2, 4, 4), True, None),
+    ("from_coefficients", (2, 4, 4), True, None),
+    ("dual_action", (2, 4, 4), True, {2, 3}),
+    ("action_lip_seminorms", (2, 4, 4), True, {3}),
+    ("l_seminorms", (2, 4, 4), True, {3}),
+]
+_BAD_STACKS = [
+    (entry, case, bad)
+    for entry, good, fixed_order, axes in _STACK_SHAPES
+    for case, bad in [
+        ("non-square", good[:-1] + (5,)),
+        ("too few axes", (4,)),
+        *([("missing axis", good[1:])] if axes and len(good) - 1 not in axes | {1} else []),
+        *([("wrong order", good[:-2] + (3, 3))] if fixed_order else []),
+        *([("extra axis", (2,) + good)] if axes else []),
+    ]
+]
+
+
+@pytest.mark.parametrize("entry,case,shape", _BAD_STACKS, ids=[f"{e}-{c}" for e, c, _ in _BAD_STACKS])
+def test_every_stack_entry_refuses_a_wrong_shape_naming_it(entry, case, shape):
+    run = _stack_entries()[entry]
+    good = next(g for e, g, _, _ in _STACK_SHAPES if e == entry)
+    run(np.zeros(good))
+    with pytest.raises(InputShapeError, match=r"expected shape \(.*\), got " + re.escape(str(shape))):
+        run(np.zeros(shape))
 
 
 def test_operator_norms_batches_match_single_calls():

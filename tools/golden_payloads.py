@@ -63,6 +63,8 @@ INPUTS = {
                         "dist": [[0, 1, 2, 2, 3], [1, 0, 1, 1, 2], [2, 1, 0, 2, 1], [2, 1, 2, 0, 1], [3, 2, 1, 1, 0]]},
     "space_labels_string.json": {"labels": "abc", "dist": [[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]]},
     "cloud_labels_numbers.json": {"labels": [1, 2, 3], "points": [[0, 0], [1, 0], [0, 1]]},
+    # 1001 points on a line, one more than a cloud: file may hold.
+    "cloud_over_cap.json": {"points": [[i, 0] for i in range(1001)]},
 }
 # Written as bytes: a space file that is not UTF-8.
 NOT_UTF8 = "space_not_utf8.json"
@@ -129,30 +131,36 @@ CONFIGS = [
                        "--k-generators", "[[0, 3]]", "--count", "8"], None),
 ]
 
-# Configs the CLI should refuse, in the same form, each run with
+# Configs the CLI should refuse, as (name, argv, config file contents or
+# None, the field its error must name), each run with
 # ``--output rejected/<name>.json`` unless its argv names an output of its
 # own.  ``rejected/`` is a directory and ``rejected/csv_onto_dir.csv`` is one
 # too, so the output configs write onto a directory, into a regular file's
 # "directory", a CSV onto a directory, and a CSV over its own JSON.
 REJECTED = [
-    ("rejected_n_65", ["approximate", "--n", "65"], None),
-    ("rejected_h_generators_object", ["fixedpoint", "--h-generators", "{}"], None),
-    ("rejected_n_list_strings", ["converge"], {"n_list": ["4", "8"]}),
-    ("rejected_n_arabic_digits", ["approximate", "--n", "\u0661\u0666"], None),
-    ("rejected_ratios_underscore", ["leibniz", "--ratios", "1_0", "--pairs", "2"], None),
-    ("rejected_output_onto_dir", ["fixedpoint", "--q", "4", "--count", "2", "--output", "rejected"], None),
+    ("rejected_n_65", ["approximate", "--n", "65"], None, "n"),
+    ("rejected_h_generators_object", ["fixedpoint", "--h-generators", "{}"], None, "h_generators"),
+    ("rejected_n_list_strings", ["converge"], {"n_list": ["4", "8"]}, "n_list"),
+    ("rejected_n_arabic_digits", ["approximate", "--n", "\u0661\u0666"], None, "n"),
+    ("rejected_ratios_underscore", ["leibniz", "--ratios", "1_0", "--pairs", "2"], None, "ratios"),
+    ("rejected_output_onto_dir", ["fixedpoint", "--q", "4", "--count", "2", "--output", "rejected"], None,
+     "output"),
     ("rejected_output_under_file", ["fixedpoint", "--q", "4", "--count", "2", "--output", "points.json/x.json"],
-     None),
-    ("rejected_csv_onto_dir", ["converge", "--n-list", "4,8", "--output", "rejected/csv_onto_dir.json"], None),
-    ("rejected_output_csv", ["converge", "--n-list", "4,8", "--output", "rejected/r.csv"], None),
-    ("rejected_space_not_utf8", ["mk", "--space", NOT_UTF8], None),
-    ("rejected_labels_string", ["mk", "--space", "space_labels_string.json"], None),
+     None, "output"),
+    ("rejected_csv_onto_dir", ["converge", "--n-list", "4,8", "--output", "rejected/csv_onto_dir.json"], None,
+     "output"),
+    ("rejected_output_csv", ["converge", "--n-list", "4,8", "--output", "rejected/r.csv"], None, "output"),
+    ("rejected_space_not_utf8", ["mk", "--space", NOT_UTF8], None, "space"),
+    ("rejected_labels_string", ["mk", "--space", "space_labels_string.json"], None, "space"),
     ("rejected_labels_numbers", ["approximate", "--generator", "cloud:cloud_labels_numbers.json", "--n", "2"],
-     None),
+     None, "generator"),
     # An empty path names no file, so it is refused rather than read as absent.
-    ("rejected_output_empty", ["approximate", "--n", "4", "--output", ""], None),
-    ("rejected_config_empty", ["approximate", "--n", "4", "--config", ""], None),
-    ("rejected_selftest_output_empty", ["selftest", "--output", ""], None),
+    ("rejected_output_empty", ["approximate", "--n", "4", "--output", ""], None, "output"),
+    ("rejected_config_empty", ["approximate", "--n", "4", "--config", ""], None, "config"),
+    ("rejected_selftest_output_empty", ["selftest", "--output", ""], None, "output"),
+    # One point over the cloud cap, refused before any n x n array is built.
+    ("rejected_cloud_over_cap", ["approximate", "--generator", "cloud:cloud_over_cap.json", "--n", "3"], None,
+     "generator"),
 ]
 
 
@@ -192,7 +200,7 @@ def rejection(main, argv: list[str]) -> dict:
 def write_rejections(main) -> None:
     """Run every config of ``REJECTED`` in the working directory and write
     its ``<name>.error.json``."""
-    for name, argv, config in REJECTED:
+    for name, argv, config, _ in REJECTED:
         argv = _with_config(name, argv, config)
         if "--output" not in argv:
             argv = argv + ["--output", f"rejected/{name}.json"]
