@@ -20,7 +20,6 @@ from .bridge import (
     estimate_reach_lower,
 )
 from .errors import (
-    ActionNotIsometricError,
     ConfigError,
     CorollaryModeViolation,
     DegenerateSpaceError,
@@ -32,18 +31,16 @@ from .errors import (
 )
 from .fixed_point import (
     AveragingExpectation,
-    CommutativeFixedPointReport,
     FixedPointBridgeReport,
     FuzzyTorus,
     LengthFunction,
     TorusSubgroup,
     action_lip_seminorms,
-    commutative_fixed_point_check,
-    cyclic_rotation_group,
     enumerate_subgroups,
     expectation_gap,
     fixed_point_bridge,
     fixed_point_sweep,
+    mean_distance,
     subgroup_hausdorff,
 )
 from .lseminorm import (

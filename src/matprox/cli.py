@@ -205,10 +205,11 @@ def _boolean(value, field: str) -> bool:
     return value
 
 
-def _numbers(kind: type, rule: Callable[[list], Any], message: str, maximum: int | None = None) -> _Check:
+def _numbers(kind: type, rule: Callable[[list], Any], message: str, maximum: int | None = None,
+             length: int | None = None) -> _Check:
     """Finite ints or floats, from a JSON array of JSON numbers or a comma-
-    separated string, that satisfy ``rule`` (else ``message``) and are at
-    most ``maximum``."""
+    separated string, at most ``length`` of them, that satisfy ``rule``
+    (else ``message``) and are at most ``maximum``."""
 
     def check(raw, field: str) -> list:
         if isinstance(raw, str):
@@ -217,6 +218,8 @@ def _numbers(kind: type, rule: Callable[[list], Any], message: str, maximum: int
             items = raw
         else:
             raise ValidationFailure(field, f"{field} must be a list, got {raw!r}")
+        if length is not None:
+            _check_length(items, length, field)
         accepted = (int, float) if kind is float else (int,)
         values = []
         for item in items:
@@ -236,6 +239,11 @@ def _optional(check: _Check) -> _Check:
     return lambda value, field: None if value is None else check(value, field)
 
 
+def _check_length(items: list, length: int, field: str) -> None:
+    if len(items) > length:
+        raise ValidationFailure(field, f"{field} takes at most {length} entries, got {len(items)}")
+
+
 def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
     if raw is None:
         return []
@@ -245,6 +253,7 @@ def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
         if isinstance(raw, list):
             pairs = [(j, k) for j, k in raw]
             if all(type(x) is int for pair in pairs for x in pair):
+                _check_length(pairs, _MAX_LIST, field)
                 return pairs
     except (TypeError, ValueError):
         pass
@@ -605,6 +614,10 @@ class _Command:
 _MAX_DIM = 64
 _MAX_SAMPLES = 256
 _MAX_PAIRS = 1000
+# Entries of each sizes, ratios, sweep and generator list: 64 leibniz suites
+# at size 64 of 1000 pairs take about 215 s and 339 MiB, and a sweep of 8
+# orders 64 at count 256 about 28 s and 220 MiB (2-vCPU box).
+_MAX_LIST = 8
 # A cloud: file is read whole, with an O(n^3) triangle check: 1000 points
 # take about 2.1 s and 163 MiB for approximate --n 3 (2-vCPU box).
 _MAX_CLOUD = 1000
@@ -646,9 +659,9 @@ COMMANDS = {
     ), lambda v: _Files("converge", "rows"), (*_NET_FAULTS, ((MatproxError,), "n_list"))),
     "leibniz": _Command("residual suite for the product inequality", _leibniz, (
         _Key("sizes", [2, 3, 4, 5, 6, 7, 8], _numbers(int, lambda xs: xs and min(xs) >= 2,
-             "sizes needs one or more entries, each at least 2", _MAX_DIM), "comma-separated matrix sizes", _as_checked),
+             "sizes needs one or more entries, each at least 2", _MAX_DIM, _MAX_LIST), "comma-separated matrix sizes", _as_checked),
         _Key("ratios", [1.0, 3.0], _numbers(float, lambda xs: xs and min(xs) > 0.0,
-             "ratios needs one or more entries, each positive"), "comma-separated beta/delta ratios", _as_checked),
+             "ratios needs one or more entries, each positive", length=_MAX_LIST), "comma-separated beta/delta ratios", _as_checked),
         _Key("pairs", 500, _integer(1, _MAX_PAIRS), "random element pairs per suite"),
         _SEED,
         _Key("include_raw", True, _boolean),
@@ -665,7 +678,7 @@ COMMANDS = {
         _SEED,
         _Key("count", 48, _integer(1, _MAX_SAMPLES), "random elements per sample"),
         _Key("sweep", None, _optional(_numbers(int, lambda xs: xs and min(xs) >= 2,
-             "sweep needs one or more orders, each at least 2", _MAX_DIM)),
+             "sweep needs one or more orders, each at least 2", _MAX_DIM, _MAX_LIST)),
              "comma-separated torus orders for the gap sweep", _as_checked),
         *_SINGLE_PAIR,
     ), lambda v: _Files("fixedpoint") if v["sweep"] is None else _Files("fixedpoint_sweep", "sweep_rows"),

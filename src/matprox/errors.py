@@ -36,7 +36,3 @@ class ScaleOverflowError(ConfigError):
 class CorollaryModeViolation(MatproxError):
     """A tolerance beta exceeds the minimum separation while the pair is
     flagged for the beta/delta <= 1 regime (the one with Leibniz constant 2)."""
-
-
-class ActionNotIsometricError(MatproxError):
-    """A permutation supplied as a symmetry does not preserve the distance matrix."""

@@ -12,9 +12,10 @@ an element under the nontrivial group elements, relative to a length
 function), the subgroup lattice of Z_q x Z_q with its Hausdorff geometry,
 Haar-averaging conditional expectations onto fixed-point subalgebras (exact
 finite averages, implemented as coefficient masks), sampled expectation
-gaps between two subgroups, bridge-style reach reports, and a fully
-commutative cross-check where the same averaging story runs on functions
-over a finite metric space acted on by isometric permutations.
+gaps between two subgroups, bridge-style reach reports, and the mean
+distance m(H->K) of :func:`mean_distance`, which is the exact reach of
+averaging over K on the functions fixed by H, the commutative form of the
+same averaging story.
 
 Everything is a finite-group specialization: the acting group is the
 q-torsion subgroup of the 2-torus, Haar integrals are uniform averages, and
@@ -23,7 +24,7 @@ those act on the algebra, since a root of unity relation pins the acting
 parameters).  The fuzzy-torus values over unit balls are sampled and
 labeled so: the gap is a lower bound, and each reach direction a largest
 witness value, which bounds its own sample's distance to the other fixed
-algebra from above.  The commutative reach is exact, in closed form.
+algebra from above.  The mean distance is exact, in closed form.
 """
 
 from __future__ import annotations
@@ -35,17 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ActionNotIsometricError,
-    ConfigError,
-    InputShapeError,
-)
+from .errors import ConfigError, InputShapeError
 from . import metric_core
 from .matrix_algebra import hermitian_from_parts, hermitian_part, matrix_stack, operator_norms
-from .metric_core import (
-    FiniteMetricSpace,
-    blocks,
-)
+from .metric_core import blocks
 
 GroupElement = tuple[int, int]
 
@@ -325,6 +319,26 @@ def subgroup_hausdorff(
         raise InputShapeError("subgroups and length function must share one ambient group")
     return float(max(_distances_to(ell, h, k.element_array()).max(),
                      _distances_to(ell, k, h.element_array()).max()))
+
+
+def mean_distance(ell: LengthFunction, h: TorusSubgroup, k: TorusSubgroup) -> float:
+    """m(H->K) = mean over k in K of min over h in H of length(k - h): the
+    exact reach of averaging over K on the functions fixed by H.
+
+    Let d(x, y) = min over h in H of length(y - x - h), the invariant metric
+    of Z_q^2 / H, and E f(x) = mean_{k in K} f(x + k).  For f fixed by H and
+    1-Lipschitz for d, |f(x) - E f(x)| = |mean_k (f(x) - f(x + k))| <=
+    mean_k d(x, x + k) = m(H->K) at every x.  And f = d(0, .) is fixed by H
+    and 1-Lipschitz, with f(0) = 0 and E f(0) = mean_k d(0, k) = m(H->K), so
+    it attains the bound at x = 0.  With H trivial and K the rotations of
+    order |K| of a circle net, this is the orbit-averaging reach of the
+    net: the mean distance from a point to its orbit.  In floats the mean
+    of |K| lengths is within about |K| ulps of its exact value; the sampled
+    counterpart is ``oracles.sampled_orbit_reach``.  Never above
+    :func:`subgroup_hausdorff`, a maximum of the same minima."""
+    if h.q != k.q or h.q != ell.q:
+        raise InputShapeError("subgroups and length function must share one ambient group")
+    return float(_distances_to(ell, h, k.element_array()).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -779,114 +793,3 @@ def fixed_point_sweep(
                 }
             )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Commutative cross-check: permutation actions on functions over a space.
-# ---------------------------------------------------------------------------
-
-
-def cyclic_rotation_group(n: int) -> list[tuple[int, ...]]:
-    """The rotations of an n-point cycle as permutation tuples."""
-    return [tuple((i + k) % n for i in range(n)) for k in range(n)]
-
-
-def _check_permutation_group(
-    space: FiniteMetricSpace, perms: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    n = space.n_points
-    normalized = []
-    for sigma in perms:
-        tup = tuple(int(x) for x in sigma)
-        if sorted(tup) != list(range(n)):
-            raise ConfigError(f"{tup} is not a permutation of {n} points")
-        permuted = space.dist[np.ix_(tup, tup)]
-        if not np.array_equal(permuted, space.dist):
-            raise ActionNotIsometricError(
-                f"permutation {tup} does not preserve the distance matrix"
-            )
-        normalized.append(tup)
-    group = set(normalized)
-    if tuple(range(n)) not in group:
-        raise ConfigError("a permutation group must contain the identity")
-    for s in group:
-        for t in group:
-            if tuple(s[t[i]] for i in range(n)) not in group:
-                raise ConfigError("permutation set is not closed under composition")
-    return normalized
-
-
-def _orbits(perms: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Orbits of a validated permutation group, ordered by least point: the
-    group is closed, so the orbit of x is just its images."""
-    return sorted({tuple(sorted({sigma[x] for sigma in perms})) for x in range(n)})
-
-
-def _quotient_space(
-    space: FiniteMetricSpace, orbits: Sequence[tuple[int, ...]]
-) -> FiniteMetricSpace:
-    k = len(orbits)
-    d0 = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            block = space.dist[np.ix_(orbits[i], orbits[j])]
-            d0[i, j] = d0[j, i] = float(np.min(block))
-    # Min-pairwise distances need not satisfy the triangle inequality;
-    # the shortest-path closure is the actual quotient metric.
-    closed = d0.copy()
-    for via in range(k):
-        closed = np.minimum(closed, closed[:, via, None] + closed[None, via, :])
-    labels = tuple("O" + "_".join(str(x) for x in orbit) for orbit in orbits)
-    return FiniteMetricSpace(labels, closed)
-
-
-@dataclass(frozen=True)
-class CommutativeFixedPointReport:
-    orbits: tuple[tuple[int, ...], ...]
-    fixed_dimension: int
-    quotient: FiniteMetricSpace
-    reach: float
-    reach_point: int
-
-
-def commutative_fixed_point_check(
-    space: FiniteMetricSpace,
-    group: Sequence[Sequence[int]],
-    subgroup: Sequence[Sequence[int]],
-) -> CommutativeFixedPointReport:
-    """Orbit-averaging expectation on functions, with its exact reach.
-
-    The fixed algebra of a subgroup G of isometric permutations is the
-    functions constant on its orbits, i.e. the functions on the quotient
-    space (min-pairwise orbit distances closed under shortest paths).  The
-    expectation E averages over G: E f(x) = mean_{s in G} f(s x), which is
-    the uniform mean of f over the orbit O(x), since each point of O(x) is
-    s x for the same number of s.
-
-    ``reach`` is the largest sup gap ||f - E f|| over the 1-Lipschitz f,
-    exactly max_x mean_{y in O(x)} d(x, y), attained at ``reach_point``.
-    Proof: |f(x) - E f(x)| = |mean_s (f(x) - f(s x))| <= mean_s d(x, s x)
-    = mean_{y in O(x)} d(x, y); and f = d(x, .) is 1-Lipschitz with
-    f(x) = 0 and E f(x) = mean_{y in O(x)} d(x, y), so it attains the bound.
-    In floats each mean of |O(x)| distances is within about |O(x)| ulps of
-    its exact value.  The sampled counterpart is
-    ``oracles.sampled_orbit_reach``.
-    """
-    group_norm = _check_permutation_group(space, group)
-    sub_norm = _check_permutation_group(space, subgroup)
-    members = set(group_norm)
-    for sigma in sub_norm:
-        if sigma not in members:
-            raise ConfigError("subgroup contains a permutation outside the group")
-    orbits = tuple(_orbits(sub_norm, space.n_points))
-    means = np.empty(space.n_points)
-    for orbit in orbits:
-        means[list(orbit)] = space.dist[np.ix_(orbit, orbit)].mean(axis=1)
-    point = int(np.argmax(means))
-    return CommutativeFixedPointReport(
-        orbits=orbits,
-        fixed_dimension=len(orbits),
-        quotient=_quotient_space(space, orbits),
-        reach=float(means[point]),
-        reach_point=point,
-    )

@@ -319,7 +319,8 @@ def sampled_orbit_reach(
     functions rescaled to Lipschitz seminorm at most one.
 
     Returns the largest sup gap |f - E f| over the samples with Lip(f) <= 1,
-    a floor for ``commutative_fixed_point_check``'s exact reach, and the
+    a floor for the exact reach, which for the rotations of a circle net is
+    ``fixed_point.mean_distance`` from the trivial subgroup, and the
     largest Lip(E f) - Lip(f), which is at most rounding because each f o s
     has the Lipschitz constant of f.
     """

@@ -344,6 +344,37 @@ def test_sample_count_caps_are_allowed(tmp_path, argv):
     assert main(argv + ["--output", str(tmp_path / "out.json")]) == 0
 
 
+_LISTS = [
+    (["leibniz", "--pairs", "1", "--sizes"], "2", "sizes"),
+    (["leibniz", "--pairs", "1", "--ratios"], "1", "ratios"),
+    (["fixedpoint", "--count", "1", "--sweep"], "2", "sweep"),
+    (["fixedpoint", "--count", "1", "--h-generators"], "[1, 0]", "h_generators"),
+    (["fixedpoint", "--count", "1", "--k-generators"], "[0, 1]", "k_generators"),
+]
+
+
+def _list_argv(argv, entry, count):
+    entries = ",".join([entry] * count)
+    return argv + [f"[{entries}]" if entry.startswith("[") else entries]
+
+
+@pytest.mark.parametrize("argv,entry,field", _LISTS)
+@pytest.mark.parametrize("count", [9, 200000])
+def test_list_keys_are_capped_at_8_entries(tmp_path, capsys, argv, entry, field, count):
+    # 20,000 ratios ran for 92 s at 4.0 GiB; 200,000 generators echoed 16 MB.
+    out = tmp_path / "out.json"
+    assert main(_list_argv(argv, entry, count) + ["--output", str(out)]) == 2
+    assert not out.exists()
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error == {"field": field, "message": f"{field} takes at most 8 entries, got {count}"}
+
+
+@pytest.mark.parametrize("argv,entry,field", _LISTS)
+def test_list_caps_are_allowed_with_repeats(tmp_path, argv, entry, field):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(_list_argv(argv, entry, 8) + ["--output", str(tmp_path / "out.json")]) == 0
+
+
 def test_dimension_64_is_allowed(tmp_path):
     out = tmp_path / "out.json"
     assert main(["converge", "--n-list", "32,64", "--output", str(out)]) == 0
@@ -1028,6 +1059,14 @@ def test_a_300_point_cloud_stays_under_128_mib(tmp_path):
 def test_leibniz_at_the_caps_stays_under_384_mib(tmp_path):
     # 1000 pairs at size 64 held every product of the suite at once: 489 MiB.
     argv = ["leibniz", "--sizes", "64", "--ratios", "1", "--pairs", "1000",
+            "--output", str(tmp_path / "out.json")]
+    assert _peak_rss_kib(argv) < 384 * 1024
+
+
+def test_two_leibniz_suites_at_the_caps_stay_under_384_mib(tmp_path):
+    # The second suite drew its pairs while the first suite's were still
+    # held: 397 MiB.
+    argv = ["leibniz", "--sizes", "64,64", "--ratios", "1", "--pairs", "1000",
             "--output", str(tmp_path / "out.json")]
     assert _peak_rss_kib(argv) < 384 * 1024
 

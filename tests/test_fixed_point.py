@@ -8,21 +8,18 @@ import pytest
 from matprox import (
     AveragingExpectation,
     Circle,
-    FiniteMetricSpace,
     FuzzyTorus,
-    Interval,
     LengthFunction,
     TAU,
     TorusSubgroup,
     action_lip_seminorms,
-    commutative_fixed_point_check,
-    cyclic_rotation_group,
     enumerate_subgroups,
     epsilon_net,
     expectation_gap,
     fixed_point_bridge,
     fixed_point_sweep,
     identity,
+    mean_distance,
     operator_norm,
     operator_norms,
     random_hermitian,
@@ -30,7 +27,7 @@ from matprox import (
     trace_state,
 )
 from matprox import fixed_point, metric_core
-from matprox.errors import ActionNotIsometricError, ConfigError
+from matprox.errors import ConfigError, InputShapeError
 from matprox.matrix_algebra import jordan_lie
 from matprox.acceptance import EXACT
 from matprox.oracles import (
@@ -1037,90 +1034,94 @@ def six_circle():
     return epsilon_net(Circle(TAU), 6)[0]
 
 
+def rotation_orbits(sub: TorusSubgroup) -> list[np.ndarray]:
+    """The orbits of the rotations in ``sub`` on the circle net whose point
+    i is the group element (i, 0): the cosets of ``sub``, by least point."""
+    labels = sub.cosets()[:, 0]
+    return [np.flatnonzero(labels == c) for c in np.unique(labels)]
+
+
+def rotation_reach(n: int, sub: TorusSubgroup) -> float:
+    return mean_distance(LengthFunction.max_arc(n), TorusSubgroup.trivial(n), sub)
+
+
 def test_trivial_subgroup_keeps_everything():
     space = six_circle()
-    group = cyclic_rotation_group(6)
-    report = commutative_fixed_point_check(space, group, [group[0]])
-    assert report.fixed_dimension == 6
-    assert report.reach == 0.0
-    assert sampled_orbit_reach(space, report.orbits, count=50, seed=0)[0] == 0.0
+    orbits = rotation_orbits(TorusSubgroup.trivial(6))
+    assert len(orbits) == 6
+    assert rotation_reach(6, TorusSubgroup.trivial(6)) == 0.0
+    assert sampled_orbit_reach(space, orbits, count=50, seed=0)[0] == 0.0
 
 
 def test_rotation_by_three_gives_three_orbits():
     space = six_circle()
-    group = cyclic_rotation_group(6)
-    report = commutative_fixed_point_check(space, group, [group[0], group[3]])
-    assert report.orbits == ((0, 3), (1, 4), (2, 5))
-    assert report.fixed_dimension == 3
-    assert report.quotient.n_points == 3
-    sampled, violation = sampled_orbit_reach(space, report.orbits, count=200, seed=1)
+    sub = TorusSubgroup.cyclic_first_factor(6, 2)
+    orbits = rotation_orbits(sub)
+    assert [o.tolist() for o in orbits] == [[0, 3], [1, 4], [2, 5]]
+    assert len(orbits) == 3
+    assert sub.a == 3
+    reach = rotation_reach(6, sub)
+    sampled, violation = sampled_orbit_reach(space, orbits, count=200, seed=1)
     assert violation <= 1e-12
-    assert sampled <= report.reach + 1e-12
+    assert sampled <= reach + 1e-12
     # An average moves a function by at most the orbit diameter.
-    assert report.reach <= max(space.dist[np.ix_(o, o)].max() for o in report.orbits)
+    assert reach <= max(space.dist[np.ix_(o, o)].max() for o in orbits)
 
 
 def test_lip_contraction_on_many_random_functions():
-    space = six_circle()
-    group = cyclic_rotation_group(6)
-    report = commutative_fixed_point_check(space, group, [group[0], group[2], group[4]])
-    assert sampled_orbit_reach(space, report.orbits, count=1000, seed=2)[1] <= 1e-12
+    orbits = rotation_orbits(TorusSubgroup.cyclic_first_factor(6, 3))
+    assert sampled_orbit_reach(six_circle(), orbits, count=1000, seed=2)[1] <= 1e-12
 
 
 def _symmetry_cases():
-    """Every subgroup of the rotations of the circle net for n = 2..12, the
-    reflection i -> -i mod n of that net, and the interval net's reflection."""
+    """Every subgroup of the rotations of the circle net for n = 2..12."""
     for n in range(2, 13):
-        circle = epsilon_net(Circle(TAU), n)[0]
-        rotations = cyclic_rotation_group(n)
         for order in (d for d in range(1, n + 1) if n % d == 0):
-            subgroup = [rotations[(n // order) * t] for t in range(order)]
-            yield pytest.param(circle, rotations, subgroup, id=f"circle{n}-rot{order}")
-        reflection = [tuple(range(n)), tuple((-i) % n for i in range(n))]
-        yield pytest.param(circle, reflection, reflection, id=f"circle{n}-refl")
-        flip = [tuple(range(n)), tuple(range(n - 1, -1, -1))]
-        yield pytest.param(epsilon_net(Interval(1.0), n)[0], flip, flip, id=f"interval{n}-refl")
+            yield pytest.param(n, order, id=f"circle{n}-rot{order}")
 
 
-@pytest.mark.parametrize("space,group,subgroup", _symmetry_cases())
-def test_commutative_reach_is_the_closed_form(space, group, subgroup):
-    report = commutative_fixed_point_check(space, group, subgroup)
-    sampled, violation = sampled_orbit_reach(space, report.orbits, count=200, seed=0)
-    assert sampled <= report.reach + EXACT and violation <= EXACT
-    # f = d(x, .) at the maximising x attains the reach: f(x) = 0.
-    x = report.reach_point
-    assert abs(orbit_average(report.orbits, space.dist[x])[x] - report.reach) <= np.spacing(report.reach)
+@pytest.mark.parametrize("n,order", _symmetry_cases())
+def test_commutative_reach_is_the_closed_form(n, order):
+    space = epsilon_net(Circle(TAU), n)[0]
+    sub = TorusSubgroup.cyclic_first_factor(n, order)
+    orbits = rotation_orbits(sub)
+    reach = rotation_reach(n, sub)
+    sampled, violation = sampled_orbit_reach(space, orbits, count=200, seed=0)
+    assert sampled <= reach + EXACT and violation <= EXACT
+    # f = d(0, .) attains the reach at x = 0: f(0) = 0.
+    assert abs(orbit_average(orbits, space.dist[0])[0] - reach) <= np.spacing(reach)
 
 
 def test_commutative_reach_on_the_six_point_circle():
-    space = six_circle()
-    group = cyclic_rotation_group(6)
-    reaches = [
-        commutative_fixed_point_check(space, group, [group[(6 // order) * t] for t in range(order)]).reach
-        for order in (1, 2, 3, 6)
-    ]
+    reaches = [rotation_reach(6, TorusSubgroup.cyclic_first_factor(6, order)) for order in (1, 2, 3, 6)]
     assert reaches == [0.0, np.pi / 2, 1.3962634015954636, np.pi / 2]
 
 
-def test_non_isometric_permutation_is_rejected():
-    space = FiniteMetricSpace.from_points(np.array([[0.0], [1.0], [3.0]]))
-    swap = (1, 0, 2)
-    with pytest.raises(ActionNotIsometricError):
-        commutative_fixed_point_check(space, [(0, 1, 2), swap], [(0, 1, 2)])
+def _mean_distance_by_pairs(ell: LengthFunction, h: TorusSubgroup, k: TorusSubgroup) -> float:
+    """m(H->K) from the length of the difference of every pair of an element
+    of K and an element of H, each subgroup closed from its basis."""
+    q = ell.q
+    lengths = np.array([[ell((j, t)) for t in range(q)] for j in range(q)])
+    a, b = (np.array(sorted(subgroup_closure(q, [(s.a, 0), (s.s, s.b)]))) for s in (h, k))
+    diff = (b[:, None, :] - a[None, :, :]) % q
+    return float(np.mean(np.min(lengths[diff[..., 0], diff[..., 1]], axis=1)))
 
 
-def test_subgroup_must_live_inside_the_group():
-    space = six_circle()
-    group = [tuple(range(6))]
-    rogue = cyclic_rotation_group(6)[1]
-    with pytest.raises(ConfigError):
-        commutative_fixed_point_check(space, group, [group[0], rogue])
+@pytest.mark.parametrize("q", range(2, 9))
+def test_mean_distance_matches_pairs_and_stays_below_hausdorff(q):
+    ell = LengthFunction.max_arc(q)
+    subgroups = enumerate_subgroups(q)
+    for h in subgroups:
+        assert mean_distance(ell, h, h) == 0.0
+        for k in subgroups:
+            forward, backward = mean_distance(ell, h, k), mean_distance(ell, k, h)
+            assert abs(forward - _mean_distance_by_pairs(ell, h, k)) <= EXACT
+            assert max(forward, backward) <= subgroup_hausdorff(ell, h, k)
 
 
-def test_quotient_metric_is_validated_and_positive():
-    space = six_circle()
-    group = cyclic_rotation_group(6)
-    report = commutative_fixed_point_check(space, group, [group[0], group[3]])
-    q = report.quotient
-    assert q.dist[0, 1] > 0.0
-    assert np.allclose(q.dist, q.dist.T)
+@pytest.mark.parametrize("distance", [mean_distance, subgroup_hausdorff])
+def test_subgroup_distances_need_one_ambient_group(distance):
+    with pytest.raises(InputShapeError):
+        distance(LengthFunction.max_arc(6), TorusSubgroup.trivial(6), TorusSubgroup.full(4))
+    with pytest.raises(InputShapeError):
+        distance(LengthFunction.max_arc(4), TorusSubgroup.trivial(6), TorusSubgroup.full(6))

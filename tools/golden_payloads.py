@@ -161,6 +161,14 @@ REJECTED = [
     # One point over the cloud cap, refused before any n x n array is built.
     ("rejected_cloud_over_cap", ["approximate", "--generator", "cloud:cloud_over_cap.json", "--n", "3"], None,
      "generator"),
+    # One entry over the list cap of 8, refused before any suite or order runs.
+    ("rejected_sizes_over_cap", ["leibniz", "--sizes", ",".join(["2"] * 9), "--pairs", "2"], None, "sizes"),
+    ("rejected_ratios_over_cap", ["leibniz", "--ratios", ",".join(["1"] * 9), "--pairs", "2"], None, "ratios"),
+    ("rejected_sweep_over_cap", ["fixedpoint", "--sweep", ",".join(["4"] * 9), "--count", "2"], None, "sweep"),
+    ("rejected_h_generators_over_cap", ["fixedpoint", "--count", "2", "--h-generators", json.dumps([[1, 0]] * 9)],
+     None, "h_generators"),
+    ("rejected_k_generators_over_cap", ["fixedpoint", "--count", "2", "--k-generators", json.dumps([[0, 1]] * 9)],
+     None, "k_generators"),
 ]
 
 
