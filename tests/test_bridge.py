@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 import matprox.bridge
@@ -153,7 +157,8 @@ def test_reach_lower_estimate_is_pinned(generator, expected):
 def _reference_descent(pair, a, start, steps=200, tol=1e-9, solves=None):
     """The descent as first written: every evaluation rebuilds a - diag(g)
     and takes operator_norm of it, and every section with room to move runs
-    the minimiser.  ``solves``, a list, gains one entry per run."""
+    SciPy's own minimiser, not the port.  ``solves``, a list, gains one entry
+    per run."""
     n = pair.dim
     dist = pair.space.dist
     f = start.astype(float).copy()
@@ -230,10 +235,11 @@ def test_reach_descent_skips_stale_sections_bitwise(generator, n, seed, monkeypa
     reference_solves = []
     expected = _reference_descent(pair, a, np.diagonal(a).real, solves=reference_solves)
     solves = []
+    port = matprox.bridge.minimize_scalar
 
     def counting_minimize(fun, *args, **kwargs):
         solves.append(1)
-        return minimize_scalar(fun, *args, **kwargs)
+        return port(fun, *args, **kwargs)
 
     monkeypatch.setattr(matprox.bridge, "minimize_scalar", counting_minimize)
     assert estimate_reach_lower(pair, iters=1, seed=seed) == expected
@@ -259,8 +265,9 @@ def test_reach_descent_takes_one_norm_per_evaluation(monkeypatch):
             counts["evals"] += 1
             return fun(t)
 
-        return minimize_scalar(counted, *args, **kwargs)
+        return port(counted, *args, **kwargs)
 
+    port = matprox.bridge.minimize_scalar
     eigenvalue_norms = matprox.bridge._eigenvalue_norms
     monkeypatch.setattr(matprox.bridge, "operator_norm", counting_norm)
     monkeypatch.setattr(matprox.bridge, "_eigenvalue_norms", counting_eigenvalue_norms)
@@ -271,6 +278,96 @@ def test_reach_descent_takes_one_norm_per_evaluation(monkeypatch):
     assert counts["evals"] > 0
     assert counts["eigenvalue_norms"] == counts["evals"]
     assert counts["norms"] == samples
+
+
+def _recorded(section):
+    """section, and the list of the points it is called at, as float hex."""
+    points = []
+
+    def recording(t):
+        points.append(float(t).hex())
+        return section(t)
+
+    return recording, points
+
+
+def _assert_port_is_scipy(section, bounds, xatol):
+    """The port calls section at SciPy's points, in SciPy's order, and returns
+    SciPy's x, fun, nfev and status bit for bit (hex tells -0.0 from 0.0)."""
+    ported, port_points = _recorded(section)
+    reference, scipy_points = _recorded(section)
+    port = matprox.bridge.minimize_scalar(ported, bounds, xatol)
+    with np.errstate(all="ignore"):
+        res = minimize_scalar(reference, bounds=bounds, method="bounded", options={"xatol": xatol})
+    assert port_points == scipy_points
+    assert (float(port.x).hex(), float(port.fun).hex(), port.nfev, port.status) == (
+        float(res.x).hex(), float(res.fun).hex(), res.nfev, res.status)
+    return port
+
+
+@st.composite
+def _sections(draw):
+    """A section over an interval of width 1e-12 to 1e3, and whether it may
+    be NaN: a convex max of shifted |t - c| (the shape of a reach section), a
+    convex sum of squares, a non-convex min of shifted |t - c| with a ripple,
+    that max rounded to quarters (plateaus, so ties between values), or that
+    max with a NaN hole."""
+    lo = draw(st.floats(-1e3, 1e3))
+    width = 10.0 ** draw(st.floats(-12.0, 3.0))
+    hi = lo + width
+    k = draw(st.integers(1, 4))
+    centres = [lo + width * draw(st.floats(-0.5, 1.5)) for _ in range(k)]
+    slopes = [draw(st.floats(1e-3, 1e3)) for _ in range(k)]
+    offsets = [draw(st.floats(0.0, 10.0)) for _ in range(k)]
+    pieces = list(zip(centres, slopes, offsets))
+    kind = draw(st.sampled_from(["max", "squares", "min", "plateaus", "hole"]))
+    hole = sorted(lo + width * draw(st.floats(0.0, 1.0)) for _ in range(2))
+    ripple = draw(st.floats(0.0, 1.0))
+
+    def peak(t):
+        return max(w * abs(t - c) + o for c, w, o in pieces)
+
+    if kind == "max":
+        section = peak
+    elif kind == "squares":
+        def section(t):
+            return sum(w * (t - c) ** 2 for c, w, _ in pieces)
+    elif kind == "min":
+        def section(t):
+            return min(w * abs(t - c) + o for c, w, o in pieces) + ripple * math.sin(7.0 * (t - lo) / width)
+    elif kind == "plateaus":
+        def section(t):
+            return round(4.0 * peak(t)) / 4.0
+    else:
+        def section(t):
+            return math.nan if hole[0] <= t <= hole[1] else peak(t)
+    return section, (lo, hi), kind == "hole"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_sections())
+def test_bounded_minimiser_port_is_scipy_bit_for_bit(drawn):
+    section, bounds, holed = drawn
+    assert _assert_port_is_scipy(section, bounds, 1e-10).status in ((0, 2) if holed else (0,))
+
+
+def test_bounded_minimiser_port_is_scipy_on_nan_and_at_the_evaluation_cap():
+    # NaN everywhere is status 2.  NaN on the right half is left behind by
+    # the descent to 0, which ends with status 0 as in SciPy.
+    assert _assert_port_is_scipy(lambda t: math.nan, (0.0, 1.0), 1e-10).status == 2
+    assert _assert_port_is_scipy(lambda t: math.nan if t > 0.5 else t, (0.0, 1.0), 1e-10).status == 0
+    # With xatol 0 and the minimum on the bound the tolerance shrinks with
+    # xf, so the run stops at 500 evaluations: status 1.  Over (0, 1e300)
+    # the parabolic products overflow to inf and NaN on the way.
+    for hi in (1.0, 1e300):
+        port = _assert_port_is_scipy(lambda t: t, (0.0, hi), 0.0)
+        assert (port.nfev, port.status) == (500, 1)
+    # A one-point interval and a constant section.
+    assert _assert_port_is_scipy(lambda t: t * t, (1.5, 1.5), 1e-10).x == 1.5
+    _assert_port_is_scipy(lambda t: 1.0, (-2.0, 3.0), 1e-10)
+    for bounds in [(0.0, math.inf), (math.nan, 1.0), (1.0, 0.0)]:
+        with pytest.raises(ValueError):
+            matprox.bridge.minimize_scalar(lambda t: t, bounds, 1e-10)
 
 
 def test_reach_descent_rejects_a_matrix_one_ulp_from_self_adjoint():

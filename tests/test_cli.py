@@ -1080,14 +1080,25 @@ def _peak_rss_kib(argv: list[str]) -> int:
     return int(proc.stdout.split()[-1])
 
 
-def test_the_cli_imports_neither_the_oracles_nor_the_criteria():
-    # Both import SciPy's linprog; ``selftest`` loads the criteria when it runs.
+def _loaded_by_a_fresh_cli_import(names: tuple[str, ...]) -> str:
+    """Which of the modules ``names`` a fresh ``import matprox.cli`` loads."""
     src = str(Path(fixed_point.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, matprox.cli; print(sorted(m for m in ('matprox.oracles', 'matprox.acceptance') if m in sys.modules))"
+    code = f"import sys, matprox.cli; print(sorted(m for m in {names!r} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_the_cli_imports_neither_the_oracles_nor_the_criteria():
+    # Both import SciPy's linprog; ``selftest`` loads the criteria when it runs.
+    assert _loaded_by_a_fresh_cli_import(("matprox.oracles", "matprox.acceptance")) == "[]"
+
+
+def test_the_cli_loads_no_scipy_at_import():
+    # SciPy's optimize package took most of a cold start; ``mk``'s transport
+    # LP imports it on its first solve.
+    assert _loaded_by_a_fresh_cli_import(("scipy", "scipy.optimize")) == "[]"
 
 
 # ---------------------------------------------------------------------------

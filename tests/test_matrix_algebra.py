@@ -21,7 +21,7 @@ from matprox import (
     trace_state,
 )
 from matprox.errors import InputShapeError
-from matprox.matrix_algebra import _gaussian_hermitian, hermitian_part, jordan_lie, random_hermitian_stack
+from matprox.matrix_algebra import _eigenvalue_norms, _gaussian_hermitian, hermitian_part, jordan_lie, random_hermitian_stack
 from matprox.metric_core import random_cloud_space
 from matprox.oracles import power_iteration_norm
 
@@ -219,6 +219,56 @@ def test_eigenvalue_norms_on_fixed_cases():
     v = rng.normal(size=6) + 1j * rng.normal(size=6)
     _assert_eigenvalue_norms(_hermitian(-np.outer(v, v.conj()))[None])
     _assert_eigenvalue_norms(random_hermitian(rng, 64)[None])
+
+
+def _stack_with(entries: dict) -> np.ndarray:
+    """The 4x4 identity as a one-matrix stack, with entries (i, j): z set
+    and (j, i) set to conj(z), so a finite z keeps it self-adjoint."""
+    s = identity(4)[None].copy()
+    for (i, j), z in entries.items():
+        s[0, i, j], s[0, j, i] = z, np.conj(z)
+    return s
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [
+        # np.linalg.eigvalsh returns NaN for these without raising (OpenBLAS
+        # LAPACK), or garbage with no NaN for a NaN on the first diagonal.
+        _stack_with({(0, 1): np.nan}),
+        _stack_with({(1, 2): np.nan}),
+        _stack_with({(0, 0): np.nan}),
+        _stack_with({(0, 0): np.inf}),
+        _stack_with({(0, 0): -np.inf}),
+        # And it raises LinAlgError for these.
+        _stack_with({(1, 1): np.nan}),
+        _stack_with({(0, 3): np.nan}),
+        _stack_with({(1, 0): np.inf}),
+        _stack_with({(2, 1): complex(1.0, np.nan)}),
+        np.full((2, 3, 3), np.nan, dtype=complex),
+        # A finite stack, for the error state below.
+        random_hermitian_stack(np.random.default_rng(20), 3, 5),
+    ],
+    ids=["nan-01", "nan-12", "nan-00", "inf-00", "-inf-00", "nan-11", "nan-03", "inf-10",
+         "nanj-21", "all-nan", "finite"],
+)
+@pytest.mark.parametrize("raising", [False, True], ids=["default", "errstate-raise"])
+def test_eigenvalue_norms_fail_as_eigvalsh_does(stack, raising):
+    # The norms call numpy's eigvalsh gufunc directly, under eigvalsh's own
+    # error state, so on non-finite entries they raise LinAlgError where
+    # eigvalsh does and return the same values, NaN included, where it
+    # returns; a caller's error state that raises (as the leibniz suites set)
+    # reaches inside neither.
+    errstate = np.errstate(over="raise", invalid="raise") if raising else np.errstate()
+    with errstate:
+        try:
+            w = np.linalg.eigvalsh(stack)
+        except np.linalg.LinAlgError:
+            with pytest.raises(np.linalg.LinAlgError):
+                _eigenvalue_norms(stack)
+            return
+        expected = np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1]))
+        assert np.array_equal(_eigenvalue_norms(stack), expected, equal_nan=True)
 
 
 def test_one_ulp_off_self_adjoint_takes_the_svd():
