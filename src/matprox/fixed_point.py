@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +44,52 @@ from .metric_core import blocks
 GroupElement = tuple[int, int]
 
 
+@functools.cache
+def _order_tables(q: int) -> tuple[np.ndarray, ...]:
+    """The p-independent tables of the fuzzy torus of order q, built once per
+    order and read-only, shared by every :class:`FuzzyTorus` of that order:
+    the characters, the index grids, the dual action's gather and phase
+    tables and the shift.  The two action tables take 24 q^3 bytes, about
+    6 MiB at q = 64, and the rest O(q^2)."""
+    # Characters of the acting group are p-independent roots of unity,
+    # conjugate-symmetric bitwise: roots[-m] is the exact conjugate of
+    # roots[m] and roots[q / 2] is exactly -1.  The dual action then maps
+    # bitwise self-adjoint elements to bitwise self-adjoint ones.
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    upper = np.arange(q // 2 + 1, q)
+    roots[upper] = roots[q - upper].conj()
+    if q % 2 == 0:
+        roots[q // 2] = -1.0
+    shift = np.zeros((q, q), dtype=complex)
+    shift[np.arange(q), (np.arange(q) + 1) % q] = 1.0
+    rows = np.arange(q)[:, None]
+    offs = np.arange(q)[None, :]
+    # Index grid: entry (r, c) of row_grid is r.
+    row_grid = np.broadcast_to(rows, (q, q))
+    gather_cols = (rows + offs) % q
+    # Entry (r, c) lies on the diagonal offset (c - r) mod q.
+    entry_offsets = (offs - rows) % q
+    # The dual action's tables over flattened entries r q + c: row s of
+    # shift_gather reads a[r + s, c + s], row k of action_phases holds
+    # rho^(k (c - r)).
+    shifts = np.arange(q)[:, None, None]
+    shift_gather = (((rows + shifts) % q) * q + (offs + shifts) % q).reshape(q, q * q)
+    action_phases = roots[(shifts * entry_offsets) % q].reshape(q, q * q)
+    tables = (roots, row_grid, gather_cols, entry_offsets, shift_gather, action_phases, shift)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class FuzzyTorus:
-    """Clock and shift matrices of order q with twist exp(2 pi i p / q)."""
+    """Clock and shift matrices of order q with twist exp(2 pi i p / q).
+
+    The tables that depend on q alone (characters, index grids, the dual
+    action's gather and phase tables, ``shift``) are built once per order in
+    the process, read-only, and shared by every torus of that order: about
+    6 MiB at q = 64.  Each torus builds only its twist's arrays: ``omega``,
+    the twist powers, ``clock``, the coefficient transform and p^-1 mod q.
+    """
 
     def __init__(self, q: int, p: int = 1) -> None:
         if q < 2:
@@ -54,38 +98,16 @@ class FuzzyTorus:
             raise ConfigError(f"twist parameter p={p} must be coprime to q={q}")
         self.q = int(q)
         self.p = int(p % q)
+        (self._roots, self._row_grid, self._gather_cols, self._entry_offsets,
+         self._shift_gather, self._action_phases, self.shift) = _order_tables(self.q)
         self.omega = complex(np.exp(2j * np.pi * self.p / self.q))
         # Powers of the twist root, indexed mod q; used for U and the basis.
         self._twist_powers = np.exp(2j * np.pi * self.p * np.arange(q) / q)
-        # Characters of the acting group are p-independent roots of unity,
-        # conjugate-symmetric bitwise: roots[-m] is the exact conjugate of
-        # roots[m] and roots[q / 2] is exactly -1.  The dual action then maps
-        # bitwise self-adjoint elements to bitwise self-adjoint ones.
-        self._roots = np.exp(2j * np.pi * np.arange(q) / q)
-        upper = np.arange(q // 2 + 1, q)
-        self._roots[upper] = self._roots[q - upper].conj()
-        if q % 2 == 0:
-            self._roots[q // 2] = -1.0
         self.clock = np.diag(self._twist_powers)
-        shift = np.zeros((q, q), dtype=complex)
-        shift[np.arange(q), (np.arange(q) + 1) % q] = 1.0
-        self.shift = shift
-        rows = np.arange(q)[:, None]
-        offs = np.arange(q)[None, :]
-        # Index grid: entry (r, c) of _row_grid is r.
-        self._row_grid = np.broadcast_to(rows, (q, q))
-        self._gather_cols = (rows + offs) % q
-        # Entry (r, c) lies on the diagonal offset (c - r) mod q.
-        self._entry_offsets = (offs - rows) % q
-        # The dual action's tables over flattened entries r q + c: row s of
-        # _shift_gather reads a[r + s, c + s], row k of _action_phases holds
-        # rho^(k (c - r)).
-        shifts = np.arange(q)[:, None, None]
         self._p_inv = pow(self.p, -1, q)
-        self._shift_gather = (((rows + shifts) % q) * q + (offs + shifts) % q).reshape(q, q * q)
-        self._action_phases = self._roots[(shifts * self._entry_offsets) % q].reshape(q, q * q)
         # W[r, m] = w^(m r); coefficient transform satisfies W^H W = q I.
-        self._char = self._twist_powers[np.outer(rows.ravel(), rows.ravel()) % q]
+        rows = np.arange(q)
+        self._char = self._twist_powers[np.outer(rows, rows) % q]
 
     # -- basis and coefficients ------------------------------------------
 
@@ -129,9 +151,9 @@ class FuzzyTorus:
         mat = matrix_stack(a, q, axes=3 if np.ndim(a) > 2 else 2)
         flat = mat.reshape(-1, q * q)
         j, k = (np.broadcast_to(x, len(flat)) for x in g)
-        gather = self._shift_gather[(self._p_inv * j) % q]
-        moved = np.take(flat, gather + q * q * np.arange(len(flat))[:, None])
-        return (self._action_phases[k % q] * moved).reshape(mat.shape)
+        moved = np.take_along_axis(flat, self._shift_gather[(self._p_inv * j) % q], axis=1)
+        # Phases first: numpy's complex product need not commute bitwise.
+        return np.multiply(self._action_phases[k % q], moved, out=moved).reshape(mat.shape)
 
     def action_unitary(self, g: GroupElement) -> np.ndarray:
         """A unitary whose conjugation realizes the group element's action.
@@ -153,14 +175,22 @@ class FuzzyTorus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LengthFunction:
     """A length function on Z_q x Z_q: zero only at the identity, symmetric
     under inversion, subadditive.  User-supplied value tables are validated
-    against all three axioms at construction."""
+    against all three axioms at construction.  Two length functions are
+    equal, and hash equal, exactly when their orders and table bits agree.
+
+    Each one also keeps the gap terms of the coefficient lines that
+    :func:`_line_peaks` has computed with it: one (q^2, 2) table per twist
+    p, 64 KiB at q = 64, filled as monomials are asked for.  The terms
+    depend only on q, p and the table, and take no part in the comparison.
+    """
 
     q: int
     values: np.ndarray
+    _line_terms: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -207,6 +237,14 @@ class LengthFunction:
     def __call__(self, g: GroupElement) -> float:
         return float(self.values[g[0] % self.q, g[1] % self.q])
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.q == other.q and self.values.tobytes() == other.values.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.q, self.values.tobytes()))
+
 
 # ---------------------------------------------------------------------------
 # Subgroups of Z_q x Z_q.
@@ -235,14 +273,26 @@ class TorusSubgroup:
     def order(self) -> int:
         return (self.q // self.a) * (self.q // self.b)
 
+    @functools.cache
     def cosets(self) -> np.ndarray:
         """The q x q table of coset indices: (j, k) + H has the index
-        ((j - s (k // b)) mod a) b + k mod b, and H itself the index 0."""
-        j, k = np.ogrid[: self.q, : self.q]
-        return (j - self.s * (k // self.b)) % self.a * self.b + k % self.b
+        ((j - s (k // b)) mod a) b + k mod b, and H itself the index 0.
 
+        Built once per subgroup in the process, keyed by its basis, and
+        read-only, as is :meth:`element_array`.  Both tables of every
+        subgroup of one order take at most 22 MiB for q <= 64 (at q = 60,
+        with 720 subgroups), and 0.12 MiB at q = 12."""
+        j = np.arange(self.q)[:, None]
+        k = np.arange(self.q)
+        table = (j - self.s * (k // self.b)) % self.a * self.b + k % self.b
+        table.setflags(write=False)
+        return table
+
+    @functools.cache
     def element_array(self) -> np.ndarray:
-        return np.argwhere(self.cosets() == 0)  # rows in lexicographic order
+        elements = np.argwhere(self.cosets() == 0)  # rows in lexicographic order
+        elements.setflags(write=False)
+        return elements
 
     @property
     def elements(self) -> frozenset[GroupElement]:
@@ -363,7 +413,8 @@ class AveragingExpectation:
                 f"subgroup lives in Z_{subgroup.q}^2, torus has order {torus.q}"
             )
         self.torus = torus
-        m, n = np.ogrid[: torus.q, : torus.q]
+        m = np.arange(torus.q)[:, None]
+        n = np.arange(torus.q)
         mask = (subgroup.a * m % torus.q == 0) & ((subgroup.s * m + subgroup.b * n) % torus.q == 0)
         mask.setflags(write=False)
         self.mask = mask
@@ -592,18 +643,29 @@ def _line_peaks(
     the gap need not be attained on them.  Both masks are closed under
     negation, so each line l of x = U^m V^n on a support
     has (E_h - E_k) l = +-l, and its term is ||l|| / L(l) from
-    :func:`_line_norms`, one exponent per pair {(m, n), (-m, -n)}; the lines
-    of all supports go through one call.  A line whose norm is at rounding
-    level (x = +-x^*) is dropped.
+    :func:`_line_norms`, one exponent per pair {(m, n), (-m, -n)}.  A line
+    whose norm is at rounding level (x = +-x^*) is dropped.
+
+    The terms are kept in ``ell``'s line-term table for the twist
+    ``torus.p``, keyed by the monomial (m q + n): one (q^2, 2) table per
+    twist, 64 KiB at q = 64.  Only the monomials not yet in it are computed,
+    in one call for all supports.  A monomial's term does not depend on the
+    others computed with it, so a kept term has the bits of a fresh one.
     """
     q = torus.q
+    if ell.q != q:
+        raise InputShapeError("length function and torus orders differ")
     keys = []
     for support in supports:
         idx = np.argwhere(support)
         keys.append(np.unique(np.minimum(idx @ [q, 1], ((-idx) % q) @ [q, 1])))
-    norms, seminorms = _line_norms(torus, ell, np.stack(np.divmod(np.concatenate(keys), q), axis=1))
-    terms = np.divide(norms, seminorms, out=np.zeros_like(norms), where=norms > 1e-12)
-    peaks = np.split(terms, np.cumsum([len(k) for k in keys])[:-1])
+    wanted = np.concatenate(keys)
+    table = ell._line_terms.setdefault(torus.p, np.full((q * q, 2), np.nan))
+    missing = np.unique(wanted[np.isnan(table[wanted, 0])])
+    if len(missing):
+        norms, seminorms = _line_norms(torus, ell, np.stack(np.divmod(missing, q), axis=1))
+        table[missing] = np.divide(norms, seminorms, out=np.zeros_like(norms), where=norms > 1e-12)
+    peaks = np.split(table[wanted], np.cumsum([len(k) for k in keys])[:-1])
     return [float(np.max(t, initial=0.0)) for t in peaks]
 
 

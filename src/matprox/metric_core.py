@@ -44,7 +44,7 @@ def blocks(count: int, item_bytes: int) -> Iterator[slice]:
         yield slice(start, min(start + step, count))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteMetricSpace:
     """A labeled finite set of points with a validated distance matrix.
 
@@ -52,7 +52,8 @@ class FiniteMetricSpace:
     strictly positive off-diagonal entries, and the triangle inequality
     (checked in O(n^3) time and O(n^2) memory, with a small relative
     tolerance for rounding in distances derived from coordinates).  The
-    stored matrix is exactly symmetric and read-only.
+    stored matrix is exactly symmetric and read-only.  Two spaces are
+    equal, and hash equal, exactly when their labels and distance bits agree.
     """
 
     labels: tuple[str, ...]
@@ -107,6 +108,14 @@ class FiniteMetricSpace:
         dist.setflags(write=False)
         object.__setattr__(self, "dist", dist)
         object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.dist.tobytes() == other.dist.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.dist.tobytes()))
 
     @property
     def n_points(self) -> int:

@@ -1,6 +1,11 @@
+import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +237,19 @@ def test_max_arc_is_built_once_per_order_and_user_tables_are_still_checked():
     spiky[6, 6] = 100.0  # (3, 3) + (3, 3) jumps above the sum
     with pytest.raises(ConfigError, match="subadditive"):
         LengthFunction(12, spiky)
+
+
+def test_length_functions_compare_and_hash_by_value():
+    # The value is the order and the table's bits; the generated dataclass
+    # == would compare the tables elementwise and raise.
+    arc = LengthFunction.max_arc(4)
+    twin = LengthFunction(4, arc.values.copy())
+    assert arc == twin and hash(arc) == hash(twin) and len({arc, twin}) == 1
+    assert arc != LengthFunction(4, 2.0 * arc.values)
+    assert arc != LengthFunction.max_arc(5)
+    # The line terms one of them keeps are no part of its value.
+    expectation_gap(FuzzyTorus(4, 1), twin, TorusSubgroup.trivial(4), TorusSubgroup.full(4), count=1)
+    assert twin._line_terms and arc == twin and hash(arc) == hash(twin)
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +980,70 @@ def test_bridge_report_values_are_pinned(q, p, h_gens, k_gens, count, seed, expe
     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def _bridge_bits(q, p, ell, h_gens, k_gens, count, seed):
+    h = TorusSubgroup.from_generators(q, *h_gens)
+    k = TorusSubgroup.from_generators(q, *k_gens)
+    report = fixed_point_bridge(FuzzyTorus(q, p), ell, h, k, count=count, seed=seed)
+    return [float(x).hex() for x in dataclasses.astuple(report)]
+
+
+def _kept_tables(ell):
+    # The size of every table kept for the process, and the line terms the
+    # length function holds per twist.
+    terms = {p: int(np.count_nonzero(~np.isnan(t))) for p, t in ell._line_terms.items()}
+    return (fixed_point._order_tables.cache_info().currsize,
+            TorusSubgroup.cosets.cache_info().currsize,
+            TorusSubgroup.element_array.cache_info().currsize, terms)
+
+
+def test_warm_runs_keep_the_bits_of_cold_ones():
+    # The q16-cross pin, cold, then again after other twists, other length
+    # tables and other subgroups at its order have filled the kept tables:
+    # the same bits, and those of a fresh process.
+    q, p, h_gens, k_gens, count, seed = 16, 3, [(4, 0)], [(0, 2)], 12, 5
+    fixed_point._order_tables.cache_clear()
+    TorusSubgroup.cosets.cache_clear()
+    TorusSubgroup.element_array.cache_clear()
+    arc = LengthFunction.max_arc(q)
+    ell = LengthFunction(q, arc.values.copy())
+    cold = _bridge_bits(q, p, ell, h_gens, k_gens, count, seed)
+    others = [([(2, 0)], [(0, 4)]), ([(4, 0)], [(1, 0)]), ([(1, 1)], [(0, 2)]), ([(8, 8)], [(2, 2)])]
+    for length in (ell, arc, LengthFunction(q, 2.0 * arc.values)):
+        for twist in (1, 3, 5, 15):
+            for pair in others:
+                _bridge_bits(q, twist, length, *pair, count, seed)
+    assert ell._line_terms.keys() == {1, 3, 5, 15}
+    assert _bridge_bits(q, p, ell, h_gens, k_gens, count, seed) == cold
+    assert _bridge_bits(q, p, arc, h_gens, k_gens, count, seed) == cold
+    kept = _kept_tables(ell)
+    assert _bridge_bits(q, p, ell, h_gens, k_gens, count, seed) == cold
+    assert _kept_tables(ell) == kept
+    src = str(Path(fixed_point.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import dataclasses\n"
+            "from matprox.fixed_point import FuzzyTorus, LengthFunction, TorusSubgroup, fixed_point_bridge\n"
+            f"h = TorusSubgroup.from_generators({q}, *{h_gens!r})\n"
+            f"k = TorusSubgroup.from_generators({q}, *{k_gens!r})\n"
+            f"r = fixed_point_bridge(FuzzyTorus({q}, {p}), LengthFunction.max_arc({q}), h, k, "
+            f"count={count}, seed={seed})\n"
+            "print([float(x).hex() for x in dataclasses.astuple(r)])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr(cold)
+
+
+def test_kept_tables_are_shared_and_read_only():
+    torus = FuzzyTorus(16, 3)
+    h = TorusSubgroup.from_generators(16, (4, 0))
+    assert FuzzyTorus(16, 5)._shift_gather is torus._shift_gather
+    assert TorusSubgroup.cyclic_first_factor(16, 4).cosets() is h.cosets()
+    shared = (torus._roots, torus._row_grid, torus._gather_cols, torus._entry_offsets,
+              torus._shift_gather, torus._action_phases, torus.shift, h.cosets(), h.element_array())
+    for table in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_sample_count_below_one_is_rejected(count):
     torus = FuzzyTorus(6, 1)
@@ -1117,6 +1199,16 @@ def test_mean_distance_matches_pairs_and_stays_below_hausdorff(q):
             forward, backward = mean_distance(ell, h, k), mean_distance(ell, k, h)
             assert abs(forward - _mean_distance_by_pairs(ell, h, k)) <= EXACT
             assert max(forward, backward) <= subgroup_hausdorff(ell, h, k)
+
+
+@pytest.mark.parametrize("measure", [fixed_point_bridge, expectation_gap])
+def test_gaps_need_the_length_function_of_the_torus_order(measure):
+    # The order-12 length function already keeps line terms for p = 1.
+    fixed_point_bridge(FuzzyTorus(12, 1), LengthFunction.max_arc(12),
+                       TorusSubgroup.trivial(12), TorusSubgroup.full(12), count=2)
+    with pytest.raises(InputShapeError, match="orders differ"):
+        measure(FuzzyTorus(24, 1), LengthFunction.max_arc(12),
+                TorusSubgroup.trivial(24), TorusSubgroup.full(24), count=2)
 
 
 @pytest.mark.parametrize("distance", [mean_distance, subgroup_hausdorff])

@@ -52,6 +52,20 @@ def cloud_pair(n: int, seed: int = 0, ratio: float = 1.0) -> ApproximationPair:
     )
 
 
+def test_spaces_and_pairs_compare_and_hash_by_value():
+    # The value is the labels and the distance bits; the generated dataclass
+    # == would compare the matrices elementwise and raise.
+    dist = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]])
+    space = FiniteMetricSpace(("a", "b", "c"), dist)
+    twin = FiniteMetricSpace(["a", "b", "c"], dist.copy())
+    assert space == twin and hash(space) == hash(twin) and len({space, twin}) == 1
+    assert space != FiniteMetricSpace(("a", "b", "d"), dist)
+    assert space != FiniteMetricSpace(("a", "b", "c"), 2.0 * dist)
+    pair = ApproximationPair(space, 0.5)
+    assert pair == ApproximationPair(twin, 0.5) and hash(pair) == hash(ApproximationPair(twin, 0.5))
+    assert pair != ApproximationPair(space, 0.25)
+
+
 def l_seminorm(pair: ApproximationPair, a: np.ndarray) -> float:
     """The seminorm of one self-adjoint element, as the README tour takes it."""
     return float(l_seminorms(pair, np.asarray(a, dtype=complex)[None])[0])
