@@ -366,7 +366,8 @@ def approximate_compact_space(
 
     Returns the approximation pair over the n-point net together with its
     row: delta, beta, the Hausdorff distance from the space to the net, and
-    the certified bound Hausdorff(space, net) + beta.  In corollary mode the
+    the certified bound Hausdorff(space, net) plus the bridge's reach, which
+    :func:`certify_reach` proves to be beta.  In corollary mode the
     rule must produce beta <= delta (Leibniz constant 2); violations raise
     ``CorollaryModeViolation``, and the pair remains constructible with
     ``corollary_mode=False`` at constant 1 + beta/delta.  A delta or beta
@@ -381,7 +382,7 @@ def approximate_compact_space(
         )
     pair = ApproximationPair(net, beta, corollary_mode=corollary_mode)
     row = ConvergenceRow(
-        n=n, delta=delta, beta=beta, haus=haus, certified_bound=haus + beta
+        n=n, delta=delta, beta=beta, haus=haus, certified_bound=haus + certify_reach(pair).reach
     )
     return pair, row
 

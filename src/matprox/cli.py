@@ -123,7 +123,7 @@ def _read_space(value, field: str, max_points: int | None = None) -> FiniteMetri
         raise ValidationFailure(field, "a space file is required")
     try:
         payload = json.loads(_read_file(Path(str(value)), field, "space file"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to read
         raise ValidationFailure(field, f"space input is not valid JSON: {exc}") from None
     # The point count is capped before any n x n array is built.
     rows = payload.get("points", payload.get("dist")) if isinstance(payload, dict) else None
@@ -135,47 +135,50 @@ def _read_space(value, field: str, max_points: int | None = None) -> FiniteMetri
         raise ValidationFailure(field, str(exc)) from None
 
 
+# The names of each spec key and how many numbers each takes (None: one or more).
+_SPEC_ARITY = {"generator": {"circle": 1, "interval": 1, "torus": None},
+               "beta_rule": {"delta_over_n": 0, "fixed": 1, "fraction_of_delta": 1}}
+
+
+def _spec(spec: str, field: str, expected: str) -> tuple[str, list[float]]:
+    """The name, in lower case, and the numbers of a ``name`` or
+    ``name(x, y, ...)`` spec of ``field``: a name :data:`_SPEC_ARITY` lists
+    for ``field``, in any case, with exactly as many numbers as it takes,
+    each read by :func:`_parse_scalar`, so an empty one is refused."""
+    head, paren, rest = spec.strip().partition("(")
+    name = head.lower()
+    if name not in _SPEC_ARITY[field] or (paren and not rest.endswith(")")):
+        raise ValidationFailure(field, f"unknown {field.replace('_', ' ')} {spec!r}; expected {expected}")
+    arity = _SPEC_ARITY[field][name]
+    args = [_parse_scalar(token, field) for token in rest[:-1].split(",")] if paren else []
+    if len(args) != arity and not (arity is None and args):
+        wanted = "one or more" if arity is None else arity
+        raise ValidationFailure(field, f"{name} takes {wanted} number(s), got {len(args)}: {spec!r}")
+    return name, args
+
+
 def parse_generator(spec: str):
     """Parse a generator spec: circle(c), interval(l), torus(c1,c2,...),
     or cloud:<path-to-json-space-file>."""
     text = spec.strip()
     if text.startswith("cloud:"):
         return _read_space(text[len("cloud:") :], "generator", max_points=_MAX_CLOUD)
-    for name, builder in (
-        ("circle", lambda args: Circle(args[0])),
-        ("interval", lambda args: Interval(args[0])),
-        ("torus", lambda args: FlatTorus(tuple(args))),
-    ):
-        prefix = name + "("
-        if text.startswith(prefix) and text.endswith(")"):
-            inner = text[len(prefix) : -1]
-            args = [_parse_scalar(tok, "generator") for tok in inner.split(",") if tok.strip()]
-            if not args:
-                raise ValidationFailure("generator", f"{name} needs at least one number")
-            if any(a <= 0.0 for a in args):
-                raise ValidationFailure("generator", f"{name} sizes must be positive")
-            return builder(args)
-    raise ValidationFailure(
-        "generator",
-        f"unknown generator {spec!r}; expected circle(..), interval(..), torus(..) or cloud:<path>",
-    )
+    name, args = _spec(text, "generator", "circle(..), interval(..), torus(..) or cloud:<path>")
+    if any(a <= 0.0 for a in args):
+        raise ValidationFailure("generator", f"{name} sizes must be positive")
+    if name == "torus":
+        return FlatTorus(tuple(args))
+    return (Circle if name == "circle" else Interval)(args[0])
 
 
 def parse_beta_rule(spec: str) -> Callable[[float, int], float]:
-    text = spec.strip().lower()
-    if text == "delta_over_n":
+    name, args = _spec(spec, "beta_rule", "delta_over_n, fixed(v) or fraction_of_delta(r)")
+    if name == "delta_over_n":
         return beta_delta_over_n
     try:
-        if text.startswith("fixed(") and text.endswith(")"):
-            return beta_fixed(_parse_scalar(text[6:-1], "beta_rule"))
-        if text.startswith("fraction_of_delta(") and text.endswith(")"):
-            return beta_fraction_of_delta(_parse_scalar(text[18:-1], "beta_rule"))
+        return (beta_fixed if name == "fixed" else beta_fraction_of_delta)(args[0])
     except MatproxError as exc:
         raise ValidationFailure("beta_rule", str(exc)) from exc
-    raise ValidationFailure(
-        "beta_rule",
-        f"unknown beta rule {spec!r}; expected delta_over_n, fixed(v) or fraction_of_delta(r)",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +208,21 @@ def _boolean(value, field: str) -> bool:
     return value
 
 
+def _entries(raw, field: str, text_form: Callable[[str], Any], length: int | None = None) -> list:
+    """The entries of a list key: a JSON array as given, or a string read by
+    the key's ``text_form``, which must give a list; anything else, null
+    included, is refused.  More than ``length`` entries are refused before
+    any entry is checked."""
+    items = None  # a string its text form cannot read
+    with contextlib.suppress(ValueError, RecursionError):
+        items = text_form(raw) if isinstance(raw, str) else raw
+    if not isinstance(items, list):
+        raise ValidationFailure(field, f"{field} must be a list, got {raw!r}")
+    if length is not None and len(items) > length:
+        raise ValidationFailure(field, f"{field} takes at most {length} entries, got {len(items)}")
+    return items
+
+
 def _numbers(kind: type, rule: Callable[[list], Any], message: str, maximum: int | None = None,
              length: int | None = None) -> _Check:
     """Finite ints or floats, from a JSON array of JSON numbers or a comma-
@@ -212,14 +230,9 @@ def _numbers(kind: type, rule: Callable[[list], Any], message: str, maximum: int
     (else ``message``) and are at most ``maximum``."""
 
     def check(raw, field: str) -> list:
+        items = _entries(raw, field, lambda text: text.split(","), length)
         if isinstance(raw, str):
-            items = [_number(tok, kind, field) for tok in raw.split(",") if tok.strip()]
-        elif isinstance(raw, list):
-            items = raw
-        else:
-            raise ValidationFailure(field, f"{field} must be a list, got {raw!r}")
-        if length is not None:
-            _check_length(items, length, field)
+            items = [_number(token, kind, field) for token in items]
         accepted = (int, float) if kind is float else (int,)
         values = []
         for item in items:
@@ -239,24 +252,10 @@ def _optional(check: _Check) -> _Check:
     return lambda value, field: None if value is None else check(value, field)
 
 
-def _check_length(items: list, length: int, field: str) -> None:
-    if len(items) > length:
-        raise ValidationFailure(field, f"{field} takes at most {length} entries, got {len(items)}")
-
-
 def _parse_generators(raw, field: str) -> list[tuple[int, int]]:
-    if raw is None:
-        return []
-    try:
-        raw = json.loads(raw) if isinstance(raw, str) else raw
-        # A JSON object would iterate as its keys, so only an array passes.
-        if isinstance(raw, list):
-            pairs = [(j, k) for j, k in raw]
-            if all(type(x) is int for pair in pairs for x in pair):
-                _check_length(pairs, _MAX_LIST, field)
-                return pairs
-    except (TypeError, ValueError):
-        pass
+    items = _entries(raw, field, json.loads, _MAX_LIST)
+    if all(isinstance(pair, list) and len(pair) == 2 and all(type(x) is int for x in pair) for pair in items):
+        return [(j, k) for j, k in items]
     raise ValidationFailure(field, f"{field} must be a JSON array of [j, k] integer pairs, got {raw!r}")
 
 
@@ -480,11 +479,10 @@ def _leibniz(v: dict, config: dict) -> dict:
 def _mk(v: dict, config: dict) -> dict:
     space = v["space"]
 
-    def _measure(raw, field):
-        if raw is None:
+    def _measure(weights, field):
+        if weights is None:
             return None
         try:
-            weights = json.loads(raw) if isinstance(raw, str) else raw
             return check_probability(space, json_number_array(weights, field))
         except (TypeError, ValueError, MatproxError) as exc:
             raise ValidationFailure(
@@ -627,6 +625,7 @@ _GENERATOR = _Key("generator", "circle(2pi)", lambda value, field: parse_generat
 _BETA_RULE = _Key("beta_rule", "delta_over_n", lambda value, field: parse_beta_rule(str(value)),
                   "delta_over_n | fixed(v) | fraction_of_delta(r)")
 _WEIGHTS = "JSON array of weights"
+_WEIGHTS_CHECK = _optional(functools.partial(_entries, text_form=json.loads))
 _SUBGROUP = "JSON array of [j,k] pairs"
 # The fixedpoint keys of a single subgroup pair, which a sweep leaves at
 # their defaults.
@@ -670,9 +669,9 @@ COMMANDS = {
         # mk solves an LP per pair of points, so its space is capped at the desk scale.
         _Key("space", None, functools.partial(_read_space, max_points=_MAX_DIM),
              "JSON file with labels + dist or points", lambda given, _: str(given)),
-        # Checked against the space by the handler.
-        _Key("p", None, lambda value, field: value, _WEIGHTS),
-        _Key("q", None, lambda value, field: value, _WEIGHTS),
+        # Lists here, checked against the space by the handler.
+        _Key("p", None, _WEIGHTS_CHECK, _WEIGHTS),
+        _Key("q", None, _WEIGHTS_CHECK, _WEIGHTS),
     ), lambda v: _Files("mk")),
     "fixedpoint": _Command("subgroup gap and bridge reports on a fuzzy torus", _fixedpoint, (
         _SEED,
@@ -701,13 +700,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationFailure("argv", message)
 
 
-def _integer_flag(field: str) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        return _number(text, int, field)
-
-    return parse
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process from :data:`COMMANDS`:
@@ -725,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in command.keys:
             if isinstance(key.default, bool):
                 continue
-            kind = _integer_flag(key.name) if type(key.default) is int else None
+            kind = functools.partial(_number, kind=int, field=key.name) if type(key.default) is int else None
             p.add_argument("--" + key.name.replace("_", "-"), type=kind, help=key.help)
     p = sub.add_parser("selftest", help="run the full acceptance suite")
     p.add_argument("--output", help="optional JSON result path")
@@ -739,7 +731,7 @@ def _resolve_config(args: argparse.Namespace, keys: tuple[_Key, ...]) -> dict[st
             raise ValidationFailure("config", "config path is empty")
         try:
             loaded = json.loads(_read_file(Path(args.config), "config", "config file"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationFailure("config", f"config file is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ValidationFailure("config", "config file must hold a JSON object")

@@ -27,10 +27,11 @@ class ScaleUnderflowError(ConfigError):
 
 
 class ScaleOverflowError(ConfigError):
-    """A value overflows.  Raised by the reach descent's scalar minimiser,
-    for a net so large that products of its distances overflow, and by
-    ``lseminorm.leibniz_suites``, for residuals that overflow at an extreme
-    beta/delta ratio (the ``leibniz`` command then names ``ratios``)."""
+    """A value overflows.  Raised by ``bridge.estimate_reach_lower``, before
+    its descent starts, for a net so wide that the descent's scalar
+    minimiser could overflow, and by ``lseminorm.leibniz_suites``, for
+    residuals that overflow at an extreme beta/delta ratio (the ``leibniz``
+    command then names ``ratios``)."""
 
 
 class CorollaryModeViolation(MatproxError):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, InputShapeError
 from . import metric_core
-from .matrix_algebra import hermitian_from_parts, hermitian_part, matrix_stack, operator_norms
+from .matrix_algebra import hermitian_part, matrix_stack, operator_norms
 from .metric_core import blocks
 
 GroupElement = tuple[int, int]
@@ -197,7 +197,10 @@ class LengthFunction:
         q = self.q
         if vals.shape != (q, q):
             raise ConfigError(f"length table has shape {vals.shape}, expected ({q}, {q})")
-        tol = 1e-12
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError("lengths must be finite")
+        # FiniteMetricSpace's tolerance: relative to the table's scale past 1.
+        tol = metric_core._AXIOM_RTOL * max(float(np.max(np.abs(vals))), 1.0)
         if abs(vals[0, 0]) > tol:
             raise ConfigError("length of the identity must be zero")
         positive = vals.copy()
@@ -698,12 +701,12 @@ def _draws(torus: FuzzyTorus, count: int, seed: int) -> np.ndarray:
 
     One normal draw of shape (count, 2, q, q) holds each draw's real and
     imaginary parts in the stream order of ``random_hermitian`` called once
-    per draw, and :func:`hermitian_from_parts` assembles them as it does."""
+    per draw, and assembles them as it does, as ``hermitian_part(x + 1j * y)``."""
     if count < 1:
         raise ConfigError("need at least one sample")
     q = torus.q
     parts = np.random.default_rng(seed).normal(size=(count, 2, q, q))
-    return hermitian_from_parts(parts[:, 0], parts[:, 1])
+    return hermitian_part(parts[:, 0] + 1j * parts[:, 1])
 
 
 def _sampled_gaps(

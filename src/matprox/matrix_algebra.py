@@ -128,26 +128,12 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitian_from_parts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """hermitian_part(x + 1j * y) for two real stacks x and y of one shape.
-
-    The complex stack is assembled bit for bit as numpy's x + 1j * y, without
-    its complex multiply: (0 + 1i)(y + 0i) = (0 y - 1 0) + (0 0 + 1 y) i, so
-    for every finite x and y, signed zeros included, the real part is
-    x + 0 y and the imaginary part y + 0."""
-    z = np.empty(x.shape, dtype=complex)
-    real, imag = z.real, z.imag
-    np.multiply(y, 0.0, out=real)
-    real += x
-    np.add(y, 0.0, out=imag)
-    return hermitian_part(z)
-
-
 def _gaussian_hermitian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """:func:`hermitian_from_parts` of x, y, two consecutive normal draws of
-    ``shape``, taken as one draw of shape (2, *shape), the same stream."""
+    """:func:`hermitian_part` of x + 1j * y, with x, y two consecutive normal
+    draws of ``shape``, taken as one draw of shape (2, *shape), the same
+    stream."""
     x, y = rng.normal(size=(2, *shape))
-    return hermitian_from_parts(x, y)
+    return hermitian_part(x + 1j * y)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -7,10 +7,11 @@ LP, the reach certificate's witness by unit-ball samples instead of its
 proof, the pinching seminorm with every deviation solved instead of
 screened, operator norms by power iteration instead of SVD, group averaging
 and the action seminorm by explicit conjugations instead of coefficient
-masks and gathers, the unit-ball radius by 2n LPs instead of its closed
-form, subgroups by brute-force closure instead of the triangular basis,
-subgroup Hausdorff distances over all pairs of elements instead of cosets,
-the fixed-point coefficient lines as matrices instead of their closed-form
+masks and gathers, the unit-ball radius by 2n LPs instead of the closed
+form that ``radius_bound`` in ``tests/test_lseminorm.py`` computes,
+subgroups by brute-force closure instead of the triangular basis, subgroup
+Hausdorff distances over all pairs of elements instead of cosets, the
+fixed-point coefficient lines as matrices instead of their closed-form
 spectra, the commutative reach by sampled functions instead of its closed
 form, and the kernels of both seminorms (the scalars, dimension one) by a
 nullity.  They are deliberately slow and simple.

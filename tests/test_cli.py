@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matprox import acceptance, cli, fixed_point, lseminorm, matrix_algebra, metric_core
+from matprox import acceptance, bridge, cli, fixed_point, lseminorm, matrix_algebra, metric_core
 from matprox.cli import build_parser, main, parse_beta_rule, parse_generator
 from matprox.cli import ValidationFailure
 from matprox.errors import (
@@ -74,6 +74,196 @@ def test_beta_rule_parsing():
         parse_beta_rule("delta_squared")
 
 
+def _exit_field(argv: list[str], files: dict[str, str] | None = None) -> tuple[int, str | None]:
+    """``main(argv)``'s exit code and, on exit 2, the field it named, run in
+    a fresh working directory holding ``files`` (name: text)."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in (files or {}).items():
+                Path(name).write_text(text, encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--output", "out.json"])
+            assert code != 2 or not Path("out.json").exists()
+            return code, json.loads(err.getvalue())["error"]["field"] if code == 2 else None
+        finally:
+            os.chdir(cwd)
+
+
+# The spec names, how many numbers each takes (None: one or more), and the
+# object its numbers make; a beta rule is compared by its value at
+# delta = 0.75, n = 3.
+_SPEC_NAMES = {
+    "generator": {"circle": (1, Circle), "interval": (1, Interval), "torus": (None, lambda *c: FlatTorus(c))},
+    "beta_rule": {"delta_over_n": (0, lambda: 0.25), "fixed": (1, lambda v: v),
+                  "fraction_of_delta": (1, lambda r: 0.75 * r)},
+}
+# Numbers as written, with their values; each is a valid size, beta and
+# fraction of delta.
+_SPEC_NUMBERS = [("pi", math.pi), ("2pi", 2 * math.pi), ("PI", math.pi), ("0.5", 0.5), ("1", 1.0),
+                 ("3e-1", 0.3), (".25", 0.25), ("1E-3", 1e-3)]
+_PADS = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _well_formed_specs(draw):
+    """(field, name as written, number tokens, the expected value), where
+    the spec is the name followed by its tokens joined by commas in
+    parentheses, if it has any."""
+    field = draw(st.sampled_from(sorted(_SPEC_NAMES)))
+    name = draw(st.sampled_from(sorted(_SPEC_NAMES[field])))
+    arity, build = _SPEC_NAMES[field][name]
+    count = draw(st.integers(1, 4)) if arity is None else arity
+    numbers = draw(st.lists(st.sampled_from(_SPEC_NUMBERS), min_size=count, max_size=count))
+    if field == "beta_rule" and name == "fraction_of_delta":
+        numbers = [(text, value) for text, value in numbers if value <= 1.0] or [("1", 1.0)]
+    written = "".join(c.upper() if up else c for c, up in zip(name, draw(st.lists(
+        st.booleans(), min_size=len(name), max_size=len(name)))))
+    tokens = [draw(_PADS) + text + draw(_PADS) for text, _ in numbers]
+    return field, written, tokens, build(*(value for _, value in numbers))
+
+
+def _spec_text(written: str, tokens: list[str]) -> str:
+    return written + (f"({','.join(tokens)})" if tokens else "")
+
+
+def _spec_argv(field: str, spec: str) -> list[str]:
+    return ["approximate", "--" + field.replace("_", "-"), spec, "--n", "4", "--reach-samples", "1"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_well_formed_specs(), st.data())
+def test_well_formed_specs_parse_and_an_empty_or_extra_number_names_the_key(spec, data):
+    # circle(1,2) and circle(pi,) ran as circle(1) and circle(pi), and
+    # echoed the spec as given; FIXED(0.1) ran while CIRCLE(1) was refused.
+    field, written, tokens, expected = spec
+    text = data.draw(_PADS) + _spec_text(written, tokens) + data.draw(_PADS)
+    if field == "generator":
+        assert parse_generator(text) == expected
+    else:
+        assert parse_beta_rule(text)(0.75, 3) == expected
+    empty = list(tokens)
+    empty.insert(data.draw(st.integers(0, len(tokens))), data.draw(_PADS))
+    assert _exit_field(_spec_argv(field, _spec_text(written, empty))) == (2, field)
+    if _SPEC_NAMES[field][written.lower()][0] is not None:
+        extra = tokens + [data.draw(st.sampled_from(_SPEC_NUMBERS))[0]]
+        assert _exit_field(_spec_argv(field, _spec_text(written, extra))) == (2, field)
+
+
+# Each list key with its command and a strategy for its well-formed entries.
+_SPACE = {"space.json": json.dumps({"points": [[0, 0], [1, 0], [0, 1]]})}
+_LIST_KEYS = {
+    "n_list": (["converge"], st.lists(st.integers(1, 64), min_size=1, unique=True).map(sorted)),
+    "sizes": (["leibniz", "--pairs", "1"], st.lists(st.integers(2, 64), min_size=1, max_size=8)),
+    "ratios": (["leibniz", "--pairs", "1"], st.lists(st.one_of(
+        st.floats(1e-3, 1e3), st.integers(1, 100)), min_size=1, max_size=8)),
+    "sweep": (["fixedpoint", "--count", "1"], st.lists(st.integers(2, 64), min_size=1, max_size=8)),
+    "h_generators": (["fixedpoint", "--count", "1"], st.lists(st.lists(
+        st.integers(-99, 99), min_size=2, max_size=2), min_size=1, max_size=8)),
+    "k_generators": (["fixedpoint", "--count", "1"], st.lists(st.lists(
+        st.integers(-99, 99), min_size=2, max_size=2), min_size=1, max_size=8)),
+    "p": (["mk", "--space", "space.json"], st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)),
+    "q": (["mk", "--space", "space.json"], st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)),
+}
+_NUMBER_LISTS = {"n_list", "sizes", "ratios", "sweep"}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_LIST_KEYS)), st.data())
+def test_well_formed_lists_parse_and_an_empty_entry_names_the_key(key, data):
+    # --n-list 4,,8 and --sizes 2,3, ran as [4, 8] and [2, 3].
+    argv, entries = _LIST_KEYS[key]
+    values = data.draw(entries)
+    tokens = [data.draw(_PADS) + json.dumps(v) + data.draw(_PADS) for v in values]
+    wrap = (lambda t: ",".join(t)) if key in _NUMBER_LISTS else (lambda t: "[" + ",".join(t) + "]")
+    check = next(k.check for c in cli.COMMANDS.values() for k in c.keys if k.name == key)
+    checked = check(wrap(tokens), key)
+    assert checked == ([tuple(v) for v in values] if key.endswith("generators") else values)
+    assert check(values, key) == checked
+    tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(_PADS))
+    flag = "--" + key.replace("_", "-")
+    assert _exit_field(argv + [flag, wrap(tokens)], _SPACE) == (2, key)
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        # Each of these ran to exit 0 as a different input: the spec without
+        # its extra or empty number, the list without its empty entry, and a
+        # null generator list as the trivial subgroup.
+        (["approximate", "--generator", "circle(1,2)"], "generator"),
+        (["approximate", "--generator", "interval(1,5)"], "generator"),
+        (["approximate", "--generator", "circle(pi,)"], "generator"),
+        (["approximate", "--generator", "torus(1,,1)"], "generator"),
+        (["converge", "--n-list", "4,,8"], "n_list"),
+        (["leibniz", "--sizes", "2,3,", "--pairs", "1"], "sizes"),
+        (["fixedpoint", "--config", "config.json"], "h_generators"),
+        # Refused before, and by the same rules now.
+        (["approximate", "--generator", "torus"], "generator"),
+        (["approximate", "--beta-rule", "fixed(0.1,0.2)"], "beta_rule"),
+        (["approximate", "--beta-rule", "delta_over_n()"], "beta_rule"),
+        (["approximate", "--beta-rule", "Fixed"], "beta_rule"),
+        (["fixedpoint", "--h-generators", "null"], "h_generators"),
+        (["fixedpoint", "--k-generators", "[[1,0],]"], "k_generators"),
+    ],
+)
+def test_each_misreading_is_refused_naming_its_key(argv, field):
+    assert _exit_field(argv, {"config.json": '{"h_generators": null}'}) == (2, field)
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["leibniz", "--pairs", "1", "--sizes", "x" + ",2" * 8], "sizes"),
+    (["fixedpoint", "--count", "1", "--h-generators", json.dumps([["x", 0]] * 9)], "h_generators"),
+])
+def test_a_list_cap_is_checked_before_its_entries(tmp_path, capsys, argv, key):
+    # Every entry was parsed or checked first, and the bad one named.
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 2 and not out.exists()
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == {"field": key, "message": f"{key} takes at most 8 entries, got 9"}
+
+
+@pytest.mark.parametrize("spec", ["CIRCLE(1)", "Circle(1)", "FIXED(0.1)", "Delta_Over_N"])
+def test_spec_names_match_in_any_case(tmp_path, spec):
+    # FIXED(0.1) ran while CIRCLE(1) was refused; both now run as in lower case.
+    field = "generator" if "(1)" in spec else "beta_rule"
+    runs = {}
+    for written in (spec, spec.lower()):
+        out = tmp_path / f"{written}.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(_spec_argv(field, written) + ["--output", str(out)]) == 0
+        results = read_json(out)["results"]
+        results.pop("generator")  # the spec as given
+        runs[written] = results
+    assert runs[spec] == runs[spec.lower()]
+
+
+@pytest.mark.parametrize("key", ["sweep", "p", "q"])
+def test_a_null_list_is_the_default_where_null_is_the_default(key):
+    argv = {"sweep": ["fixedpoint", "--count", "1", "--q", "4"], "p": ["mk", "--space", "space.json"],
+            "q": ["mk", "--space", "space.json"]}[key]
+    files = {**_SPACE, "config.json": json.dumps({key: None})}
+    assert _exit_field(argv + ["--config", "config.json"], files) == (0, None)
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["fixedpoint", "--h-generators", "[" * 100000], "h_generators"),
+        (["mk", "--space", "space.json", "--p", "[" * 100000], "p"),
+        (["mk", "--space", "deep.json"], "space"),
+        (["approximate", "--generator", "cloud:deep.json"], "generator"),
+        (["approximate", "--config", "deep.json"], "config"),
+    ],
+)
+def test_json_too_deep_to_parse_names_its_key(argv, field):
+    # Each escaped main as a RecursionError.
+    files = {**_SPACE, "deep.json": "[" * 100000 + "]" * 100000}
+    assert _exit_field(argv, files) == (2, field)
+
+
 # ---------------------------------------------------------------------------
 # approximate / converge.
 # ---------------------------------------------------------------------------
@@ -105,6 +295,17 @@ def test_approximate_writes_expected_fields(tmp_path):
     assert results["sampled_lower"] <= results["beta"] + 1e-9
     assert results["sampled_lower_certified"] is False
     assert payload["resolved_config"]["seed"] == 3
+
+
+def test_the_certified_bound_takes_the_reach_that_certify_reach_proves(tmp_path, monkeypatch):
+    # The bound added beta itself, so certify_reach, which criterion 3
+    # checks, never reached a payload.
+    proven = bridge.certify_reach
+    monkeypatch.setattr(bridge, "certify_reach", lambda pair: proven(pair)._replace(reach=3.0 * pair.beta))
+    out = tmp_path / "approx.json"
+    assert main(["approximate", "--n", "4", "--reach-samples", "1", "--output", str(out)]) == 0
+    results = read_json(out)["results"]
+    assert results["certified_bound"] == results["haus"] + 3.0 * results["beta"]
 
 
 def _bytes_without_runtime(path) -> bytes:

@@ -230,6 +230,27 @@ def test_invalid_length_tables_are_rejected():
         LengthFunction(4, spiky)
 
 
+@pytest.mark.parametrize("q,scale", [(31, 1e6), (64, 1e6), (12, 1e12), (12, 1e-6)])
+def test_length_tables_far_from_unit_scale_are_checked_relative_to_their_scale(q, scale):
+    # An absolute tolerance of 1e-12 refused the first three for rounding
+    # alone (excess 2.3e-10, 4.7e-10 and 4.9e-4).
+    table = scale * LengthFunction.max_arc(q).values
+    assert np.array_equal(LengthFunction(q, table).values, table)
+    spiky = table.copy()
+    spiky[2, 2] = spiky[-2, -2] = (2.0 + 1e-3) * spiky[1, 1]  # (1, 1) + (1, 1) jumps above the sum
+    with pytest.raises(ConfigError, match="subadditive"):
+        LengthFunction(q, spiky)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_length_tables_are_rejected(bad):
+    # A NaN or infinite length passed every axiom check.
+    table = LengthFunction.max_arc(4).values.copy()
+    table[1, 1] = table[3, 3] = bad
+    with pytest.raises(ConfigError, match="finite"):
+        LengthFunction(4, table)
+
+
 def test_max_arc_is_built_once_per_order_and_user_tables_are_still_checked():
     # Its q^3 validation took 191 ms per call at q = 64.
     assert LengthFunction.max_arc(12) is LengthFunction.max_arc(12)

@@ -68,6 +68,8 @@ INPUTS = {
 }
 # Written as bytes: a space file that is not UTF-8.
 NOT_UTF8 = "space_not_utf8.json"
+# Written as text: JSON nested too deeply for Python's parser to read.
+TOO_DEEP = "too_deep.json"
 
 # (name, argv, config file contents or None).  Each subcommand runs with its
 # defaults, with non-default values by flag and by config file, and with its
@@ -169,6 +171,19 @@ REJECTED = [
      None, "h_generators"),
     ("rejected_k_generators_over_cap", ["fixedpoint", "--count", "2", "--k-generators", json.dumps([[0, 1]] * 9)],
      None, "k_generators"),
+    # A spec takes exactly its numbers, and a list none that is empty; each
+    # of these ran as the spec or list without the extra or empty entry.
+    ("rejected_generator_extra_number", ["approximate", "--generator", "interval(1,5)", "--n", "4"], None,
+     "generator"),
+    ("rejected_generator_empty_number", ["approximate", "--generator", "torus(1,,1)", "--n", "4"], None,
+     "generator"),
+    ("rejected_n_list_empty_entry", ["converge", "--n-list", "4,,8"], None, "n_list"),
+    ("rejected_sizes_empty_entry", ["leibniz", "--sizes", "2,3,", "--pairs", "2"], None, "sizes"),
+    # A null generator list ran as the trivial subgroup.
+    ("rejected_h_generators_null", ["fixedpoint", "--count", "2"], {"h_generators": None}, "h_generators"),
+    # JSON too deep to parse escaped main as a RecursionError.
+    ("rejected_space_too_deep", ["mk", "--space", TOO_DEEP], None, "space"),
+    ("rejected_config_too_deep", ["approximate", "--config", TOO_DEEP], None, "config"),
 ]
 
 
@@ -185,6 +200,7 @@ def write_inputs() -> None:
     for name, payload in INPUTS.items():
         Path(name).write_text(json.dumps(payload), encoding="utf-8")
     Path(NOT_UTF8).write_bytes(b"\xff" + json.dumps(INPUTS["space_dist.json"]).encode())
+    Path(TOO_DEEP).write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
     Path("rejected/csv_onto_dir.csv").mkdir(parents=True, exist_ok=True)
 
 
